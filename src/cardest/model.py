@@ -7,6 +7,17 @@ Connectivity masks enforce that the logits for the column at position p of
 the ordering depend only on columns at positions < p, so the product of
 per-column softmax conditionals is a normalized joint distribution.
 
+Inference is progressive sampling (``estimate_selectivity``), evaluated
+degree-incrementally rather than by one ``forward`` per column.  Every
+hidden unit has a MADE degree d and sees only columns at positions < d; the
+logits at position p read only units of degree <= p.  Once the column at
+position p - 1 is sampled, the units of degree <= p - 1 never change again,
+so step p computes only the units of degree exactly p, through the input
+layer and each residual block, and then that column's logits.  These are
+exactly the connections the masks leave unmasked, so one query costs about
+one forward pass in total and gives ``forward``'s numbers up to the order of
+floating-point sums.
+
 Everything is float64 and driven by explicit numpy Generators; training,
 scoring, and inference are deterministic given seeds.  A separate prune
 mask (1 = keep) over the dense-layer weights supports unlearning: pruned
@@ -499,6 +510,32 @@ def encode_relation(model: ArDensityModel, rel: JoinRelation,
 # inference
 
 
+def _degree_sorted_weights(model: ArDensityModel):
+    """Effective weights for progressive sampling, plus the unit counts k.
+
+    Hidden units are stable-sorted by MADE degree and the ``w_in`` rows are
+    put in column-position order, so the sub-network feeding position p is a
+    leading slice of every matrix: ``k[p]`` units (those of degree <= p) and
+    the embeddings of positions < p.  The function computed is the same as
+    ``forward``'s; only the unit order changes.
+    """
+    emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
+    _, hid_deg = _degrees(model.ncols, model.positions, emb, model.cfg.hidden_dim)
+    perm = np.argsort(hid_deg, kind="stable")
+    k = np.searchsorted(hid_deg[perm], np.arange(model.ncols), side="right")
+    rows = (model.order[:, None] * emb + np.arange(emb)).ravel()
+    W = {"w_in": _effective(model, "w_in")[rows][:, perm],
+         "b_in": model.params["b_in"][perm],
+         "w_out": _effective(model, "w_out")[perm],
+         "b_out": model.params["b_out"]}
+    for r in range(R):
+        for key in (f"w1_{r}", f"w2_{r}"):
+            W[key] = _effective(model, key)[perm][:, perm]
+        for key in (f"b1_{r}", f"b2_{r}"):
+            W[key] = model.params[key][perm]
+    return W, k
+
+
 def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarray],
                          num_samples: int = 512,
                          rng: np.random.Generator | None = None,
@@ -514,6 +551,21 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     conditional; unconstrained columns are sampled freely.  Columns after
     the last constrained position cannot change the estimate and are
     skipped.
+
+    The network is evaluated degree-incrementally rather than by a full
+    ``forward`` per position.  With hidden units sorted by MADE degree, the
+    logits at position p read only the first ``k[p]`` units (degree <= p),
+    and those units read only the embeddings of positions < p.  A unit of
+    degree d reads only columns at positions < d, all sampled before step
+    d, so it is computed once, at step d, and never changes afterwards.
+    Step p therefore computes the input layer and every residual block for
+    the new units ``k[p-1]:k[p]`` alone, reading the cached activations of
+    units ``:k[p]`` one layer down, then the column's own ``w_out`` block.
+    Every connectivity-mask entry inside these slices is 1, so the sampler
+    does exactly the unmasked multiply-adds of one forward pass per query,
+    and the result equals ``forward``'s up to the order of floating-point
+    sums.  No position is special: with a single column every unit has
+    degree 0 and step 0 computes them all.
 
     With ``with_error`` the Monte-Carlo standard error of the path-weight
     mean is returned alongside the estimate.
@@ -536,13 +588,33 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     last_pos = max(by_pos)
 
     n = num_samples
-    X = np.zeros((n, model.ncols), dtype=np.int64)
+    emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
+    W, k = _degree_sorted_weights(model)
+    # per-path state, hidden units in degree order: the sampled columns'
+    # embeddings in position order, relu(h) entering each residual block
+    # (the last entry feeds w_out) and relu(z) inside each block
+    A0 = np.zeros((n, emb * model.ncols))
+    acts = [np.empty((n, model.cfg.hidden_dim)) for _ in range(R + 1)]
+    mids = [np.empty((n, model.cfg.hidden_dim)) for _ in range(R)]
     weight = np.ones(n)
     offs = model.logit_offsets()
     for p in range(last_pos + 1):
         i = int(model.order[p])
-        logits, _ = forward(model, X)
-        block = logits[:, offs[i]:offs[i + 1]]
+        kp = int(k[p])
+        new = slice(int(k[p - 1]) if p else 0, kp)
+        h = A0[:, :emb * p] @ W["w_in"][:emb * p, new]
+        h += W["b_in"][new]
+        for r in range(R):
+            np.maximum(h, 0.0, out=acts[r][:, new])
+            z = acts[r][:, :kp] @ W[f"w1_{r}"][:kp, new]
+            z += W[f"b1_{r}"][new]
+            np.maximum(z, 0.0, out=mids[r][:, new])
+            u = mids[r][:, :kp] @ W[f"w2_{r}"][:kp, new]
+            u += W[f"b2_{r}"][new]
+            h += u
+        np.maximum(h, 0.0, out=acts[R][:, new])
+        cols = slice(offs[i], offs[i + 1])
+        block = acts[R][:, :kp] @ W["w_out"][:kp, cols] + W["b_out"][cols]
         probs = np.exp(_log_softmax(block))
         if p in by_pos:
             _, wv = by_pos[p]
@@ -550,23 +622,19 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             weight *= mass
             probs = probs * wv
         if p < last_pos:
-            totals = probs.sum(axis=1)
-            alive = totals > 0.0
             cdf = np.cumsum(probs, axis=1)
+            # the cumsum's own total: a separately summed total can exceed
+            # it by an ulp and let the draw land past the last allowed code
+            totals = cdf[:, -1]
+            alive = totals > 0.0
             u = rng.random(n) * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
-            X[:, i] = np.where(alive, nxt, 0)
+            A0[:, emb * p:emb * (p + 1)] = model.embeddings[i][np.where(alive, nxt, 0)]
             weight = np.where(alive, weight, 0.0)
     if with_error:
         sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return float(weight.mean()), sem
     return float(weight.mean())
-
-
-def estimate_cardinality(model: ArDensityModel, constraints: dict[str, np.ndarray],
-                         total_rows: int, num_samples: int = 512,
-                         rng: np.random.Generator | None = None) -> float:
-    return estimate_selectivity(model, constraints, num_samples, rng) * total_rows
 
 
 def interval_bin_weights(lo: float, hi: float, col_lo: float, col_hi: float,

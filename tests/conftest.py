@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cardest.model import (ArDensityModel, ModelConfig, batch_nll_terms,
-                           forward, init_model, loss_and_grad)
+from cardest.model import (ArDensityModel, ModelConfig, _log_softmax,
+                           batch_nll_terms, forward, init_model, loss_and_grad)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Join,
                                 SchemaGraph, TableData)
 
@@ -168,3 +168,50 @@ def enumerate_probabilities(model: ArDensityModel):
     logits, _ = forward(model, combos)
     terms = batch_nll_terms(model, combos, logits)
     return combos, np.exp(-terms.sum(axis=1))
+
+
+def reference_estimate_selectivity(model: ArDensityModel, constraints, num_samples,
+                                   rng, with_error=False):
+    """Progressive sampling with one full ``forward`` pass per position.
+
+    The direct form of ``estimate_selectivity``, which evaluates the network
+    degree-incrementally instead; both draw from ``rng`` in the same order.
+    This draw scales ``u`` by ``probs.sum``, which can exceed the cumsum's
+    last entry by an ulp; that changes a path only when ``u`` lands within
+    that ulp of the end of the cdf.
+    """
+    if not constraints:
+        return (1.0, 0.0) if with_error else 1.0
+    by_pos = {}
+    pos = model.positions
+    for name, wv in constraints.items():
+        i = model.column_index(name)
+        by_pos[int(pos[i])] = (i, np.asarray(wv, dtype=np.float64))
+    last_pos = max(by_pos)
+
+    n = num_samples
+    X = np.zeros((n, model.ncols), dtype=np.int64)
+    weight = np.ones(n)
+    offs = model.logit_offsets()
+    for p in range(last_pos + 1):
+        i = int(model.order[p])
+        logits, _ = forward(model, X)
+        block = logits[:, offs[i]:offs[i + 1]]
+        probs = np.exp(_log_softmax(block))
+        if p in by_pos:
+            _, wv = by_pos[p]
+            mass = probs @ wv
+            weight *= mass
+            probs = probs * wv
+        if p < last_pos:
+            totals = probs.sum(axis=1)
+            alive = totals > 0.0
+            cdf = np.cumsum(probs, axis=1)
+            u = rng.random(n) * np.where(alive, totals, 1.0)
+            nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+            X[:, i] = np.where(alive, nxt, 0)
+            weight = np.where(alive, weight, 0.0)
+    if with_error:
+        sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return float(weight.mean()), sem
+    return float(weight.mean())

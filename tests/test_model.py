@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from cardest.errors import DomainError, FormatError, TrainingError, ValidationError
-from cardest.model import (ModelConfig, estimate_cardinality,
-                           estimate_selectivity, forward, grad_nll, init_model,
+from cardest.model import (ModelConfig, _log_softmax, estimate_selectivity,
+                           forward, grad_nll, init_model,
                            interval_bin_weights, load_checkpoint, nll_terms,
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
 from conftest import (enumerate_probabilities, fd_gradient, max_relative_error,
-                      tiny_model)
+                      reference_estimate_selectivity, tiny_model)
 
 
 def cat_spec(name, dom):
@@ -223,6 +223,36 @@ class TestTrain:
             assert (m.params[k][m.prune_masks[k] == 0.0] == 0.0).all()
 
 
+REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",
+                   "single_column"]
+
+
+def reference_case_model(case):
+    """A tiny model whose every parameter is random (a fresh output layer is
+    all zero, which makes every conditional uniform) and 30% of whose dense
+    weights are pruned."""
+    if case == "single_column":
+        cfg = ModelConfig(embedding_dim=2, hidden_dim=6, residual_blocks=2, dropout=0.0)
+        m = init_model([cat_spec("t.a", 5)], cfg, seed=24)
+    elif case == "four_columns":
+        m = tiny_model(seed=22, doms=(3, 4, 5), order=(1, 3, 0, 2), hidden_dim=12,
+                       blocks=2)
+    elif case == "narrow_hidden":  # degree 3 has no hidden unit
+        m = tiny_model(seed=25, doms=(3, 4, 5), order=(3, 2, 1, 0), hidden_dim=2)
+    else:
+        m = tiny_model(seed=21 if case == "permuted" else 23, doms=(4, 3),
+                       order=(2, 0, 1), blocks=2)
+    rng = np.random.default_rng(REFERENCE_CASES.index(case))
+    for k, v in m.params.items():
+        m.params[k] = rng.normal(0.0, 0.7, v.shape)
+    for k in m.weight_keys():
+        m.prune_masks[k] = (rng.random(m.params[k].shape) >= 0.3).astype(np.float64)
+        m.params[k] *= m.conn_masks[k] * m.prune_masks[k]
+    if case == "domain_pruned":
+        domain_prune_categorical(m, "t.c0", np.array([0, 2, 3]))
+    return m
+
+
 class TestEstimate:
     def test_no_constraints_is_exactly_one(self):
         m = tiny_model(seed=12)
@@ -264,12 +294,60 @@ class TestEstimate:
             estimate_selectivity(m, {"t.zzz": np.array([1.0])}, 8,
                                  np.random.default_rng(0))
 
-    def test_cardinality_scaling(self):
-        m = tiny_model(seed=15)
-        rng = np.random.default_rng(0)
-        assert estimate_cardinality(m, {}, 3, 8, rng) == 3.0
-        zero = {"t.c0": np.zeros(m.columns[0].domain_size)}
-        assert estimate_cardinality(m, zero, 100, 8, rng) == 0.0
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_full_forward_reference(self, case):
+        m = reference_case_model(case)
+        rng = np.random.default_rng(31)
+        for q in range(12):
+            cons = {}
+            for c in m.columns:
+                if m.ncols > 1 and rng.random() < 0.4:
+                    continue
+                wv = np.where(rng.random(c.domain_size) < 0.3, 0.0,
+                              np.minimum(rng.random(c.domain_size) * 2, 1.0))
+                cons[c.name] = np.zeros(c.domain_size) if q == 0 else wv
+            for seed in (0, 1):
+                est, sem = estimate_selectivity(m, cons, 64, np.random.default_rng(seed),
+                                                with_error=True)
+                ref, ref_sem = reference_estimate_selectivity(
+                    m, cons, 64, np.random.default_rng(seed), with_error=True)
+                assert (est == 0.0) == (ref == 0.0)
+                assert abs(est - ref) <= 1e-12 * abs(ref)
+                assert abs(sem - ref_sem) <= 1e-12 * abs(ref_sem)
+
+    def test_draw_never_picks_a_zero_weight_code(self):
+        # The first column's last code is excluded by the constraint.  Only
+        # that code feeds the hidden unit, which pushes the second column's
+        # conditional for the constrained value to ~0 if it was drawn.
+        K = 12
+        cfg = ModelConfig(embedding_dim=1, hidden_dim=1, residual_blocks=1, dropout=0.0)
+        m = init_model([cat_spec("t.a", K), cat_spec("t.b", 2)], cfg, seed=0)
+        for k in m.params:
+            m.params[k][...] = 0.0
+        m.embeddings[0][...] = 0.0
+        m.embeddings[0][K - 1] = 1.0
+        m.params["w_in"][0, 0] = 1.0
+        m.params["w_out"][0, K:] = [50.0, -50.0]
+        wv = np.ones(K)
+        wv[-1] = 0.0
+        top = np.nextafter(1.0, 0.0)  # the largest value Generator.random returns
+        for seed in range(1000):
+            b = np.random.default_rng(seed).normal(0.0, 2.0, K)
+            probs = np.exp(_log_softmax(b[None, :])) * wv
+            # a pairwise total above the cumsum's lets the top draw run off the cdf
+            if np.cumsum(probs, axis=1)[0, -1] < top * probs.sum():
+                break
+        else:
+            pytest.fail("no logits found whose pairwise total exceeds the cumsum")
+        m.params["b_out"][:K] = b
+
+        class TopRng:
+            def random(self, n):
+                return np.full(n, top)
+
+        est = estimate_selectivity(m, {"t.a": wv, "t.b": np.array([0.0, 1.0])}, 4,
+                                   TopRng())
+        assert est == pytest.approx(0.5 * probs.sum(), rel=1e-12)
 
 
 class TestIntervalWeights:
