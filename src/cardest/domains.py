@@ -192,8 +192,3 @@ def remap_array(remap: NumericRemap, xs: np.ndarray, on_gap: str = "error") -> n
         jc = np.clip(j, 0, len(starts) - 1)
     scale = (remap.hi - remap.lo) / remap.retained_length
     return (xs - starts[jc] + offs[jc]) * scale + remap.lo
-
-
-def deleted_domain(domain_values, retained_values) -> set:
-    """Values of the original domain that no longer occur in retained rows."""
-    return set(domain_values) - set(retained_values)

@@ -34,7 +34,8 @@ class GapError(DomainError):
 
 
 class FormatError(CardestError):
-    """A persisted artifact failed structural validation (magic, version, checksum)."""
+    """A persisted artifact failed validation (magic, version, checksum, layout,
+    or the masked-weights-are-zero invariant)."""
 
 
 class TrainingError(CardestError):

@@ -19,25 +19,32 @@ one forward pass in total and gives ``forward``'s numbers up to the order of
 floating-point sums.
 
 Everything is float64 and driven by explicit numpy Generators; training,
-scoring, and inference are deterministic given seeds.  A separate prune
-mask (1 = keep) over the dense-layer weights supports unlearning: pruned
-positions hold exactly 0 and their gradients are zeroed, so they stay 0
-through any subsequent training.
+scoring, and inference are deterministic given seeds.  All parameters live
+in one vector ``theta``: the dense weights in ``weight_keys()`` order, then
+their biases, then one embedding table per column; ``params`` and
+``embeddings`` are views into it.  One keep-mask ``keep`` (1 = trainable)
+covers the dense-weight prefix and is the product of the MADE connectivity
+and the unlearning prune mask.  Every position where ``keep`` is 0 holds
+exactly 0 and gets a zero gradient, and the optimizer re-zeroes it after
+each step, so the network reads the weights as they are, with no mask
+product on the way.  Checkpoints are outside input to that invariant and
+are checked for it when loaded.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .domains import NumericRemap, remap_array
-from .errors import (DomainError, EmptyRelationError, FormatError,
-                     TrainingError, ValidationError)
+from .errors import (EmptyRelationError, FormatError, TrainingError,
+                     ValidationError)
 from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
@@ -105,11 +112,21 @@ class ModelColumn:
 class ArDensityModel:
     cfg: ModelConfig
     columns: list[ModelColumn]
-    order: np.ndarray                    # positions -> column index
-    embeddings: list[np.ndarray]         # per column: (domain, emb)
-    params: dict[str, np.ndarray]
-    conn_masks: dict[str, np.ndarray]    # autoregressive connectivity, fixed
-    prune_masks: dict[str, np.ndarray]   # 1 = keep; only dense weight keys
+    order: np.ndarray          # positions -> column index
+    theta: np.ndarray          # every parameter, in _parameter_shapes() order
+    keep: np.ndarray           # dense-weight prefix of theta: connectivity x prune
+    params: dict[str, np.ndarray] = field(init=False)   # weight and bias views
+    embeddings: list[np.ndarray] = field(init=False)    # per column: (domain, emb) view
+
+    def __post_init__(self):
+        self.bind()
+
+    def bind(self):
+        """Point ``params`` and ``embeddings`` into ``theta``; call again
+        whenever ``theta`` is replaced."""
+        views = self.unflatten(self.theta)
+        self.embeddings = [views.pop(f"emb:{i}") for i in range(self.ncols)]
+        self.params = views
 
     @property
     def ncols(self) -> int:
@@ -128,6 +145,31 @@ class ArDensityModel:
         keys.append("w_out")
         return keys
 
+    def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector in ``theta`` layout, keyed by parameter name.  A
+        vector as long as ``keep`` yields the dense weights only."""
+        views, off = {}, 0
+        for key, shape in _parameter_shapes(self.cfg, self.columns).items():
+            if off == vec.size:
+                break
+            n = math.prod(shape)
+            views[key] = vec[off:off + n].reshape(shape)
+            off += n
+        return views
+
+    def connectivity(self) -> np.ndarray:
+        """MADE connectivity over the dense-weight prefix of ``theta`` (1 =
+        connected), rebuilt from the column order and domain sizes."""
+        pos = self.positions
+        in_deg, hid_deg = _degrees(self.ncols, pos, self.cfg.embedding_dim,
+                                   self.cfg.hidden_dim)
+        out_deg = np.repeat(pos + 1, [c.domain_size for c in self.columns])
+        hid = (hid_deg[None, :] >= hid_deg[:, None]).ravel()
+        return np.concatenate([(hid_deg[None, :] >= in_deg[:, None]).ravel()]
+                              + [hid] * (2 * self.cfg.residual_blocks)
+                              + [(out_deg[None, :] > hid_deg[:, None]).ravel()]
+                              ).astype(np.float64)
+
     def logit_offsets(self) -> np.ndarray:
         sizes = [c.domain_size for c in self.columns]
         return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -139,33 +181,22 @@ class ArDensityModel:
         raise ValidationError(f"model has no column {name!r}")
 
     def copy(self) -> "ArDensityModel":
-        return ArDensityModel(
-            cfg=self.cfg,
-            columns=copy.deepcopy(self.columns),
-            order=self.order.copy(),
-            embeddings=[e.copy() for e in self.embeddings],
-            params={k: v.copy() for k, v in self.params.items()},
-            conn_masks={k: v.copy() for k, v in self.conn_masks.items()},
-            prune_masks={k: v.copy() for k, v in self.prune_masks.items()},
-        )
+        return ArDensityModel(cfg=self.cfg, columns=copy.deepcopy(self.columns),
+                              order=self.order.copy(), theta=self.theta.copy(),
+                              keep=self.keep.copy())
 
     def parameter_count(self) -> int:
-        n = sum(e.size for e in self.embeddings)
-        return n + sum(v.size for v in self.params.values())
+        return self.theta.size
 
     def eligible_weight_count(self) -> int:
-        """Dense weight positions allowed by the connectivity masks; this is
+        """Dense weight positions allowed by the connectivity mask; this is
         the pool the prune budget is computed over."""
-        return int(sum(self.conn_masks[k].sum() for k in self.weight_keys()))
+        return int(self.connectivity().sum())
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for e in self.embeddings:
-            h.update(e.tobytes())
-        for k in sorted(self.params):
-            h.update(self.params[k].tobytes())
-        for k in sorted(self.prune_masks):
-            h.update(self.prune_masks[k].tobytes())
+        h.update(self.theta.tobytes())
+        h.update(self.keep.tobytes())
         return h.hexdigest()
 
 
@@ -198,20 +229,20 @@ def _degrees(ncols: int, positions: np.ndarray, emb: int, hidden: int):
     return in_deg, hid_deg
 
 
-def _build_conn_masks(columns, order, cfg) -> dict[str, np.ndarray]:
-    ncols = len(columns)
-    positions = np.empty(ncols, dtype=np.int64)
-    positions[order] = np.arange(ncols)
-    in_deg, hid_deg = _degrees(ncols, positions, cfg.embedding_dim, cfg.hidden_dim)
-    masks = {"w_in": (hid_deg[None, :] >= in_deg[:, None]).astype(np.float64)}
-    hid_mask = (hid_deg[None, :] >= hid_deg[:, None]).astype(np.float64)
+def _parameter_shapes(cfg: ModelConfig, columns: list[ModelColumn]
+                      ) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape in ``theta`` order: the dense weights in
+    ``weight_keys()`` order, their biases in the same order, then one
+    embedding table per column."""
+    emb, hidden = cfg.embedding_dim, cfg.hidden_dim
+    shapes = {"w_in": (emb * len(columns), hidden)}
     for r in range(cfg.residual_blocks):
-        masks[f"w1_{r}"] = hid_mask.copy()
-        masks[f"w2_{r}"] = hid_mask.copy()
-    out_deg = np.concatenate([np.repeat(positions[i] + 1, columns[i].domain_size)
-                              for i in range(ncols)])
-    masks["w_out"] = (out_deg[None, :] > hid_deg[:, None]).astype(np.float64)
-    return masks
+        shapes[f"w1_{r}"] = (hidden, hidden)
+        shapes[f"w2_{r}"] = (hidden, hidden)
+    shapes["w_out"] = (hidden, sum(c.domain_size for c in columns))
+    shapes.update({"b" + k[1:]: (s[1],) for k, s in shapes.items()})
+    shapes.update({f"emb:{i}": (c.domain_size, emb) for i, c in enumerate(columns)})
+    return shapes
 
 
 def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
@@ -229,43 +260,23 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
     cfg.validate(len(columns))
     order = np.array(cfg.column_order if cfg.column_order is not None
                      else range(len(columns)), dtype=np.int64)
-
+    size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
+                           theta=np.zeros(size), keep=np.empty(0))
     rng = np.random.default_rng(seed)
-    emb, hidden = cfg.embedding_dim, cfg.hidden_dim
-    in_dim = emb * len(columns)
-    total_logits = sum(c.domain_size for c in columns)
-
-    def glorot(n_in, n_out):
-        s = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-s, s, size=(n_in, n_out))
-
-    params = {"w_in": glorot(in_dim, hidden), "b_in": np.zeros(hidden)}
-    for r in range(cfg.residual_blocks):
-        params[f"w1_{r}"] = glorot(hidden, hidden)
-        params[f"b1_{r}"] = np.zeros(hidden)
-        params[f"w2_{r}"] = glorot(hidden, hidden)
-        params[f"b2_{r}"] = np.zeros(hidden)
-    params["w_out"] = np.zeros((hidden, total_logits))
-    params["b_out"] = np.zeros(total_logits)
-
-    embeddings = [rng.normal(0.0, 1.0 / np.sqrt(emb), size=(c.domain_size, emb))
-                  for c in columns]
-
-    conn = _build_conn_masks(columns, order, cfg)
-    for k, m in conn.items():
-        params[k] = params[k] * m
-    prune = {k: np.ones_like(m) for k, m in conn.items()}
-    return ArDensityModel(cfg=cfg, columns=columns, order=order,
-                          embeddings=embeddings, params=params,
-                          conn_masks=conn, prune_masks=prune)
+    for k in model.weight_keys()[:-1]:
+        w = model.params[k]
+        s = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-s, s, size=w.shape)
+    for e in model.embeddings:
+        e[...] = rng.normal(0.0, 1.0 / np.sqrt(cfg.embedding_dim), size=e.shape)
+    model.keep = model.connectivity()
+    model.theta[:model.keep.size] *= model.keep
+    return model
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
-
-
-def _effective(model, key):
-    return model.params[key] * model.conn_masks[key] * model.prune_masks[key]
 
 
 def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
@@ -277,6 +288,7 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     """
     B = X.shape[0]
     emb = model.cfg.embedding_dim
+    P = model.params
     A0 = np.empty((B, emb * model.ncols))
     for i in range(model.ncols):
         A0[:, i * emb:(i + 1) * emb] = model.embeddings[i][X[:, i]]
@@ -285,11 +297,11 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     use_dropout = training and model.cfg.dropout > 0.0
     cache = {"X": X, "A0": A0, "blocks": []}
 
-    h = A0 @ _effective(model, "w_in") + model.params["b_in"]
+    h = A0 @ P["w_in"] + P["b_in"]
     cache["h0"] = h
     for r in range(model.cfg.residual_blocks):
         a = np.maximum(h, 0.0)
-        z = a @ _effective(model, f"w1_{r}") + model.params[f"b1_{r}"]
+        z = a @ P[f"w1_{r}"] + P[f"b1_{r}"]
         c = np.maximum(z, 0.0)
         if use_dropout:
             dmask = (rng.random(c.shape) < keep).astype(np.float64) / keep
@@ -297,14 +309,14 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
         else:
             dmask = None
             d = c
-        u = d @ _effective(model, f"w2_{r}") + model.params[f"b2_{r}"]
+        u = d @ P[f"w2_{r}"] + P[f"b2_{r}"]
         h_next = h + u
         cache["blocks"].append({"h": h, "a": a, "z": z, "d": d, "dmask": dmask})
         h = h_next
     cache["h_last"] = h
     hf = np.maximum(h, 0.0)
     cache["hf"] = hf
-    logits = hf @ _effective(model, "w_out") + model.params["b_out"]
+    logits = hf @ P["w_out"] + P["b_out"]
     return logits, cache
 
 
@@ -325,24 +337,14 @@ def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray) ->
     return terms
 
 
-def nll_terms(model: ArDensityModel, row: np.ndarray) -> np.ndarray:
-    """Per-column negative log conditional probabilities of one encoded row."""
-    row = np.asarray(row, dtype=np.int64)
-    for i, col in enumerate(model.columns):
-        if not 0 <= row[i] < col.domain_size:
-            raise DomainError(f"code {row[i]} outside current domain of {col.name!r}")
-    logits, _ = forward(model, row[None, :])
-    return batch_nll_terms(model, row[None, :], logits)[0]
-
-
 def loss_and_grad(model: ArDensityModel, X: np.ndarray,
                   column_weights: np.ndarray | None = None,
                   training: bool = False, rng: np.random.Generator | None = None):
     """Weighted NLL and its exact gradient, averaged over the batch.
 
     The loss is mean_batch sum_i w_i * (-log p(col_i | earlier columns)).
-    Gradients congruent to params plus one "emb:i" entry per column;
-    entries at connectivity-masked or pruned weight positions are zero.
+    The gradient is one vector in ``theta`` layout; it is exactly zero
+    wherever ``keep`` is 0.
     """
     if column_weights is None:
         w = np.ones(model.ncols)
@@ -366,44 +368,35 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
         p[np.arange(B), X[:, i]] -= 1.0
         dlogits[:, offs[i]:offs[i + 1]] = p * (w[i] / B)
 
-    grads: dict[str, np.ndarray] = {}
-    hf = cache["hf"]
-    grads["w_out"] = (hf.T @ dlogits) * model.conn_masks["w_out"] * model.prune_masks["w_out"]
-    grads["b_out"] = dlogits.sum(axis=0)
-    dhf = dlogits @ _effective(model, "w_out").T
+    P = model.params
+    grad = np.zeros_like(model.theta)
+    G = model.unflatten(grad)
+    G["w_out"][...] = cache["hf"].T @ dlogits
+    G["b_out"][...] = dlogits.sum(axis=0)
+    dhf = dlogits @ P["w_out"].T
     dh = dhf * (cache["h_last"] > 0.0)
 
     for r in reversed(range(model.cfg.residual_blocks)):
         blk = cache["blocks"][r]
         du = dh
-        grads[f"w2_{r}"] = (blk["d"].T @ du) * model.conn_masks[f"w2_{r}"] * \
-            model.prune_masks[f"w2_{r}"]
-        grads[f"b2_{r}"] = du.sum(axis=0)
-        dd = du @ _effective(model, f"w2_{r}").T
+        G[f"w2_{r}"][...] = blk["d"].T @ du
+        G[f"b2_{r}"][...] = du.sum(axis=0)
+        dd = du @ P[f"w2_{r}"].T
         dc = dd * blk["dmask"] if blk["dmask"] is not None else dd
         dz = dc * (blk["z"] > 0.0)
-        grads[f"w1_{r}"] = (blk["a"].T @ dz) * model.conn_masks[f"w1_{r}"] * \
-            model.prune_masks[f"w1_{r}"]
-        grads[f"b1_{r}"] = dz.sum(axis=0)
-        da = dz @ _effective(model, f"w1_{r}").T
+        G[f"w1_{r}"][...] = blk["a"].T @ dz
+        G[f"b1_{r}"][...] = dz.sum(axis=0)
+        da = dz @ P[f"w1_{r}"].T
         dh = dh + da * (blk["h"] > 0.0)
 
-    grads["w_in"] = (cache["A0"].T @ dh) * model.conn_masks["w_in"] * model.prune_masks["w_in"]
-    grads["b_in"] = dh.sum(axis=0)
-    dA0 = dh @ _effective(model, "w_in").T
+    G["w_in"][...] = cache["A0"].T @ dh
+    G["b_in"][...] = dh.sum(axis=0)
+    dA0 = dh @ P["w_in"].T
     emb = model.cfg.embedding_dim
     for i in range(model.ncols):
-        g = np.zeros_like(model.embeddings[i])
-        np.add.at(g, X[:, i], dA0[:, i * emb:(i + 1) * emb])
-        grads[f"emb:{i}"] = g
-    return loss, grads
-
-
-def grad_nll(model: ArDensityModel, X: np.ndarray,
-             column_weights: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Gradient of the (optionally column-weighted) mean NLL over a batch."""
-    _, grads = loss_and_grad(model, X, column_weights)
-    return grads
+        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, i * emb:(i + 1) * emb])
+    grad[:model.keep.size] *= model.keep
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +406,21 @@ def grad_nll(model: ArDensityModel, X: np.ndarray,
 class AdamState:
     def __init__(self, model: ArDensityModel):
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
-        self.m_emb = [np.zeros_like(e) for e in model.embeddings]
-        self.v_emb = [np.zeros_like(e) for e in model.embeddings]
+        self.m = np.zeros_like(model.theta)
+        self.v = np.zeros_like(model.theta)
 
-    def step(self, model: ArDensityModel, grads: dict[str, np.ndarray]):
+    def step(self, model: ArDensityModel, grad: np.ndarray):
         cfg = model.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-
-        def update(p, g, m, v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-
-        for k in model.params:
-            update(model.params[k], grads[k], self.m[k], self.v[k])
-        for i in range(model.ncols):
-            update(model.embeddings[i], grads[f"emb:{i}"], self.m_emb[i], self.v_emb[i])
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * grad
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * grad * grad
+        model.theta -= cfg.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.eps)
         # keep masked weight positions at exactly 0
-        for k in model.weight_keys():
-            model.params[k] *= model.conn_masks[k] * model.prune_masks[k]
+        model.theta[:model.keep.size] *= model.keep
 
 
 def train(model: ArDensityModel, data: np.ndarray, seed: int,
@@ -462,10 +445,10 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
         perm = rng.permutation(data.shape[0])
         for start in range(0, len(perm), batch_size):
             batch = data[perm[start:start + batch_size]]
-            loss, grads = loss_and_grad(model, batch, training=True, rng=rng)
+            loss, grad = loss_and_grad(model, batch, training=True, rng=rng)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
-            adam.step(model, grads)
+            adam.step(model, grad)
             trace.append(loss)
             step += 1
             if step_hook is not None:
@@ -479,7 +462,7 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
 
 def encode_relation(model: ArDensityModel, rel: JoinRelation,
                     gap_policy: str = "error") -> tuple[np.ndarray, np.ndarray]:
-    """Encode a materialized relation into model codes.
+    """Encode a join relation into model codes.
 
     Returns (codes, valid): rows with a categorical value outside the
     model's current domain are marked invalid (there is nothing to map them
@@ -487,8 +470,6 @@ def encode_relation(model: ArDensityModel, rel: JoinRelation,
     ``gap_policy="error"`` or are clamped to the nearest retained boundary
     under ``"clamp"``.
     """
-    if not rel.materialized:
-        raise ValidationError("encode_relation needs a materialized relation")
     n = rel.cardinality
     codes = np.zeros((n, model.ncols), dtype=np.int64)
     valid = np.ones(n, dtype=bool)
@@ -511,7 +492,7 @@ def encode_relation(model: ArDensityModel, rel: JoinRelation,
 
 
 def _degree_sorted_weights(model: ArDensityModel):
-    """Effective weights for progressive sampling, plus the unit counts k.
+    """Weights in degree order for progressive sampling, plus the unit counts k.
 
     Hidden units are stable-sorted by MADE degree and the ``w_in`` rows are
     put in column-position order, so the sub-network feeding position p is a
@@ -524,15 +505,14 @@ def _degree_sorted_weights(model: ArDensityModel):
     perm = np.argsort(hid_deg, kind="stable")
     k = np.searchsorted(hid_deg[perm], np.arange(model.ncols), side="right")
     rows = (model.order[:, None] * emb + np.arange(emb)).ravel()
-    W = {"w_in": _effective(model, "w_in")[rows][:, perm],
-         "b_in": model.params["b_in"][perm],
-         "w_out": _effective(model, "w_out")[perm],
-         "b_out": model.params["b_out"]}
+    P = model.params
+    W = {"w_in": P["w_in"][rows][:, perm], "b_in": P["b_in"][perm],
+         "w_out": P["w_out"][perm], "b_out": P["b_out"]}
     for r in range(R):
         for key in (f"w1_{r}", f"w2_{r}"):
-            W[key] = _effective(model, key)[perm][:, perm]
+            W[key] = P[key][perm][:, perm]
         for key in (f"b1_{r}", f"b2_{r}"):
-            W[key] = model.params[key][perm]
+            W[key] = P[key][perm]
     return W, k
 
 
@@ -687,21 +667,29 @@ def _column_from_meta(meta: dict) -> ModelColumn:
                        bins=meta["bins"], remap=remap)
 
 
-def _array_sequence(model: ArDensityModel):
-    seq = [(f"emb:{i}", model.embeddings[i]) for i in range(model.ncols)]
-    seq += [(k, model.params[k]) for k in sorted(model.params)]
-    seq += [(f"prune:{k}", model.prune_masks[k]) for k in model.weight_keys()]
-    return seq
+def _array_specs(shapes: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) of a checkpoint's arrays in file order: the embeddings,
+    the other parameters sorted by name, then one ``prune:`` mask (1 = keep)
+    per dense weight."""
+    emb = [k for k in shapes if k.startswith("emb:")]
+    dense = sorted(set(shapes) - set(emb))
+    return ([(k, shapes[k]) for k in emb + dense]
+            + [(f"prune:{k}", shapes[k]) for k in shapes if k.startswith("w")])
 
 
 def save_checkpoint(model: ArDensityModel, path: str | Path):
     """Binary checkpoint: magic, version, JSON metadata, float64 LE arrays,
     trailing 8-byte SHA-256 prefix over everything before it."""
+    # the prune mask is the keep-mask wherever a connection exists, 1 elsewhere
+    arrays = model.unflatten(model.theta)
+    prune = model.unflatten(np.where(model.connectivity() > 0, model.keep, 1.0))
+    arrays.update({f"prune:{k}": v for k, v in prune.items()})
+    keys = [k for k, _ in _array_specs(_parameter_shapes(model.cfg, model.columns))]
     meta = {
         "config": asdict(model.cfg),
         "order": [int(v) for v in model.order],
         "columns": [_column_meta(c) for c in model.columns],
-        "arrays": [{"key": k, "shape": list(a.shape)} for k, a in _array_sequence(model)],
+        "arrays": [{"key": k, "shape": list(arrays[k].shape)} for k in keys],
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     body = bytearray()
@@ -709,8 +697,8 @@ def save_checkpoint(model: ArDensityModel, path: str | Path):
     body += struct.pack("<I", CHECKPOINT_VERSION)
     body += struct.pack("<I", len(meta_bytes))
     body += meta_bytes
-    for _, a in _array_sequence(model):
-        body += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    for k in keys:
+        body += np.ascontiguousarray(arrays[k], dtype="<f8").tobytes()
     digest = hashlib.sha256(bytes(body)).digest()[:8]
     Path(path).write_bytes(bytes(body) + digest)
 
@@ -734,22 +722,21 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     columns = [_column_from_meta(m) for m in meta["columns"]]
     order = np.array(meta["order"], dtype=np.int64)
 
-    offset = 12 + meta_len
-    arrays = {}
-    for spec in meta["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays[spec["key"]] = arr.astype(np.float64)
-        offset += count * 8
-    if offset != len(body):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
-
-    embeddings = [arrays[f"emb:{i}"] for i in range(len(columns))]
-    conn = _build_conn_masks(columns, order, cfg)
-    params = {k: arrays[k] for k in arrays
-              if not k.startswith("emb:") and not k.startswith("prune:")}
-    prune = {k: arrays[f"prune:{k}"] for k in conn}
-    return ArDensityModel(cfg=cfg, columns=columns, order=order,
-                          embeddings=embeddings, params=params,
-                          conn_masks=conn, prune_masks=prune)
+    shapes = _parameter_shapes(cfg, columns)
+    specs = _array_specs(shapes)
+    if [(a["key"], tuple(a["shape"])) for a in meta["arrays"]] != specs:
+        raise FormatError(f"{path}: arrays do not match the model the metadata describes")
+    sizes = [math.prod(shape) for _, shape in specs]
+    if 12 + meta_len + 8 * sum(sizes) != len(body):
+        raise FormatError(f"{path}: array bytes do not match the metadata")
+    data = np.frombuffer(body, dtype="<f8", offset=12 + meta_len).astype(np.float64)
+    arrays = dict(zip((k for k, _ in specs), np.split(data, np.cumsum(sizes)[:-1])))
+    prune = np.concatenate([arrays[k] for k in arrays if k.startswith("prune:")])
+    if not np.isin(prune, (0.0, 1.0)).all():
+        raise FormatError(f"{path}: prune mask entries must be 0 or 1")
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
+                           theta=np.concatenate([arrays[k] for k in shapes]), keep=prune)
+    model.keep *= model.connectivity()
+    if (model.theta[:model.keep.size][model.keep == 0.0] != 0.0).any():
+        raise FormatError(f"{path}: non-zero weight at a masked position")
+    return model

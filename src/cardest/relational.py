@@ -48,11 +48,6 @@ class ColumnSpec:
             return len(self.dictionary)
         raise ValidationError(f"{self.name!r} has a continuous domain")
 
-    def code_of(self, original_value) -> int | None:
-        """Dense code for an original categorical value, or None if absent."""
-        hits = np.nonzero(self.dictionary == original_value)[0]
-        return int(hits[0]) if hits.size else None
-
 
 @dataclass(eq=False)
 class TableData:
@@ -323,27 +318,20 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
 
 @dataclass(eq=False)
 class JoinRelation:
-    """Join result over a connected subtree of tables containing the root.
+    """Materialized join over a connected subtree of tables containing the root.
 
-    Either materialized (``data`` holds one array per output column) or a
-    lazy handle carrying the participating tables and join edges for
-    random-walk sampling.  Output columns are the root table's columns
-    followed by the other tables' in their given order, with each join's
-    parent-side key dropped (it duplicates the child's foreign key).
+    ``data`` holds one array per output column.  Output columns are the root
+    table's columns followed by the other tables' in their given order, with
+    each join's parent-side key dropped (it duplicates the child's foreign
+    key).
     """
     columns: list[ColumnSpec]       # qualified "table.column" names
-    data: list[np.ndarray] | None
-    cardinality: int | None
+    data: list[np.ndarray]
+    cardinality: int
     tables: list[TableData]
     joins: list[Join]
 
-    @property
-    def materialized(self) -> bool:
-        return self.data is not None
-
     def column(self, qualified: str) -> np.ndarray:
-        if not self.materialized:
-            raise ValidationError("relation is not materialized")
         for spec, col in zip(self.columns, self.data):
             if spec.name == qualified:
                 return col
@@ -393,14 +381,14 @@ def materialize_join(tables: list[TableData], joins: list[Join],
 
     Missing parent rows eliminate child rows, so the same routine joins
     retained or deleted table versions.  Raises SizeError when the root's
-    row count exceeds ``cap`` (use sampling on the lazy relation instead).
+    row count exceeds ``cap`` (the ``join_cap`` config key).
     """
     joins = _scope_joins(tables, joins)
     root = _root_table(tables, joins)
     lookup = {t.name: t for t in tables}
     if lookup[root].row_count > cap:
         raise SizeError(f"estimated join size {lookup[root].row_count} exceeds cap {cap}; "
-                        "use sampling on the lazy relation")
+                        "raise the join_cap config key")
 
     row_idx = {root: np.arange(lookup[root].row_count, dtype=np.int64)}
     pending = list(joins)
@@ -433,17 +421,6 @@ def materialize_join(tables: list[TableData], joins: list[Join],
                         tables=ordered, joins=joins)
 
 
-def lazy_join(tables: list[TableData], joins: list[Join]) -> JoinRelation:
-    """Non-materialized handle for random-walk sampling."""
-    joins = _scope_joins(tables, joins)
-    root = _root_table(tables, joins)
-    lookup = {t.name: t for t in tables}
-    ordered = [lookup[root]] + [t for t in tables if t.name != root]
-    cols = [spec for spec, _, _ in _output_columns(ordered, joins)]
-    return JoinRelation(columns=cols, data=None, cardinality=None,
-                        tables=ordered, joins=joins)
-
-
 def semi_join_deletion(split: DatasetSplit, table_index: int,
                        cap: int = JOIN_CAP_DEFAULT) -> JoinRelation:
     """Join with one table replaced by its deleted subset, the others full.
@@ -460,60 +437,6 @@ def semi_join_deletion(split: DatasetSplit, table_index: int,
         else:
             tables.append(split.original_table(name))
     return materialize_join(tables, split.joins, cap=cap)
-
-
-def sample_join(rel: JoinRelation, batch: int, rng: np.random.Generator,
-                max_attempts: int = 1000) -> np.ndarray:
-    """Draw a batch of join tuples as a (batch, ncols) float64 matrix.
-
-    Materialized relations are sampled uniformly without replacement per
-    call (a batch larger than the relation returns one full permutation).
-    Lazy relations use unweighted random walks: a uniform root row, then
-    the unique parent row along every edge; walks hitting a missing parent
-    are rejected and redrawn.
-    """
-    if rel.materialized:
-        if rel.cardinality == 0:
-            raise EmptyRelationError("cannot sample from an empty relation")
-        take = min(batch, rel.cardinality)
-        idx = rng.choice(rel.cardinality, size=take, replace=False)
-        return np.stack([col[idx].astype(np.float64) for col in rel.data], axis=1)
-
-    lookup = {t.name: t for t in rel.tables}
-    root = rel.tables[0]
-    if root.row_count == 0:
-        raise EmptyRelationError("cannot sample from an empty relation")
-    luts = {(j.parent, j.pk): _pk_lookup(lookup[j.parent], j.pk) for j in rel.joins}
-
-    out_rows = []
-    total = 0
-    attempts = 0
-    while total < batch:
-        attempts += 1
-        if attempts > max_attempts:
-            raise EmptyRelationError("random walk kept hitting missing join partners")
-        need = batch - total
-        ridx = rng.integers(0, root.row_count, size=need)
-        row_idx = {root.name: ridx}
-        alive = np.ones(need, dtype=bool)
-        pending = list(rel.joins)
-        while pending:
-            for j in list(pending):
-                if j.child in row_idx and j.parent not in row_idx:
-                    fk = lookup[j.child].column(j.fk)[row_idx[j.child]]
-                    pidx = luts[(j.parent, j.pk)][fk]
-                    alive &= pidx >= 0
-                    row_idx[j.parent] = np.where(pidx >= 0, pidx, 0)
-                    pending.remove(j)
-        if alive.any():
-            keep = np.nonzero(alive)[0]
-            cols = []
-            for spec, tname, cname in _output_columns(rel.tables, rel.joins):
-                cols.append(lookup[tname].column(cname)[row_idx[tname][keep]].astype(np.float64))
-            chunk = np.stack(cols, axis=1)
-            out_rows.append(chunk)
-            total += chunk.shape[0]
-    return np.concatenate(out_rows, axis=0)[:batch]
 
 
 def attribute_specs(rel: JoinRelation) -> list[ColumnSpec]:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .domains import NumericRemap, build_numeric_remap, clamp_interval
 from .errors import ConfigurationError, ValidationError
-from .model import (ArDensityModel, ModelConfig, encode_relation, grad_nll,
-                    init_model, nll_terms, train)
+from .model import (ArDensityModel, ModelConfig, encode_relation, init_model,
+                    loss_and_grad, train)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
                          JoinRelation, attribute_specs, empirical_pmf,
@@ -114,32 +114,13 @@ def effective_column_weights(shift: np.ndarray, loss_mode: str, ncols: int) -> n
     raise ValidationError(f"unknown loss mode {loss_mode!r}")
 
 
-def weighted_loss_per_conditional(model: ArDensityModel, row: np.ndarray,
-                                  shift: np.ndarray) -> float:
-    terms = nll_terms(model, row)
-    shift = np.asarray(shift, dtype=np.float64)
-    if shift.shape != terms.shape:
-        raise ValidationError("shift weights length must equal the column count")
-    return float((shift * terms).sum())
-
-
-def weighted_loss_joint(model: ArDensityModel, row: np.ndarray, shift: np.ndarray,
-                        present_columns: list[int] | None = None) -> float:
-    terms = nll_terms(model, row)
-    shift = np.asarray(shift, dtype=np.float64)
-    if shift.shape != terms.shape:
-        raise ValidationError("shift weights length must equal the column count")
-    idx = np.arange(model.ncols) if present_columns is None else np.asarray(present_columns)
-    return float(terms.sum() * shift[idx].sum())
-
-
 # ---------------------------------------------------------------------------
 # sensitivity scores
 
 
 @dataclass(eq=False)
 class SensitivityScores:
-    values: dict[str, np.ndarray]
+    values: np.ndarray    # in the model's theta layout
     iterations: int = 0
     tuples_used: int = 0
     tuples_skipped: int = 0
@@ -148,17 +129,9 @@ class SensitivityScores:
     def empty(self) -> bool:
         return self.iterations == 0
 
-    def add(self, other: "SensitivityScores"):
-        for k, v in other.values.items():
-            self.values[k] += v
-        self.iterations += other.iterations
-
 
 def zero_scores(model: ArDensityModel) -> SensitivityScores:
-    values = {k: np.zeros_like(v) for k, v in model.params.items()}
-    for i in range(model.ncols):
-        values[f"emb:{i}"] = np.zeros_like(model.embeddings[i])
-    return SensitivityScores(values=values)
+    return SensitivityScores(values=np.zeros_like(model.theta))
 
 
 def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
@@ -187,9 +160,8 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     take = min(batch_size, n)
     for _ in range(n_iterations):
         idx = rng.choice(n, size=take, replace=False)
-        grads = grad_nll(model, codes[idx], weights)
-        for k, g in grads.items():
-            scores.values[k] += g * g
+        grad = loss_and_grad(model, codes[idx], weights)[1]
+        scores.values += grad * grad
     scores.iterations = n_iterations
     scores.tuples_used = n
     return scores
@@ -203,7 +175,8 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
                pool_size: int | None = None) -> dict:
     """Zero the floor(alpha_k * pool_size) not-yet-pruned dense weights with
     the highest scores (ties broken by lower flat index over the canonical
-    weight-key order).  Mutates the model's weights and prune masks."""
+    weight-key order, which is the index into ``theta``).  Mutates the
+    model's weights and keep-mask."""
     if not 0.0 <= alpha_k < 1.0:
         raise ValidationError("alpha_k must lie in [0, 1)")
     if pool_size is None:
@@ -212,36 +185,13 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
     if target == 0:
         return {"pruned": 0, "saturated": False}
 
-    keys = model.weight_keys()
-    flat_scores, flat_pos, offsets = [], [], {}
-    base = 0
-    for k in keys:
-        conn = model.conn_masks[k]
-        keep = model.prune_masks[k]
-        eligible = (conn > 0) & (keep > 0)
-        idx = np.nonzero(eligible.ravel())[0]
-        flat_scores.append(scores.values[k].ravel()[idx])
-        flat_pos.append(idx + base)
-        offsets[k] = base
-        base += conn.size
-    flat_scores = np.concatenate(flat_scores)
-    flat_pos = np.concatenate(flat_pos)
-
-    saturated = target > flat_scores.size
-    take = min(target, flat_scores.size)
+    eligible = np.flatnonzero(model.keep)
+    saturated = target > eligible.size
+    take = min(target, eligible.size)
     # stable sort on negated scores: ties resolve to the lower flat index
-    chosen = flat_pos[np.argsort(-flat_scores, kind="stable")[:take]]
-
-    for k in keys:
-        size = model.conn_masks[k].size
-        local = chosen[(chosen >= offsets[k]) & (chosen < offsets[k] + size)] - offsets[k]
-        if local.size:
-            mask = model.prune_masks[k].ravel()
-            mask[local] = 0.0
-            model.prune_masks[k] = mask.reshape(model.conn_masks[k].shape)
-            w = model.params[k].ravel()
-            w[local] = 0.0
-            model.params[k] = w.reshape(model.conn_masks[k].shape)
+    chosen = eligible[np.argsort(-scores.values[eligible], kind="stable")[:take]]
+    model.keep[chosen] = 0.0
+    model.theta[chosen] = 0.0
     return {"pruned": int(take), "saturated": bool(saturated)}
 
 
@@ -289,11 +239,11 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
     return info
 
 
-def release_prune_masks(model: ArDensityModel):
-    """Lift the prune masks: weights stay at their current (zeroed) values
-    but become trainable again."""
-    for k in model.weight_keys():
-        model.prune_masks[k] = np.ones_like(model.prune_masks[k])
+def release_pruning(model: ArDensityModel):
+    """Lift pruning: the keep-mask returns to the connectivity mask, so the
+    pruned weights stay at their current (zeroed) values but become
+    trainable again."""
+    model.keep = model.connectivity()
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +271,22 @@ def domain_prune_categorical(model: ArDensityModel, column: str,
     if retained_codes.size == len(col.codes):
         return {j: j for j in range(len(col.codes))}
 
-    keep_mask = np.isin(col.codes, retained_codes)
-    keep_pos = np.nonzero(keep_mask)[0]
+    retained = np.isin(col.codes, retained_codes)
+    keep_pos, drop_pos = np.nonzero(retained)[0], np.nonzero(~retained)[0]
     code_map = {int(old): new for new, old in enumerate(keep_pos)}
 
-    offs = model.logit_offsets()
-    lo, hi = int(offs[i]), int(offs[i + 1])
-    keep_logits = np.concatenate([np.arange(lo), lo + keep_pos, np.arange(hi, offs[-1])])
-    model.params["w_out"] = model.params["w_out"][:, keep_logits]
-    model.params["b_out"] = model.params["b_out"][keep_logits]
-    model.conn_masks["w_out"] = model.conn_masks["w_out"][:, keep_logits]
-    model.prune_masks["w_out"] = model.prune_masks["w_out"][:, keep_logits]
-    model.embeddings[i] = model.embeddings[i][keep_pos]
+    # re-pack theta and keep without the dropped embedding rows and logits
+    sel = np.ones(model.theta.size, dtype=bool)
+    views = model.unflatten(sel)
+    lo = int(model.logit_offsets()[i])
+    views["w_out"][:, lo + drop_pos] = False
+    views["b_out"][lo + drop_pos] = False
+    views[f"emb:{i}"][drop_pos] = False
+    model.theta = model.theta[sel]
+    model.keep = model.keep[sel[:model.keep.size]]
     col.codes = col.codes[keep_pos]
     col.values = col.values[keep_pos]
+    model.bind()
     return code_map
 
 
@@ -493,7 +445,7 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
             if not cep_cfg.freeze_pruned:
                 # pruning acted as a targeted reset: the zeroed weights may
                 # relearn from retained data during fine-tuning
-                release_prune_masks(model)
+                release_pruning(model)
         timings["sensitivity_prune_seconds"] = time.perf_counter() - t1
         timings["prune_seconds"] = timings["domain_prune_seconds"] + \
             timings["sensitivity_prune_seconds"]

@@ -20,7 +20,7 @@ from cardest.cli import main as cli_main
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.domains import NumericRemap, remap_value
 from cardest.model import (ModelConfig, encode_relation, estimate_selectivity,
-                           grad_nll, init_model, train)
+                           init_model, loss_and_grad, train)
 from cardest.queries import Predicate, Query
 from cardest.relational import (Condition, DeletionTask, apply_deletion,
                                 attribute_specs, materialize_join,
@@ -165,15 +165,13 @@ def test_criterion_1_gradient_correctness():
     cfg = ModelConfig(embedding_dim=2, hidden_dim=4, residual_blocks=1,
                       dropout=0.0, numeric_bins=3)
     worst = 0.0
+    masked_zero = True
     for masked in (False, True):
         model = init_model(specs, cfg, seed=31)
         assert model.parameter_count() <= 500
         if masked:
-            for k in model.weight_keys():
-                m = model.prune_masks[k].ravel()
-                m[::3] = 0.0
-                model.prune_masks[k] = m.reshape(model.prune_masks[k].shape)
-                model.params[k] *= model.prune_masks[k]
+            model.keep[::3] = 0.0
+            model.theta[:model.keep.size] *= model.keep
         rng = np.random.default_rng(32)
         X = np.stack([rng.integers(0, c.domain_size, 8) for c in model.columns],
                      axis=1)
@@ -182,12 +180,15 @@ def test_criterion_1_gradient_correctness():
                         shift,
                         effective_column_weights(shift, "joint_aggregated",
                                                  model.ncols)):
-            analytic = grad_nll(model, X, weights)
+            analytic = loss_and_grad(model, X, weights)[1]
             numeric = fd_gradient(model, X, weights, h=1e-5)
             worst = max(worst, max_relative_error(analytic, numeric))
+            masked_zero &= bool((analytic[:model.keep.size][model.keep == 0] == 0).all())
     elapsed = time.perf_counter() - t0
-    crit(1, "finite-difference gradient check", worst < 1e-4 and elapsed < 30.0,
-         f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    crit(1, "finite-difference gradient check",
+         worst < 1e-4 and masked_zero and elapsed < 30.0,
+         f"max rel err {worst:.2e} on trainable positions, "
+         f"exact 0 on masked ones={masked_zero}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +446,10 @@ def test_criterion_10_budget_and_ablation(desk, tmp_path):
         m = runs.original.copy()
         scores = zero_scores(m)
         rng = np.random.default_rng(7)
-        for key in m.weight_keys():
-            scores.values[key] = rng.random(m.conn_masks[key].shape) * scale
+        scores.values[:] = rng.random(m.theta.size) * scale
         prune_step(m, scores, alpha_k=0.25)
-        masks.append({key: m.prune_masks[key].copy() for key in m.weight_keys()})
-    scale_ok = all(np.array_equal(masks[0][key], masks[1][key]) for key in masks[0])
+        masks.append(m.keep.copy())
+    scale_ok = np.array_equal(masks[0], masks[1])
 
     crit(10, "prune budget, toggles-off identity, score-scale invariance",
          budget_ok and identical and scale_ok,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.domains import (NumericRemap, build_numeric_remap, clamp_interval,
-                             deleted_domain, remap_array, remap_value)
+                             remap_array, remap_value)
 from cardest.errors import GapError, ValidationError
 
 GAP_REMAP = NumericRemap(0.0, 100.0, ((0.0, 40.0), (60.0, 100.0)))
@@ -116,8 +116,3 @@ class TestRemapArray:
         out = remap_array(GAP_REMAP, np.array([41.0, 59.0]), on_gap="clamp")
         assert out[0] == pytest.approx(remap_value(GAP_REMAP, 40.0))
         assert out[1] == pytest.approx(remap_value(GAP_REMAP, 60.0))
-
-
-def test_deleted_domain():
-    assert deleted_domain(["a", "b", "c"], ["a", "b"]) == {"c"}
-    assert deleted_domain([1, 2], [1, 2]) == set()

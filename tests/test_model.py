@@ -1,10 +1,14 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from cardest.errors import DomainError, FormatError, TrainingError, ValidationError
-from cardest.model import (ModelConfig, _log_softmax, estimate_selectivity,
-                           forward, grad_nll, init_model,
-                           interval_bin_weights, load_checkpoint, nll_terms,
+from cardest.errors import FormatError, TrainingError, ValidationError
+from cardest.model import (ModelConfig, _log_softmax, batch_nll_terms,
+                           estimate_selectivity, forward, init_model,
+                           interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
@@ -28,9 +32,10 @@ class TestInit:
         assert m.columns[0].domain_size == 2
 
     def test_prune_mask_starts_all_ones(self):
+        # nothing is pruned yet: the keep-mask is the connectivity mask
         m = tiny_model()
-        for k in m.weight_keys():
-            assert (m.prune_masks[k] == 1.0).all()
+        np.testing.assert_array_equal(m.keep, m.connectivity())
+        assert (m.theta[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValidationError):
@@ -90,23 +95,27 @@ class TestAutoregressiveMasking:
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
+def nll_terms(m, X):
+    return batch_nll_terms(m, X, forward(m, X)[0])
+
+
 class TestNll:
     def test_fresh_model_is_uniform(self):
         # output layer starts at zero, so every conditional starts uniform
         m = tiny_model(seed=0, doms=(4, 4), bins=4)
-        terms = nll_terms(m, np.array([1, 2, 3]))
-        np.testing.assert_allclose(terms, np.log(4.0), atol=1e-12)
+        X = np.array([[1, 2, 3], [0, 3, 1]])
+        np.testing.assert_allclose(nll_terms(m, X), np.log(4.0), atol=1e-12)
+        assert loss_and_grad(m, X)[0] == pytest.approx(3 * np.log(4.0), abs=1e-12)
 
     def test_deterministic_column_term_zero(self):
         cfg = ModelConfig(embedding_dim=2, hidden_dim=4, residual_blocks=1)
         m = init_model([cat_spec("t.one", 1), cat_spec("t.b", 3)], cfg, seed=0)
-        terms = nll_terms(m, np.array([0, 1]))
-        assert terms[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_out_of_domain_cell(self):
-        m = tiny_model()
-        with pytest.raises(DomainError):
-            nll_terms(m, np.array([99, 0, 0]))
+        X = np.array([[0, 1]])
+        assert nll_terms(m, X)[0, 0] == pytest.approx(0.0, abs=1e-12)
+        # all weight on the one-value column: the loss and its gradient vanish
+        loss, grad = loss_and_grad(m, X, np.array([1.0, 0.0]))
+        assert loss == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(grad).max() == pytest.approx(0.0, abs=1e-12)
 
     def test_total_probability_after_training(self):
         m = tiny_model(seed=1, doms=(3, 4), bins=4)
@@ -126,45 +135,37 @@ class TestGradients:
     def test_unit_weights_match_plain_nll(self):
         m = tiny_model(seed=4)
         X = self.batch(m)
-        g1 = grad_nll(m, X)
-        g2 = grad_nll(m, X, np.ones(m.ncols))
-        for k in g1:
-            np.testing.assert_array_equal(g1[k], g2[k])
+        np.testing.assert_array_equal(loss_and_grad(m, X)[1],
+                                      loss_and_grad(m, X, np.ones(m.ncols))[1])
 
     def test_zero_weights_zero_gradient(self):
         m = tiny_model(seed=4)
         X = self.batch(m)
-        g = grad_nll(m, X, np.zeros(m.ncols))
-        assert all((v == 0).all() for v in g.values())
+        assert (loss_and_grad(m, X, np.zeros(m.ncols))[1] == 0).all()
 
     def test_negative_weight_rejected(self):
         m = tiny_model(seed=4)
         with pytest.raises(ValidationError):
-            grad_nll(m, self.batch(m), np.array([1.0, -1.0, 1.0]))
+            loss_and_grad(m, self.batch(m), np.array([1.0, -1.0, 1.0]))
 
     def test_finite_difference_oracle(self):
         m = tiny_model(seed=5, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4)
         assert m.parameter_count() <= 500
         X = self.batch(m, n=8)
-        analytic = grad_nll(m, X)
-        numeric = fd_gradient(m, X)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        analytic = loss_and_grad(m, X)[1]
+        assert max_relative_error(analytic, fd_gradient(m, X)) < 1e-4
+        assert (analytic[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
     def test_finite_difference_with_weights_and_mask(self):
         m = tiny_model(seed=6, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4)
         # prune a few weights by hand
-        for k in m.weight_keys():
-            mask = m.prune_masks[k].ravel()
-            mask[::3] = 0.0
-            m.prune_masks[k] = mask.reshape(m.prune_masks[k].shape)
-            m.params[k] *= m.prune_masks[k]
+        m.keep[::3] = 0.0
+        m.theta[:m.keep.size] *= m.keep
         X = self.batch(m, n=8, seed=1)
         w = np.array([0.5, 2.0])
-        analytic = grad_nll(m, X, w)
-        numeric = fd_gradient(m, X, w)
-        assert max_relative_error(analytic, numeric) < 1e-4
-        for k in m.weight_keys():
-            assert (analytic[k][m.prune_masks[k] == 0.0] == 0.0).all()
+        analytic = loss_and_grad(m, X, w)[1]
+        assert max_relative_error(analytic, fd_gradient(m, X, w)) < 1e-4
+        assert (analytic[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
 
 class TestTrain:
@@ -211,16 +212,12 @@ class TestTrain:
 
     def test_mask_persists_through_training(self):
         m = tiny_model(seed=11)
-        for k in m.weight_keys():
-            mask = m.prune_masks[k].ravel()
-            mask[::2] = 0.0
-            m.prune_masks[k] = mask.reshape(m.prune_masks[k].shape)
-            m.params[k] *= m.prune_masks[k]
+        m.keep[::2] = 0.0
+        m.theta[:m.keep.size] *= m.keep
         rng = np.random.default_rng(0)
         data = np.stack([rng.integers(0, c.domain_size, 64) for c in m.columns], axis=1)
         train(m, data, seed=1, epochs=5)
-        for k in m.weight_keys():
-            assert (m.params[k][m.prune_masks[k] == 0.0] == 0.0).all()
+        assert (m.theta[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
 
 REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",
@@ -243,11 +240,9 @@ def reference_case_model(case):
         m = tiny_model(seed=21 if case == "permuted" else 23, doms=(4, 3),
                        order=(2, 0, 1), blocks=2)
     rng = np.random.default_rng(REFERENCE_CASES.index(case))
-    for k, v in m.params.items():
-        m.params[k] = rng.normal(0.0, 0.7, v.shape)
-    for k in m.weight_keys():
-        m.prune_masks[k] = (rng.random(m.params[k].shape) >= 0.3).astype(np.float64)
-        m.params[k] *= m.conn_masks[k] * m.prune_masks[k]
+    m.theta[:] = rng.normal(0.0, 0.7, m.theta.size)
+    m.keep *= rng.random(m.keep.size) >= 0.3
+    m.theta[:m.keep.size] *= m.keep
     if case == "domain_pruned":
         domain_prune_categorical(m, "t.c0", np.array([0, 2, 3]))
     return m
@@ -403,16 +398,83 @@ class TestCheckpoint:
         assert loaded.params["w_out"].shape == m.params["w_out"].shape
         assert loaded.checksum() == m.checksum()
 
+    # Each case below is digest-valid, so only the content check can fire.
+
+    def test_array_layout_must_match_metadata(self, tmp_path):
+        m = tiny_model(seed=26)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+        rewrite_checkpoint(p, lambda meta, payload: (meta, payload))
+        assert load_checkpoint(p).checksum() == m.checksum()
+
+        def extra_array(meta, payload):
+            meta["arrays"].append({"key": "w_extra", "shape": [2]})
+            return meta, np.concatenate([payload, [0.5, 0.5]])
+
+        rewrite_checkpoint(p, extra_array)
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    def test_prune_entries_must_be_0_or_1(self, tmp_path):
+        m = tiny_model(seed=27)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+
+        def half_prune(meta, payload):
+            payload[array_offset(meta, "prune:w_in")] = 0.5
+            return meta, payload
+
+        rewrite_checkpoint(p, half_prune)
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    def test_masked_weight_must_be_zero(self, tmp_path):
+        m = tiny_model(seed=28)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+        unconnected = int(np.flatnonzero(m.unflatten(m.connectivity())["w_out"] == 0)[0])
+
+        def masked_weight(meta, payload):
+            payload[array_offset(meta, "w_out") + unconnected] = 0.25
+            return meta, payload
+
+        rewrite_checkpoint(p, masked_weight)
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint through ``edit(meta, payload)``, which may change
+    the metadata dict and the float64 array payload, then give it a fresh
+    digest."""
+    raw = path.read_bytes()
+    meta_len, = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    payload = np.frombuffer(raw[12 + meta_len:-8], dtype="<f8").copy()
+    meta, payload = edit(meta, payload)
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
+        np.asarray(payload, dtype="<f8").tobytes()
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
+def array_offset(meta, key):
+    """Index of an array's first value in the checkpoint payload."""
+    offset = 0
+    for spec in meta["arrays"]:
+        if spec["key"] == key:
+            return offset
+        offset += int(np.prod(spec["shape"]))
+    raise KeyError(key)
+
 
 def test_checkpoint_version_mismatch(tmp_path):
-    import struct
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
     save_checkpoint(m, p)
     raw = bytearray(p.read_bytes())
     raw[4:8] = struct.pack("<I", 99)
     # recompute the checksum so only the version is wrong
-    import hashlib
     body = bytes(raw[:-8])
     p.write_bytes(body + hashlib.sha256(body).digest()[:8])
     with pytest.raises(FormatError):

@@ -5,8 +5,8 @@ from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, apply_deletion,
-                                empirical_pmf, lazy_join, materialize_join,
-                                sample_join, semi_join_deletion)
+                                empirical_pmf, materialize_join,
+                                semi_join_deletion)
 from conftest import make_table, nested_loop_join
 
 
@@ -174,49 +174,6 @@ class TestSemiJoinDeletion:
             [split.retained[0], split.original_table("dim1"),
              split.original_table("dim2")], split.joins).cardinality
         assert semi_join_deletion(split, 0).cardinality == full - retained_only
-
-
-class TestSampleJoin:
-    def test_permutation_of_all_rows(self, star_db):
-        rel = materialize_join(star_db.tables, star_db.joins)
-        batch = sample_join(rel, rel.cardinality, np.random.default_rng(0))
-        assert batch.shape == (rel.cardinality, len(rel.columns))
-        full = np.stack([c.astype(float) for c in rel.data], axis=1)
-        assert sorted(map(tuple, batch.tolist())) == sorted(map(tuple, full.tolist()))
-
-    def test_oversized_batch_returns_relation_once(self, star_db):
-        rel = materialize_join(star_db.tables, star_db.joins)
-        batch = sample_join(rel, rel.cardinality * 3, np.random.default_rng(0))
-        assert batch.shape[0] == rel.cardinality
-        assert len(set(map(tuple, batch.tolist()))) == rel.cardinality
-
-    def test_empty_relation(self, star_db):
-        empty = make_table("fact", [(s.name, s.kind,
-                                     ((np.array([], dtype=np.int64), s.dictionary)
-                                      if s.kind == CATEGORICAL
-                                      else (np.array([]), s.lo, s.hi)))
-                                    for s in star_db.tables[0].columns])
-        rel = materialize_join([empty] + star_db.tables[1:], star_db.joins)
-        with pytest.raises(EmptyRelationError):
-            sample_join(rel, 4, np.random.default_rng(0))
-
-    def test_random_walk_matches_materialized_distribution(self, star_db):
-        mat = materialize_join(star_db.tables, star_db.joins)
-        lazy = lazy_join(star_db.tables, star_db.joins)
-        n = 100_000
-        batch = sample_join(lazy, n, np.random.default_rng(11))
-        assert batch.shape == (n, len(mat.columns))
-        full = np.stack([c.astype(float) for c in mat.data], axis=1)
-        keys_full, counts_full = np.unique(full, axis=0, return_counts=True)
-        p_true = counts_full / counts_full.sum()
-        tv = 0.0
-        sample_keys, sample_counts = np.unique(batch, axis=0, return_counts=True)
-        sampled = {tuple(k): c / n for k, c in zip(sample_keys.tolist(), sample_counts)}
-        for key, p in zip(map(tuple, keys_full.tolist()), p_true):
-            tv += abs(sampled.get(key, 0.0) - p)
-        tv += sum(v for k, v in sampled.items()
-                  if k not in set(map(tuple, keys_full.tolist())))
-        assert tv / 2 < 0.02
 
 
 class TestEmpiricalPmf:

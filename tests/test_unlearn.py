@@ -1,10 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardest.domains import NumericRemap
 from cardest.errors import ConfigurationError, ValidationError
-from cardest.model import (estimate_selectivity, forward, grad_nll,
-                           nll_terms)
+from cardest.model import (batch_nll_terms, estimate_selectivity, forward,
+                           load_checkpoint, loss_and_grad, save_checkpoint, train)
 from cardest.queries import Predicate, Query
 from cardest.relational import (Condition, DeletionTask, apply_deletion,
                                 materialize_join, semi_join_deletion)
@@ -13,8 +18,7 @@ from cardest.unlearn import (CepConfig, accumulate_scores,
                              clamp_query, column_shift_weights,
                              distribution_sensitivity_pruning,
                              domain_prune_categorical, effective_column_weights,
-                             fine_tune, prune_step, run_method,
-                             weighted_loss_joint, weighted_loss_per_conditional,
+                             fine_tune, prune_step, release_pruning, run_method,
                              zero_scores)
 from cardest.workload import model_constraints
 from conftest import tiny_model
@@ -42,34 +46,43 @@ class TestAttributeSensitivity:
             attribute_sensitivity(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
 
+def row_terms(m, row):
+    X = np.asarray(row)[None, :]
+    return batch_nll_terms(m, X, forward(m, X)[0])[0]
+
+
+def weighted_loss(m, row, shift, loss_mode):
+    w = effective_column_weights(shift, loss_mode, m.ncols)
+    return loss_and_grad(m, np.asarray(row)[None, :], w)[0]
+
+
 class TestWeightedLosses:
     def test_per_conditional_arithmetic(self):
         m = tiny_model(seed=0, doms=(4, 4), bins=4)
         row = np.array([1, 2, 3])
-        terms = nll_terms(m, row)
         s = np.array([0.5, 1.0, 2.0])
-        expected = float((terms * s).sum())
-        assert weighted_loss_per_conditional(m, row, s) == pytest.approx(expected)
+        expected = float((row_terms(m, row) * s).sum())
+        assert weighted_loss(m, row, s, "per_conditional") == pytest.approx(expected)
 
     def test_unit_weights_are_plain_nll(self):
         m = tiny_model(seed=0, doms=(4, 4), bins=4)
         row = np.array([1, 2, 3])
-        assert weighted_loss_per_conditional(m, row, np.ones(3)) == \
-            pytest.approx(float(nll_terms(m, row).sum()))
+        assert weighted_loss(m, row, np.ones(3), "per_conditional") == \
+            pytest.approx(float(row_terms(m, row).sum()))
 
     def test_zero_weights_zero_loss(self):
         m = tiny_model(seed=0, doms=(4, 4), bins=4)
-        assert weighted_loss_per_conditional(m, np.array([0, 0, 0]), np.zeros(3)) == 0.0
+        assert weighted_loss(m, np.array([0, 0, 0]), np.zeros(3), "per_conditional") == 0.0
 
     def test_joint_scales_total(self):
         m = tiny_model(seed=1, doms=(4, 4), bins=4)
         row = np.array([1, 2, 3])
-        total = float(nll_terms(m, row).sum())
+        total = float(row_terms(m, row).sum())
         s = np.array([0.25, 0.25, 0.25])
-        assert weighted_loss_joint(m, row, s) == pytest.approx(0.75 * total)
-        assert weighted_loss_joint(m, row, np.array([0.5, 0.25, 0.25])) == \
+        assert weighted_loss(m, row, s, "joint_aggregated") == pytest.approx(0.75 * total)
+        assert weighted_loss(m, row, np.array([0.5, 0.25, 0.25]), "joint_aggregated") == \
             pytest.approx(total)
-        assert weighted_loss_joint(m, row, np.zeros(3)) == 0.0
+        assert weighted_loss(m, row, np.zeros(3), "joint_aggregated") == 0.0
 
     def test_mode_equivalence_under_constant_shift(self):
         # constant shifts scale the loss in both modes; scale cannot change
@@ -77,13 +90,16 @@ class TestWeightedLosses:
         m = tiny_model(seed=2, doms=(4, 4), bins=4)
         row = np.array([1, 2, 3])
         c, d = 0.7, m.ncols
-        total = float(nll_terms(m, row).sum())
+        total = float(row_terms(m, row).sum())
         shift = np.full(d, c)
-        assert weighted_loss_per_conditional(m, row, shift) == pytest.approx(c * total)
-        assert weighted_loss_joint(m, row, shift) == pytest.approx(c * d * total)
+        assert weighted_loss(m, row, shift, "per_conditional") == pytest.approx(c * total)
+        assert weighted_loss(m, row, shift, "joint_aggregated") == pytest.approx(c * d * total)
         w_cond = effective_column_weights(shift, "per_conditional", d)
         w_joint = effective_column_weights(shift, "joint_aggregated", d)
         np.testing.assert_allclose(w_joint, w_cond * d)
+        g_cond = loss_and_grad(m, row[None, :], w_cond)[1]
+        g_joint = loss_and_grad(m, row[None, :], w_joint)[1]
+        np.testing.assert_allclose(g_joint, g_cond * d, rtol=1e-12, atol=1e-15)
 
 
 class TestAccumulateScores:
@@ -104,20 +120,18 @@ class TestAccumulateScores:
         codes, valid = encode_relation(model, rel, gap_policy="clamp")
         codes = codes[valid]
         rng = np.random.default_rng(7)
-        manual = zero_scores(model)
+        manual = np.zeros_like(model.theta)
         for _ in range(3):
             idx = rng.choice(codes.shape[0], size=4, replace=False)
-            g = grad_nll(model, codes[idx], shift)
-            for k, v in g.items():
-                manual.values[k] += v * v
-        for k in manual.values:
-            np.testing.assert_allclose(scores.values[k], manual.values[k], rtol=1e-12)
+            g = loss_and_grad(model, codes[idx], shift)[1]
+            manual += g * g
+        np.testing.assert_allclose(scores.values, manual, rtol=1e-12)
 
     def test_zero_shift_zero_scores(self, star_db):
         model, rel = self.make_setup(star_db)
         scores = accumulate_scores(model, rel, np.zeros(model.ncols), 2, 4,
                                    np.random.default_rng(0))
-        assert all((v == 0).all() for v in scores.values.values())
+        assert (scores.values == 0).all()
 
     def test_batch_order_invariance(self, star_db):
         model, rel = self.make_setup(star_db)
@@ -129,15 +143,11 @@ class TestAccumulateScores:
         def total(schedule):
             acc = zero_scores(model)
             for b in schedule:
-                g = grad_nll(model, b, shift)
-                for k, v in g.items():
-                    acc.values[k] += v * v
-            return acc
+                g = loss_and_grad(model, b, shift)[1]
+                acc.values += g * g
+            return acc.values
 
-        fwd = total(batches)
-        rev = total(batches[::-1])
-        for k in fwd.values:
-            np.testing.assert_allclose(fwd.values[k], rev.values[k], rtol=1e-10)
+        np.testing.assert_allclose(total(batches), total(batches[::-1]), rtol=1e-10)
 
     def test_empty_relation_flagged(self, star_db):
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=100),), 1.0)
@@ -147,13 +157,13 @@ class TestAccumulateScores:
         scores = accumulate_scores(model, rel, np.ones(model.ncols), 2, 4,
                                    np.random.default_rng(0))
         assert scores.empty
-        assert all((v == 0).all() for v in scores.values.values())
+        assert (scores.values == 0).all()
 
     def test_scores_nonnegative(self, star_db):
         model, rel = self.make_setup(star_db)
         scores = accumulate_scores(model, rel, np.ones(model.ncols), 2, 4,
                                    np.random.default_rng(3))
-        assert all((v >= 0).all() for v in scores.values.values())
+        assert (scores.values >= 0).all()
 
 
 def tiny_star_model(db, seed=0, prunable=True):
@@ -170,15 +180,13 @@ class TestPruneStep:
         model = tiny_star_model(star_db)
         scores = zero_scores(model)
         pool = model.eligible_weight_count()
-        # put the highest score on a known eligible position
-        key = "w_in"
-        conn = model.conn_masks[key]
-        pos = tuple(np.argwhere(conn > 0)[0])
-        scores.values[key][pos] = 9.9
+        # the last eligible position: ties alone would never pick it
+        pos = np.flatnonzero(model.keep)[-1]
+        scores.values[pos] = 9.9
         res = prune_step(model, scores, alpha_k=1.0 / pool)
         assert res["pruned"] == 1
-        assert model.prune_masks[key][pos] == 0.0
-        assert model.params[key][pos] == 0.0
+        assert model.keep[pos] == 0.0 and model.theta[pos] == 0.0
+        assert model.keep.sum() == pool - 1
 
     def test_alpha_zero_no_change(self, star_db):
         model = tiny_star_model(star_db)
@@ -192,22 +200,19 @@ class TestPruneStep:
             model = tiny_star_model(star_db)
             scores = zero_scores(model)
             rng = np.random.default_rng(0)
-            for k in model.weight_keys():
-                scores.values[k] = rng.random(model.conn_masks[k].shape) * scale
+            scores.values[:] = rng.random(model.theta.size) * scale
             prune_step(model, scores, alpha_k=0.3)
-            masks.append({k: model.prune_masks[k].copy() for k in model.weight_keys()})
-        for k in masks[0]:
-            np.testing.assert_array_equal(masks[0][k], masks[1][k])
+            masks.append(model.keep.copy())
+        np.testing.assert_array_equal(masks[0], masks[1])
 
     def test_tie_breaks_to_lower_flat_index(self, star_db):
         model = tiny_star_model(star_db)
         scores = zero_scores(model)  # all ties
+        eligible = np.flatnonzero(model.keep)
         res = prune_step(model, scores, alpha_k=2.5 / model.eligible_weight_count())
         assert res["pruned"] == 2
-        flat = model.prune_masks["w_in"].ravel()
-        conn = model.conn_masks["w_in"].ravel()
-        eligible_idx = np.nonzero(conn > 0)[0]
-        assert flat[eligible_idx[0]] == 0.0 and flat[eligible_idx[1]] == 0.0
+        assert (model.keep[eligible[:2]] == 0.0).all()
+        assert (model.keep[eligible[2:]] == 1.0).all()
 
     def test_saturation(self, star_db):
         model = tiny_star_model(star_db)
@@ -215,9 +220,7 @@ class TestPruneStep:
         prune_step(model, zero_scores(model), alpha_k=0.9, pool_size=pool)
         res = prune_step(model, zero_scores(model), alpha_k=0.9, pool_size=pool)
         assert res["saturated"]
-        remaining = sum((model.prune_masks[k] * model.conn_masks[k]).sum()
-                        for k in model.weight_keys())
-        assert remaining == 0
+        assert model.keep.sum() == 0
 
 
 class TestDistributionSensitivityPruning:
@@ -232,9 +235,7 @@ class TestDistributionSensitivityPruning:
         pool = info["pool_size"]
         expected = 2 * int(np.floor(0.25 * pool))
         assert info["total_pruned"] == expected
-        pruned = sum((model.prune_masks[k][model.conn_masks[k] > 0] == 0).sum()
-                     for k in model.weight_keys())
-        assert pruned == expected
+        assert (model.keep == 0).sum() - (model.connectivity() == 0).sum() == expected
 
     def test_single_table_equals_plain_prune_step(self, star_db):
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), 0.7)
@@ -387,8 +388,7 @@ class TestFineTuneAndRunMethod:
         from cardest.model import encode_relation
         codes, valid = encode_relation(model, split.retained_join())
         fine_tune(model, codes[valid], seed=3, epochs=4)
-        for k in model.weight_keys():
-            assert (model.params[k][model.prune_masks[k] == 0.0] == 0.0).all()
+        assert (model.theta[:model.keep.size][model.keep == 0.0] == 0.0).all()
 
     def test_fine_tune_improves_retained_nll(self, star_db):
         model = self.trained_original(star_db)
@@ -469,8 +469,7 @@ class TestScoreDeterminismAndRegrowth:
             sc = accumulate_scores(m, rel_k, np.ones(m.ncols), 3, 4,
                                    np.random.default_rng(5))
             results.append(sc)
-        for k in results[0].values:
-            np.testing.assert_array_equal(results[0].values[k], results[1].values[k])
+        np.testing.assert_array_equal(results[0].values, results[1].values)
 
     def test_freeze_pruned_keeps_sparsity(self, star_db):
         model = tiny_star_model(star_db)
@@ -479,11 +478,9 @@ class TestScoreDeterminismAndRegrowth:
         cfg = CepConfig(alpha=0.3, sampling_iterations=2, batch_size=8,
                         finetune_epochs=3, domain_prune=False, freeze_pruned=True)
         run = run_method("cep", split, model, cfg, seed=2)
-        zeros = sum(int((run.model.prune_masks[k] == 0).sum())
-                    for k in run.model.weight_keys())
-        assert zeros > 0
-        for k in run.model.weight_keys():
-            assert (run.model.params[k][run.model.prune_masks[k] == 0] == 0).all()
+        keep = run.model.keep
+        assert (keep < run.model.connectivity()).sum() > 0
+        assert (run.model.theta[:keep.size][keep == 0] == 0).all()
 
     def test_default_regrowth_releases_masks(self, star_db):
         model = tiny_star_model(star_db)
@@ -493,24 +490,68 @@ class TestScoreDeterminismAndRegrowth:
                         finetune_epochs=3, domain_prune=False)
         run = run_method("cep", split, model, cfg, seed=2)
         assert run.info["sensitivity"]["total_pruned"] > 0
-        for k in run.model.weight_keys():
-            assert (run.model.prune_masks[k] == 1).all()
+        np.testing.assert_array_equal(run.model.keep, run.model.connectivity())
 
 
 def test_sensitivity_scores_additive_merge(star_db):
-    # sharded accumulation merges by elementwise sum
+    # scores add up over iterations: one-iteration shards drawn from the same
+    # generator sum to the scores of one multi-iteration run
     model = tiny_star_model(star_db)
     task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), 0.8)
     split = apply_deletion(star_db, task, seed=1)
     rel = semi_join_deletion(split, 0)
-    shard1 = accumulate_scores(model, rel, np.ones(model.ncols), 2, 4,
-                               np.random.default_rng(0))
-    shard2 = accumulate_scores(model, rel, np.ones(model.ncols), 3, 4,
-                               np.random.default_rng(1))
-    merged = zero_scores(model)
-    merged.add(shard1)
-    merged.add(shard2)
-    assert merged.iterations == 5
-    for k in merged.values:
-        np.testing.assert_array_equal(merged.values[k],
-                                      shard1.values[k] + shard2.values[k])
+    whole = accumulate_scores(model, rel, np.ones(model.ncols), 5, 4,
+                              np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    shards = [accumulate_scores(model, rel, np.ones(model.ncols), 1, 4, rng)
+              for _ in range(5)]
+    assert sum(s.iterations for s in shards) == whole.iterations == 5
+    np.testing.assert_array_equal(sum(s.values for s in shards), whole.values)
+
+
+class TestKeepMaskInvariant:
+    """Masked weights hold exactly 0 through any sequence of training,
+    pruning, releasing, domain pruning and checkpoint round trips."""
+
+    @staticmethod
+    def check(model, directory):
+        keep = model.keep
+        assert (model.theta[:keep.size][keep == 0.0] == 0.0).all()
+        assert (keep <= model.connectivity()).all()
+        a, b = directory / "a.ckpt", directory / "b.ckpt"
+        save_checkpoint(model, a)
+        loaded = load_checkpoint(a)
+        save_checkpoint(loaded, b)
+        assert a.read_bytes() == b.read_bytes()
+        return loaded
+
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.lists(st.sampled_from(["train", "prune", "release", "domain", "reload"]),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_random_step_sequences(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        model = tiny_model(seed=seed, doms=(4, 3), hidden_dim=6, blocks=2, dropout=0.2)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            self.check(model, directory)
+            for step in steps:
+                if step == "train":
+                    data = np.stack([rng.integers(0, c.domain_size, 24)
+                                     for c in model.columns], axis=1)
+                    train(model, data, seed=seed, epochs=1, batch_size=8)
+                elif step == "prune":
+                    scores = zero_scores(model)
+                    scores.values[:] = rng.random(scores.values.size)
+                    prune_step(model, scores, alpha_k=float(rng.uniform(0.0, 0.5)))
+                elif step == "release":
+                    release_pruning(model)
+                elif step == "domain":
+                    col = model.columns[int(rng.integers(0, 2))]
+                    if col.domain_size > 1:
+                        n = int(rng.integers(1, col.domain_size))
+                        domain_prune_categorical(model, col.name,
+                                                 rng.choice(col.codes, n, replace=False))
+                loaded = self.check(model, directory)
+                if step == "reload":
+                    model = loaded
