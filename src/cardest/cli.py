@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +75,36 @@ def parse_task(d: dict) -> DeletionTask:
     return DeletionTask(dtype=dtype, conditions=tuple(conds), ratio=ratio)
 
 
+def _section(cls, d, name: str, **defaults):
+    """One config section as its dataclass.  Every sequence field is a tuple,
+    so YAML lists become tuples; an unknown key is named."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config section {name!r} must be a mapping")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"config section {name!r} has unknown key {unknown[0]!r}")
+    return cls(**{**defaults,
+                  **{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}})
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
-    raw = yaml.safe_load(path.read_text()) or {}
+    try:
+        raw = yaml.safe_load(path.read_text()) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a mapping")
     for key in ("output_dir", "seeds", "task"):
         if key not in raw:
             raise ConfigurationError(f"config is missing {key!r}")
-    seeds = {k: int(v) for k, v in raw["seeds"].items()}
+    try:
+        seeds = {k: int(v) for k, v in raw["seeds"].items()}
+        join_cap = int(raw.get("join_cap", 5_000_000))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"seeds and join_cap must be integers: {exc}") from exc
     for k in ("data", "model", "workload", "eval"):
         if k not in seeds:
             raise ConfigurationError(f"seeds must include {k!r}")
@@ -92,30 +113,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "dataset" in raw:
         dataset_dir = Path(raw["dataset"]["dir"])
     else:
-        dg = dict(raw.get("datagen", {}))
-        if "dim_rows" in dg:
-            dg["dim_rows"] = tuple(dg["dim_rows"])
-        for tup in ("hub_cat_cards", "dim_cat_cards", "numeric_range"):
-            if tup in dg:
-                dg[tup] = tuple(dg[tup])
-        dg.setdefault("seed", seeds["data"])
-        datagen_cfg = DataGenConfig(**dg)
-    mc = dict(raw.get("model", {}))
-    if mc.get("column_order") is not None:
-        mc["column_order"] = tuple(mc["column_order"])
-    wl = dict(raw.get("workload", {}))
-    if "focus_columns" in wl:
-        wl["focus_columns"] = tuple(wl["focus_columns"])
+        datagen_cfg = _section(DataGenConfig, raw.get("datagen", {}), "datagen",
+                               seed=seeds["data"])
+    model_cfg = _section(ModelConfig, raw.get("model", {}), "model")
+    cep_cfg = _section(CepConfig, raw.get("cep", {}), "cep")
+    for name, section in (("datagen", datagen_cfg), ("model", model_cfg), ("cep", cep_cfg)):
+        try:
+            if section is not None:
+                section.validate()
+        except (TypeError, ValidationError) as exc:
+            raise ConfigurationError(f"config section {name!r}: {exc}") from exc
     return ExperimentConfig(
         output_dir=Path(raw["output_dir"]),
         seeds=seeds,
         datagen=datagen_cfg,
         dataset_dir=dataset_dir,
-        model=ModelConfig(**mc),
+        model=model_cfg,
         task=parse_task(raw["task"]),
-        cep=CepConfig(**raw.get("cep", {})),
-        workload=WorkloadConfig(**wl),
-        join_cap=int(raw.get("join_cap", 5_000_000)),
+        cep=cep_cfg,
+        workload=_section(WorkloadConfig, raw.get("workload", {}), "workload"),
+        join_cap=join_cap,
         raw=raw,
     )
 

@@ -7,16 +7,23 @@ Connectivity masks enforce that the logits for the column at position p of
 the ordering depend only on columns at positions < p, so the product of
 per-column softmax conditionals is a normalized joint distribution.
 
+The layout follows the masks.  Input slot p (``w_in`` row block p) holds the
+embedding of the column at position p, and the hidden units are stored in
+non-decreasing MADE degree; a unit of degree d sees only columns at
+positions < d.  Permuting hidden units leaves the model class unchanged, so
+this costs nothing, and it makes the sub-network that feeds position p a
+leading slice of every matrix: the units of degree <= p and the input slots
+< p.  Output logit blocks stay in column-index order.
+
 Inference is progressive sampling (``estimate_selectivity``), evaluated
-degree-incrementally rather than by one ``forward`` per column.  Every
-hidden unit has a MADE degree d and sees only columns at positions < d; the
-logits at position p read only units of degree <= p.  Once the column at
-position p - 1 is sampled, the units of degree <= p - 1 never change again,
-so step p computes only the units of degree exactly p, through the input
-layer and each residual block, and then that column's logits.  These are
-exactly the connections the masks leave unmasked, so one query costs about
-one forward pass in total and gives ``forward``'s numbers up to the order of
-floating-point sums.
+degree-incrementally rather than by one ``forward`` per column.  Once the
+column at position p - 1 is sampled, the units of degree <= p - 1 never
+change again, so step p computes only the units of degree exactly p, through
+the input layer and each residual block, and then that column's logits.
+These are exactly the connections the masks leave unmasked, so one query
+costs about one forward pass in total and gives ``forward``'s numbers up to
+the order of floating-point sums.  The sampler reads ``params`` in place,
+through slices, and keeps its per-path state in one workspace per call.
 
 Everything is float64 and driven by explicit numpy Generators; training,
 scoring, and inference are deterministic given seeds.  All parameters live
@@ -36,8 +43,10 @@ import copy
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +58,7 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -67,15 +76,34 @@ class ModelConfig:
     batch_size: int = 128
     epochs: int = 15
 
-    def validate(self, ncols: int):
+    def validate(self):
+        """Types and ranges of every field; ``init_model`` checks
+        ``column_order`` against the column count."""
+        counts = (self.embedding_dim, self.hidden_dim, self.residual_blocks,
+                  self.numeric_bins, self.batch_size, self.epochs)
+        order = () if self.column_order is None else self.column_order
+        if not (isinstance(order, tuple) and all(_is_int(v) for v in counts + order)):
+            raise ValidationError("model dimensions, numeric_bins, batch_size, epochs "
+                                  "and column_order must be integers")
+        if not all(isinstance(v, Real) and not isinstance(v, bool)
+                   for v in (self.dropout, self.lr, self.beta1, self.beta2, self.eps)):
+            raise ValidationError("dropout, lr, beta1, beta2 and eps must be numbers")
         if min(self.embedding_dim, self.hidden_dim, self.residual_blocks) < 1:
             raise ValidationError("model dimensions must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError("dropout must lie in [0, 1)")
         if self.numeric_bins < 1:
             raise ValidationError("numeric_bins must be >= 1")
-        if self.column_order is not None and sorted(self.column_order) != list(range(ncols)):
-            raise ValidationError("column_order is not a permutation of the columns")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValidationError("epochs must be >= 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValidationError("lr must be a finite number > 0")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 @dataclass(eq=False)
@@ -160,10 +188,9 @@ class ArDensityModel:
     def connectivity(self) -> np.ndarray:
         """MADE connectivity over the dense-weight prefix of ``theta`` (1 =
         connected), rebuilt from the column order and domain sizes."""
-        pos = self.positions
-        in_deg, hid_deg = _degrees(self.ncols, pos, self.cfg.embedding_dim,
+        in_deg, hid_deg = _degrees(self.ncols, self.cfg.embedding_dim,
                                    self.cfg.hidden_dim)
-        out_deg = np.repeat(pos + 1, [c.domain_size for c in self.columns])
+        out_deg = np.repeat(self.positions + 1, [c.domain_size for c in self.columns])
         hid = (hid_deg[None, :] >= hid_deg[:, None]).ravel()
         return np.concatenate([(hid_deg[None, :] >= in_deg[:, None]).ravel()]
                               + [hid] * (2 * self.cfg.residual_blocks)
@@ -220,10 +247,15 @@ def model_columns_from_specs(specs: list[ColumnSpec], bins: int,
     return cols
 
 
-def _degrees(ncols: int, positions: np.ndarray, emb: int, hidden: int):
-    in_deg = np.repeat(positions + 1, emb)
+def _degrees(ncols: int, emb: int, hidden: int):
+    """MADE degrees of the input rows and the hidden units.  Input slot p
+    holds the column at position p and has degree p + 1.  The hidden degrees
+    1 .. ncols - 1 are spread as evenly as ``arange(hidden) % (ncols - 1)``
+    spreads them, in non-decreasing order; with one column every unit has
+    degree 0 and feeds position 0."""
+    in_deg = np.repeat(np.arange(1, ncols + 1), emb)
     if ncols >= 2:
-        hid_deg = (np.arange(hidden) % (ncols - 1)) + 1
+        hid_deg = np.sort(np.arange(hidden) % (ncols - 1)) + 1
     else:
         hid_deg = np.zeros(hidden, dtype=np.int64)
     return in_deg, hid_deg
@@ -257,7 +289,9 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
     columns = model_columns_from_specs(specs, cfg.numeric_bins, restrict_codes)
     if not columns:
         raise ValidationError("model needs at least one column")
-    cfg.validate(len(columns))
+    cfg.validate()
+    if cfg.column_order is not None and sorted(cfg.column_order) != list(range(len(columns))):
+        raise ValidationError("column_order is not a permutation of the columns")
     order = np.array(cfg.column_order if cfg.column_order is not None
                      else range(len(columns)), dtype=np.int64)
     size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
@@ -290,8 +324,8 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     emb = model.cfg.embedding_dim
     P = model.params
     A0 = np.empty((B, emb * model.ncols))
-    for i in range(model.ncols):
-        A0[:, i * emb:(i + 1) * emb] = model.embeddings[i][X[:, i]]
+    for p, i in enumerate(model.order):
+        A0[:, p * emb:(p + 1) * emb] = model.embeddings[i][X[:, i]]
 
     keep = 1.0 - model.cfg.dropout
     use_dropout = training and model.cfg.dropout > 0.0
@@ -393,8 +427,8 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     G["b_in"][...] = dh.sum(axis=0)
     dA0 = dh @ P["w_in"].T
     emb = model.cfg.embedding_dim
-    for i in range(model.ncols):
-        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, i * emb:(i + 1) * emb])
+    for p, i in enumerate(model.order):
+        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, p * emb:(p + 1) * emb])
     grad[:model.keep.size] *= model.keep
     return loss, grad
 
@@ -491,31 +525,6 @@ def encode_relation(model: ArDensityModel, rel: JoinRelation,
 # inference
 
 
-def _degree_sorted_weights(model: ArDensityModel):
-    """Weights in degree order for progressive sampling, plus the unit counts k.
-
-    Hidden units are stable-sorted by MADE degree and the ``w_in`` rows are
-    put in column-position order, so the sub-network feeding position p is a
-    leading slice of every matrix: ``k[p]`` units (those of degree <= p) and
-    the embeddings of positions < p.  The function computed is the same as
-    ``forward``'s; only the unit order changes.
-    """
-    emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
-    _, hid_deg = _degrees(model.ncols, model.positions, emb, model.cfg.hidden_dim)
-    perm = np.argsort(hid_deg, kind="stable")
-    k = np.searchsorted(hid_deg[perm], np.arange(model.ncols), side="right")
-    rows = (model.order[:, None] * emb + np.arange(emb)).ravel()
-    P = model.params
-    W = {"w_in": P["w_in"][rows][:, perm], "b_in": P["b_in"][perm],
-         "w_out": P["w_out"][perm], "b_out": P["b_out"]}
-    for r in range(R):
-        for key in (f"w1_{r}", f"w2_{r}"):
-            W[key] = P[key][perm][:, perm]
-        for key in (f"b1_{r}", f"b2_{r}"):
-            W[key] = P[key][perm]
-    return W, k
-
-
 def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarray],
                          num_samples: int = 512,
                          rng: np.random.Generator | None = None,
@@ -533,11 +542,11 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     skipped.
 
     The network is evaluated degree-incrementally rather than by a full
-    ``forward`` per position.  With hidden units sorted by MADE degree, the
-    logits at position p read only the first ``k[p]`` units (degree <= p),
-    and those units read only the embeddings of positions < p.  A unit of
-    degree d reads only columns at positions < d, all sampled before step
-    d, so it is computed once, at step d, and never changes afterwards.
+    ``forward`` per position.  Hidden units are stored in MADE-degree order,
+    so the logits at position p read only the first ``k[p]`` units (degree
+    <= p), and those units read only the input slots of positions < p.  A
+    unit of degree d reads only columns at positions < d, all sampled before
+    step d, so it is computed once, at step d, and never changes afterwards.
     Step p therefore computes the input layer and every residual block for
     the new units ``k[p-1]:k[p]`` alone, reading the cached activations of
     units ``:k[p]`` one layer down, then the column's own ``w_out`` block.
@@ -546,6 +555,15 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     and the result equals ``forward``'s up to the order of floating-point
     sums.  No position is special: with a single column every unit has
     degree 0 and step 0 computes them all.
+
+    The weights are read in place as ``params[key][:k[p], new]``, transposed
+    views that BLAS takes without a copy.  The per-path state is stored
+    transposed, units x paths, so each step's new units are contiguous rows
+    that matrix products write into directly.  All of it sits in one
+    workspace sized to the units of degree <= the last constrained position:
+    a single allocation per call, which the allocator hands back from the
+    heap on the next call instead of mapping fresh pages, each of which
+    would cost a page fault when first written.
 
     With ``with_error`` the Monte-Carlo standard error of the path-weight
     mean is returned alongside the estimate.
@@ -569,32 +587,34 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
 
     n = num_samples
     emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
-    W, k = _degree_sorted_weights(model)
-    # per-path state, hidden units in degree order: the sampled columns'
-    # embeddings in position order, relu(h) entering each residual block
-    # (the last entry feeds w_out) and relu(z) inside each block
-    A0 = np.zeros((n, emb * model.ncols))
-    acts = [np.empty((n, model.cfg.hidden_dim)) for _ in range(R + 1)]
-    mids = [np.empty((n, model.cfg.hidden_dim)) for _ in range(R)]
+    P = model.params
+    _, hid_deg = _degrees(model.ncols, emb, model.cfg.hidden_dim)
+    k = np.searchsorted(hid_deg, np.arange(model.ncols), side="right")
+    # per-path state, units x paths: relu(h) entering each residual block
+    # (acts[R] feeds w_out) and relu(z) inside each block; the sampled
+    # columns' embeddings in position order
+    work = np.empty((2 * R + 1, int(k[last_pos]), n))
+    acts, mids = work[:R + 1], work[R + 1:]
+    A0 = np.empty((emb * last_pos, n))
     weight = np.ones(n)
     offs = model.logit_offsets()
     for p in range(last_pos + 1):
         i = int(model.order[p])
         kp = int(k[p])
         new = slice(int(k[p - 1]) if p else 0, kp)
-        h = A0[:, :emb * p] @ W["w_in"][:emb * p, new]
-        h += W["b_in"][new]
+        h = P["w_in"][:emb * p, new].T @ A0[:emb * p]
+        h += P["b_in"][new, None]
         for r in range(R):
-            np.maximum(h, 0.0, out=acts[r][:, new])
-            z = acts[r][:, :kp] @ W[f"w1_{r}"][:kp, new]
-            z += W[f"b1_{r}"][new]
-            np.maximum(z, 0.0, out=mids[r][:, new])
-            u = mids[r][:, :kp] @ W[f"w2_{r}"][:kp, new]
-            u += W[f"b2_{r}"][new]
+            np.maximum(h, 0.0, out=acts[r, new])
+            z = np.matmul(P[f"w1_{r}"][:kp, new].T, acts[r, :kp], out=mids[r, new])
+            z += P[f"b1_{r}"][new, None]
+            np.maximum(z, 0.0, out=z)
+            u = P[f"w2_{r}"][:kp, new].T @ mids[r, :kp]
+            u += P[f"b2_{r}"][new, None]
             h += u
-        np.maximum(h, 0.0, out=acts[R][:, new])
+        np.maximum(h, 0.0, out=acts[R, new])
         cols = slice(offs[i], offs[i + 1])
-        block = acts[R][:, :kp] @ W["w_out"][:kp, cols] + W["b_out"][cols]
+        block = acts[R, :kp].T @ P["w_out"][:kp, cols] + P["b_out"][cols]
         probs = np.exp(_log_softmax(block))
         if p in by_pos:
             _, wv = by_pos[p]
@@ -609,7 +629,7 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             alive = totals > 0.0
             u = rng.random(n) * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
-            A0[:, emb * p:emb * (p + 1)] = model.embeddings[i][np.where(alive, nxt, 0)]
+            A0[emb * p:emb * (p + 1)] = model.embeddings[i][np.where(alive, nxt, 0)].T
             weight = np.where(alive, weight, 0.0)
     if with_error:
         sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -654,17 +674,27 @@ def _column_meta(col: ModelColumn) -> dict:
 
 
 def _column_from_meta(meta: dict) -> ModelColumn:
+    """Inverse of ``_column_meta``; raises KeyError, TypeError or ValueError
+    on a missing or mistyped field."""
     if meta["kind"] == CATEGORICAL:
-        return ModelColumn(meta["name"], CATEGORICAL,
-                           codes=np.array(meta["codes"], dtype=np.int64),
-                           values=np.array(meta["values"], dtype=np.int64),
-                           dict_size=meta["dict_size"])
+        codes, values = np.array(meta["codes"]), np.array(meta["values"])
+        dict_size = operator.index(meta["dict_size"])
+        if not (codes.ndim == 1 and codes.size and codes.dtype.kind == "i"
+                and values.shape == codes.shape and values.dtype.kind == "i"
+                and 0 <= codes.min() and codes.max() < dict_size):
+            raise ValueError(f"column {meta['name']!r}: bad codes or values")
+        return ModelColumn(meta["name"], CATEGORICAL, codes=codes.astype(np.int64),
+                           values=values.astype(np.int64), dict_size=dict_size)
+    if meta["kind"] != NUMERICAL:
+        raise ValueError(f"column {meta['name']!r}: unknown kind {meta['kind']!r}")
+    if operator.index(meta["bins"]) < 1:
+        raise ValueError(f"column {meta['name']!r}: bins must be >= 1")
     remap = None
     if meta.get("remap"):
         remap = NumericRemap(meta["remap"]["lo"], meta["remap"]["hi"],
                              tuple((a, b) for a, b in meta["remap"]["subranges"]))
-    return ModelColumn(meta["name"], NUMERICAL, lo=meta["lo"], hi=meta["hi"],
-                       bins=meta["bins"], remap=remap)
+    return ModelColumn(meta["name"], NUMERICAL, lo=float(meta["lo"]),
+                       hi=float(meta["hi"]), bins=meta["bins"], remap=remap)
 
 
 def _array_specs(shapes: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
@@ -712,19 +742,26 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
         raise FormatError(f"{path}: checksum mismatch")
     version, = struct.unpack("<I", body[4:8])
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version} "
+                          f"(this build reads version {CHECKPOINT_VERSION})")
     meta_len, = struct.unpack("<I", body[8:12])
-    meta = json.loads(body[12:12 + meta_len].decode())
-    cfg_dict = dict(meta["config"])
-    if cfg_dict.get("column_order") is not None:
-        cfg_dict["column_order"] = tuple(cfg_dict["column_order"])
-    cfg = ModelConfig(**cfg_dict)
-    columns = [_column_from_meta(m) for m in meta["columns"]]
-    order = np.array(meta["order"], dtype=np.int64)
-
-    shapes = _parameter_shapes(cfg, columns)
-    specs = _array_specs(shapes)
-    if [(a["key"], tuple(a["shape"])) for a in meta["arrays"]] != specs:
+    try:
+        meta = json.loads(body[12:12 + meta_len].decode())
+        cfg_dict = dict(meta["config"])
+        if cfg_dict.get("column_order") is not None:
+            cfg_dict["column_order"] = tuple(cfg_dict["column_order"])
+        cfg = ModelConfig(**cfg_dict)
+        cfg.validate()
+        columns = [_column_from_meta(m) for m in meta["columns"]]
+        order = np.array(meta["order"], dtype=np.int64)
+        if sorted(order) != list(range(len(columns))):
+            raise ValueError("order is not a permutation of the columns")
+        shapes = _parameter_shapes(cfg, columns)
+        specs = _array_specs(shapes)
+        layout = [(a["key"], tuple(a["shape"])) for a in meta["arrays"]]
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
+    if layout != specs:
         raise FormatError(f"{path}: arrays do not match the model the metadata describes")
     sizes = [math.prod(shape) for _, shape in specs]
     if 12 + meta_len + 8 * sum(sizes) != len(body):

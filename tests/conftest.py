@@ -7,7 +7,10 @@ compare two genuinely different computations.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -198,3 +201,33 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
         sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return float(weight.mean()), sem
     return float(weight.mean())
+
+
+# ---------------------------------------------------------------------------
+# checkpoint surgery
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint through ``edit(meta, payload)``, which may change
+    the metadata dict and the float64 array payload, then give it a fresh
+    digest.  ``edit`` may return the metadata as raw bytes instead."""
+    raw = path.read_bytes()
+    meta_len, = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    payload = np.frombuffer(raw[12 + meta_len:-8], dtype="<f8").copy()
+    meta, payload = edit(meta, payload)
+    meta_bytes = meta if isinstance(meta, bytes) else \
+        json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
+        np.asarray(payload, dtype="<f8").tobytes()
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+
+
+def array_offset(meta, key):
+    """Index of an array's first value in the checkpoint payload."""
+    offset = 0
+    for spec in meta["arrays"]:
+        if spec["key"] == key:
+            return offset
+        offset += int(np.prod(spec["shape"]))
+    raise KeyError(key)

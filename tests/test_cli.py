@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
-from cardest.cli import main
+from cardest.cli import load_config, main
+from cardest.errors import ConfigurationError
+from conftest import rewrite_checkpoint
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -85,6 +88,41 @@ class TestStages:
         assert run("gen-data", cfg) == 2
 
 
+class TestConfigErrors:
+    """A malformed config is a ConfigurationError from ``load_config`` and
+    exit 2 with one error line, before any stage runs."""
+
+    def check_rejected(self, path, capsys, match):
+        with pytest.raises(ConfigurationError, match=match):
+            load_config(path)
+        assert run("gen-data", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (path.parent / "run").exists()
+
+    @pytest.mark.parametrize("section", ["model", "cep", "workload", "datagen"])
+    def test_unknown_section_key(self, tmp_path, capsys, section):
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc[section]["epochz"] = 3
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, f"{section}.*epochz")
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("output_dir: x\nmodel: {epochs: [3\n")
+        self.check_rejected(path, capsys, "not valid YAML")
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("epochs", -1), ("lr", 0.0), ("lr", "1e-3")])
+    def test_model_value_out_of_range(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["model"][field] = value
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, field)
+
+
 class TestDeterminismAndAblation:
     def prep(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -125,6 +163,18 @@ class TestDeterminismAndAblation:
         assert main(["unlearn", "-c", str(cfg), "--method", "cep",
                      "--alpha", "0.1", "--ns", "2"]) == 0
         assert (run_dir / "unlearn-cep" / "model.ckpt").exists()
+
+    def test_malformed_checkpoint_exits_4(self, tmp_path, capsys):
+        cfg, run_dir = self.prep(tmp_path)
+
+        def drop_config(meta, payload):
+            del meta["config"]
+            return meta, payload
+
+        rewrite_checkpoint(run_dir / "model" / "original.ckpt", drop_config)
+        assert main(["unlearn", "-c", str(cfg), "--method", "stale"]) == 4
+        err = capsys.readouterr().err
+        assert "malformed checkpoint metadata" in err and "Traceback" not in err
 
     def test_retrain_method(self, tmp_path):
         cfg, run_dir = self.prep(tmp_path)

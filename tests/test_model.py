@@ -1,19 +1,19 @@
 import hashlib
-import json
 import struct
 
 import numpy as np
 import pytest
 
 from cardest.errors import FormatError, TrainingError, ValidationError
-from cardest.model import (ModelConfig, _log_softmax, batch_nll_terms,
+from cardest.model import (ModelConfig, _degrees, _log_softmax, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
-from conftest import (enumerate_probabilities, fd_gradient, max_relative_error,
-                      reference_estimate_selectivity, tiny_model)
+from conftest import (array_offset, enumerate_probabilities, fd_gradient,
+                      max_relative_error, reference_estimate_selectivity,
+                      rewrite_checkpoint, tiny_model)
 
 
 def cat_spec(name, dom):
@@ -93,6 +93,52 @@ class TestAutoregressiveMasking:
             p = np.exp(block - block.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestLayout:
+    """Hidden units are stored in MADE-degree order and input slot p holds
+    the column at position p; the sampler relies on both."""
+
+    @pytest.mark.parametrize("ncols,hidden", [(1, 4), (2, 3), (4, 8), (4, 2), (6, 128)])
+    def test_hidden_degrees_non_decreasing(self, ncols, hidden):
+        in_deg, hid_deg = _degrees(ncols, 3, hidden)
+        assert (np.diff(hid_deg) >= 0).all()
+        assert (np.diff(in_deg) >= 0).all() and in_deg[0] == 1
+        spread = np.arange(hidden) % (ncols - 1) + 1 if ncols > 1 else np.zeros(hidden)
+        np.testing.assert_array_equal(hid_deg, np.sort(spread))
+
+    @pytest.mark.parametrize("doms,order,hidden", [
+        ((3, 4, 5), (1, 3, 0, 2), 8),      # 8 units over degrees 1..3: not divisible
+        ((3, 4), (2, 0, 1), 7),
+        ((5,), None, 6),
+    ])
+    def test_eligible_weight_count_matches_modulo_assignment(self, doms, order, hidden):
+        if len(doms) == 1:   # no numeric column: a single-column model
+            m = init_model([cat_spec("t.a", doms[0])],
+                           ModelConfig(embedding_dim=2, hidden_dim=hidden,
+                                       residual_blocks=2), seed=0)
+        else:
+            m = tiny_model(seed=0, doms=doms, order=order, hidden_dim=hidden, blocks=2)
+        # the unsorted assignment, input rows in column-index order
+        pos = m.positions
+        hid = (np.arange(hidden) % (m.ncols - 1) + 1 if m.ncols > 1
+               else np.zeros(hidden, dtype=np.int64))
+        in_deg = np.repeat(pos + 1, m.cfg.embedding_dim)
+        out_deg = np.repeat(pos + 1, [c.domain_size for c in m.columns])
+        expected = ((hid[None, :] >= in_deg[:, None]).sum()
+                    + 2 * m.cfg.residual_blocks * (hid[None, :] >= hid[:, None]).sum()
+                    + (out_deg[None, :] > hid[:, None]).sum())
+        assert m.eligible_weight_count() == expected
+
+    @pytest.mark.parametrize("case", ["four_columns", "narrow_hidden", "single_column"])
+    def test_estimate_leaves_model_unchanged(self, case):
+        m = reference_case_model(case)
+        before = m.checksum()
+        rng = np.random.default_rng(3)
+        for c in m.columns:   # constrain each column in turn, so every prefix runs
+            estimate_selectivity(m, {c.name: rng.random(c.domain_size)}, 32, rng,
+                                 with_error=True)
+        assert m.checksum() == before
 
 
 def nll_terms(m, X):
@@ -443,39 +489,48 @@ class TestCheckpoint:
             load_checkpoint(p)
 
 
-def rewrite_checkpoint(path, edit):
-    """Rewrite a checkpoint through ``edit(meta, payload)``, which may change
-    the metadata dict and the float64 array payload, then give it a fresh
-    digest."""
-    raw = path.read_bytes()
-    meta_len, = struct.unpack("<I", raw[8:12])
-    meta = json.loads(raw[12:12 + meta_len])
-    payload = np.frombuffer(raw[12 + meta_len:-8], dtype="<f8").copy()
-    meta, payload = edit(meta, payload)
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
-        np.asarray(payload, dtype="<f8").tobytes()
-    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    @pytest.mark.parametrize("case", [
+        "no_config", "column_without_kind", "column_without_bins",
+        "column_without_codes", "unknown_config_field", "mistyped_config_field",
+        "undecodable_json"])
+    def test_malformed_metadata_is_format_error(self, tmp_path, case):
+        m = tiny_model(seed=29)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
 
+        def edit(meta, payload):
+            if case == "no_config":
+                del meta["config"]
+            elif case == "column_without_kind":
+                del meta["columns"][0]["kind"]
+            elif case == "column_without_bins":   # t.num, the numeric column
+                del meta["columns"][-1]["bins"]
+            elif case == "column_without_codes":
+                del meta["columns"][0]["codes"]
+            elif case == "unknown_config_field":
+                meta["config"]["width"] = 3
+            elif case == "mistyped_config_field":
+                meta["config"]["hidden_dim"] = "8"
+            else:
+                return b"\xff{not json", payload
+            return meta, payload
 
-def array_offset(meta, key):
-    """Index of an array's first value in the checkpoint payload."""
-    offset = 0
-    for spec in meta["arrays"]:
-        if spec["key"] == key:
-            return offset
-        offset += int(np.prod(spec["shape"]))
-    raise KeyError(key)
+        rewrite_checkpoint(p, edit)
+        with pytest.raises(FormatError, match="malformed checkpoint metadata"):
+            load_checkpoint(p)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
+    # version 1 stored hidden units and input rows in another order: its
+    # arrays have the same shapes, so only the version tells them apart
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
-    save_checkpoint(m, p)
-    raw = bytearray(p.read_bytes())
-    raw[4:8] = struct.pack("<I", 99)
-    # recompute the checksum so only the version is wrong
-    body = bytes(raw[:-8])
-    p.write_bytes(body + hashlib.sha256(body).digest()[:8])
-    with pytest.raises(FormatError):
-        load_checkpoint(p)
+    for version in (1, 99):
+        save_checkpoint(m, p)
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = struct.pack("<I", version)
+        # recompute the checksum so only the version is wrong
+        body = bytes(raw[:-8])
+        p.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_checkpoint(p)
