@@ -53,8 +53,10 @@ class ExperimentConfig:
 
 
 def parse_task(d: dict) -> DeletionTask:
+    if not isinstance(d, dict):
+        raise ConfigurationError("config section 'task' must be a mapping")
     name = d.get("name")
-    if not name:
+    if not (name and isinstance(name, str)):
         raise ConfigurationError("task needs a name like A-2-0.5")
     parts = name.split("-")
     if len(parts) != 3:
@@ -64,15 +66,20 @@ def parse_task(d: dict) -> DeletionTask:
         scope, ratio = int(scope_s), float(ratio_s)
     except ValueError as exc:
         raise ConfigurationError(f"task name {name!r}: {exc}") from exc
-    conds = []
-    for c in d.get("conditions", []):
-        conds.append(Condition(table=c["table"], column=c.get("column"),
-                               value=c.get("value"),
-                               lo=c.get("lo"), hi=c.get("hi")))
+    conds = d.get("conditions", [])
+    if not (isinstance(conds, list)
+            and all(isinstance(c, dict) and "table" in c for c in conds)):
+        raise ConfigurationError(f"task {name!r}: conditions must be a list of "
+                                 "mappings, each naming a table")
     if len(conds) != scope:
         raise ConfigurationError(
             f"task {name!r}: scope {scope} but {len(conds)} conditions")
-    return DeletionTask(dtype=dtype, conditions=tuple(conds), ratio=ratio)
+    try:
+        return DeletionTask(dtype=dtype, ratio=ratio, conditions=tuple(
+            Condition(table=c["table"], column=c.get("column"), value=c.get("value"),
+                      lo=c.get("lo"), hi=c.get("hi")) for c in conds))
+    except ValidationError as exc:
+        raise ConfigurationError(f"task {name!r}: {exc}") from exc
 
 
 def _section(cls, d, name: str, **defaults):
@@ -111,13 +118,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     datagen_cfg = None
     dataset_dir = None
     if "dataset" in raw:
+        if not (isinstance(raw["dataset"], dict) and "dir" in raw["dataset"]):
+            raise ConfigurationError("config section 'dataset' must be a mapping "
+                                     "with a 'dir'")
         dataset_dir = Path(raw["dataset"]["dir"])
     else:
         datagen_cfg = _section(DataGenConfig, raw.get("datagen", {}), "datagen",
                                seed=seeds["data"])
     model_cfg = _section(ModelConfig, raw.get("model", {}), "model")
     cep_cfg = _section(CepConfig, raw.get("cep", {}), "cep")
-    for name, section in (("datagen", datagen_cfg), ("model", model_cfg), ("cep", cep_cfg)):
+    workload_cfg = _section(WorkloadConfig, raw.get("workload", {}), "workload")
+    for name, section in (("datagen", datagen_cfg), ("model", model_cfg), ("cep", cep_cfg),
+                          ("workload", workload_cfg)):
         try:
             if section is not None:
                 section.validate()
@@ -131,7 +143,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         model=model_cfg,
         task=parse_task(raw["task"]),
         cep=cep_cfg,
-        workload=_section(WorkloadConfig, raw.get("workload", {}), "workload"),
+        workload=workload_cfg,
         join_cap=join_cap,
         raw=raw,
     )

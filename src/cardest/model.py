@@ -25,6 +25,17 @@ costs about one forward pass in total and gives ``forward``'s numbers up to
 the order of floating-point sums.  The sampler reads ``params`` in place,
 through slices, and keeps its per-path state in one workspace per call.
 
+Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch,
+and sensitivity scoring runs ``loss_and_grad`` alone.  The gradient vector
+starts empty and each of its parts is written once, in place: ``out=``
+matrix products and sums, and one ``np.bincount`` for the embedding rows.
+Each column's log-softmax is computed once per step and serves both the
+loss and the probabilities.  Adam updates ``m``, ``v`` and ``theta``
+through two work vectors it allocates once, so a step allocates nothing the
+size of ``theta``.  Each of these does the same floating-point operations
+in the same order as the plain expressions, so trained weights and loss
+traces are byte-identical to what those give.
+
 Everything is float64 and driven by explicit numpy Generators; training,
 scoring, and inference are deterministic given seeds.  All parameters live
 in one vector ``theta``: the dense weights in ``weight_keys()`` order, then
@@ -331,26 +342,27 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     use_dropout = training and model.cfg.dropout > 0.0
     cache = {"X": X, "A0": A0, "blocks": []}
 
-    h = A0 @ P["w_in"] + P["b_in"]
-    cache["h0"] = h
+    h = A0 @ P["w_in"]
+    h += P["b_in"]
     for r in range(model.cfg.residual_blocks):
         a = np.maximum(h, 0.0)
-        z = a @ P[f"w1_{r}"] + P[f"b1_{r}"]
-        c = np.maximum(z, 0.0)
+        z = a @ P[f"w1_{r}"]
+        z += P[f"b1_{r}"]
+        d = np.maximum(z, 0.0)
+        dmask = None
         if use_dropout:
-            dmask = (rng.random(c.shape) < keep).astype(np.float64) / keep
-            d = c * dmask
-        else:
-            dmask = None
-            d = c
-        u = d @ P[f"w2_{r}"] + P[f"b2_{r}"]
-        h_next = h + u
+            dmask = np.multiply(rng.random(d.shape) < keep, 1.0 / keep)
+            d *= dmask
+        u = d @ P[f"w2_{r}"]
+        u += P[f"b2_{r}"]
+        u += h
         cache["blocks"].append({"h": h, "a": a, "z": z, "d": d, "dmask": dmask})
-        h = h_next
+        h = u
     cache["h_last"] = h
     hf = np.maximum(h, 0.0)
     cache["hf"] = hf
-    logits = hf @ P["w_out"] + P["b_out"]
+    logits = hf @ P["w_out"]
+    logits += P["b_out"]
     return logits, cache
 
 
@@ -360,15 +372,26 @@ def _log_softmax(block: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
-def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """(batch, ncols) negative log conditionals of the true codes."""
+def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(batch, ncols) negative log conditionals of the true codes, and the
+    (batch, total) log-probabilities they are read from.
+
+    Every column's log-softmax is taken over its own logit block in one
+    pass over ``logits``, with ``_log_softmax``'s operations: the block
+    maxima come from one ``np.maximum.reduceat`` and are broadcast back by
+    ``np.repeat``, and each block's exp-sum is that block's own
+    ``.sum(axis=1)`` (``np.add.reduceat`` would add in another order).
+    """
     offs = model.logit_offsets()
-    B = X.shape[0]
-    terms = np.empty((B, model.ncols))
+    sizes = np.diff(offs)
+    ls = logits - np.repeat(np.maximum.reduceat(logits, offs[:-1], axis=1), sizes, axis=1)
+    e = np.exp(ls)
+    lse = np.empty((X.shape[0], model.ncols))
     for i in range(model.ncols):
-        ls = _log_softmax(logits[:, offs[i]:offs[i + 1]])
-        terms[:, i] = -ls[np.arange(B), X[:, i]]
-    return terms
+        e[:, offs[i]:offs[i + 1]].sum(axis=1, out=lse[:, i])
+    ls -= np.repeat(np.log(lse, out=lse), sizes, axis=1)
+    return -np.take_along_axis(ls, offs[:-1] + X, axis=1), ls
 
 
 def loss_and_grad(model: ArDensityModel, X: np.ndarray,
@@ -377,8 +400,19 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     """Weighted NLL and its exact gradient, averaged over the batch.
 
     The loss is mean_batch sum_i w_i * (-log p(col_i | earlier columns)).
-    The gradient is one vector in ``theta`` layout; it is exactly zero
+    The gradient is one fresh vector in ``theta`` layout; it is exactly zero
     wherever ``keep`` is 0.
+
+    The vector starts empty and every part of it is written once, in place:
+    each weight block by ``np.matmul(..., out=)``, each bias by
+    ``np.sum(..., out=)``, and the embedding tail by one ``np.bincount``
+    over the flat cell index of every (row, input slot, component).  The
+    log-softmax of each column is computed once and serves both the loss
+    and ``exp(ls)``, and the ReLU and dropout backward steps multiply in
+    place.  Each of these does the same floating-point operations in the
+    same order as the plain expressions (``bincount``, like ``np.add.at``,
+    adds a cell's rows in row order starting from 0.0), so the loss and the
+    gradient are byte-identical to them.
     """
     if column_weights is None:
         w = np.ones(model.ncols)
@@ -391,44 +425,48 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
 
     B = X.shape[0]
     logits, cache = forward(model, X, training=training, rng=rng)
-    offs = model.logit_offsets()
-    terms = batch_nll_terms(model, X, logits)
+    terms, dlogits = batch_nll_terms(model, X, logits)
     loss = float((terms * w).sum(axis=1).mean())
 
-    dlogits = np.empty_like(logits)
-    for i in range(model.ncols):
-        block = logits[:, offs[i]:offs[i + 1]]
-        p = np.exp(_log_softmax(block))
-        p[np.arange(B), X[:, i]] -= 1.0
-        dlogits[:, offs[i]:offs[i + 1]] = p * (w[i] / B)
+    # softmax minus the one-hot of the true code, times w_i / B
+    offs = model.logit_offsets()
+    np.exp(dlogits, out=dlogits)
+    dlogits[np.arange(B)[:, None], offs[:-1] + X] -= 1.0
+    dlogits *= np.repeat(w / B, np.diff(offs))
 
     P = model.params
-    grad = np.zeros_like(model.theta)
+    grad = np.empty_like(model.theta)
     G = model.unflatten(grad)
-    G["w_out"][...] = cache["hf"].T @ dlogits
-    G["b_out"][...] = dlogits.sum(axis=0)
-    dhf = dlogits @ P["w_out"].T
-    dh = dhf * (cache["h_last"] > 0.0)
+    np.matmul(cache["hf"].T, dlogits, out=G["w_out"])
+    np.sum(dlogits, axis=0, out=G["b_out"])
+    dh = dlogits @ P["w_out"].T
+    dh *= cache["h_last"] > 0.0
 
     for r in reversed(range(model.cfg.residual_blocks)):
         blk = cache["blocks"][r]
-        du = dh
-        G[f"w2_{r}"][...] = blk["d"].T @ du
-        G[f"b2_{r}"][...] = du.sum(axis=0)
-        dd = du @ P[f"w2_{r}"].T
-        dc = dd * blk["dmask"] if blk["dmask"] is not None else dd
-        dz = dc * (blk["z"] > 0.0)
-        G[f"w1_{r}"][...] = blk["a"].T @ dz
-        G[f"b1_{r}"][...] = dz.sum(axis=0)
+        np.matmul(blk["d"].T, dh, out=G[f"w2_{r}"])
+        np.sum(dh, axis=0, out=G[f"b2_{r}"])
+        dz = dh @ P[f"w2_{r}"].T
+        if blk["dmask"] is not None:
+            dz *= blk["dmask"]
+        dz *= blk["z"] > 0.0
+        np.matmul(blk["a"].T, dz, out=G[f"w1_{r}"])
+        np.sum(dz, axis=0, out=G[f"b1_{r}"])
         da = dz @ P[f"w1_{r}"].T
-        dh = dh + da * (blk["h"] > 0.0)
+        da *= blk["h"] > 0.0
+        dh += da
 
-    G["w_in"][...] = cache["A0"].T @ dh
-    G["b_in"][...] = dh.sum(axis=0)
+    np.matmul(cache["A0"].T, dh, out=G["w_in"])
+    np.sum(dh, axis=0, out=G["b_in"])
     dA0 = dh @ P["w_in"].T
+    # cell (row, slot p, component j) adds to code X[row, order[p]] of
+    # column order[p]'s table, all tables laid out back to back
     emb = model.cfg.embedding_dim
-    for p, i in enumerate(model.order):
-        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, p * emb:(p + 1) * emb])
+    sizes = [e.size for e in model.embeddings]
+    starts = np.cumsum([0] + sizes[:-1])[model.order]
+    cells = (starts + X[:, model.order] * emb)[:, :, None] + np.arange(emb)
+    tail = grad.size - sum(sizes)
+    grad[tail:] = np.bincount(cells.ravel(), weights=dA0.ravel(), minlength=sum(sizes))
     grad[:model.keep.size] *= model.keep
     return loss, grad
 
@@ -438,21 +476,41 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
 
 
 class AdamState:
+    """Adam (Kingma & Ba, 2015) on ``theta``, updated in place.
+
+    Besides the moments ``m`` and ``v`` it keeps two ``theta``-sized work
+    vectors, so a step allocates nothing the size of ``theta``.  The step
+    applies ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``theta -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` through ``out=`` ufuncs
+    with the same operands in the same order, so ``theta`` is byte-identical
+    to what the plain expressions give; then it re-zeroes the masked
+    positions.
+    """
+
     def __init__(self, model: ArDensityModel):
         self.t = 0
         self.m = np.zeros_like(model.theta)
         self.v = np.zeros_like(model.theta)
+        self.work = np.empty((2, model.theta.size))
 
     def step(self, model: ArDensityModel, grad: np.ndarray):
         cfg = model.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
+        num, den = self.work
         self.m *= cfg.beta1
-        self.m += (1.0 - cfg.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - cfg.beta1, out=num)
         self.v *= cfg.beta2
-        self.v += (1.0 - cfg.beta2) * grad * grad
-        model.theta -= cfg.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.eps)
+        np.multiply(grad, 1.0 - cfg.beta2, out=den)
+        self.v += np.multiply(den, grad, out=den)
+        np.divide(self.m, bc1, out=num)
+        num *= cfg.lr
+        np.divide(self.v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.eps
+        num /= den
+        model.theta -= num
         # keep masked weight positions at exactly 0
         model.theta[:model.keep.size] *= model.keep
 
@@ -568,6 +626,8 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     With ``with_error`` the Monte-Carlo standard error of the path-weight
     mean is returned alongside the estimate.
     """
+    if num_samples < 1:
+        raise ValidationError("num_samples must be >= 1")
     for name in constraints:
         model.column_index(name)  # raises on unknown column
     if not constraints:

@@ -161,7 +161,7 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     for _ in range(n_iterations):
         idx = rng.choice(n, size=take, replace=False)
         grad = loss_and_grad(model, codes[idx], weights)[1]
-        scores.values += grad * grad
+        scores.values += np.square(grad, out=grad)
     scores.iterations = n_iterations
     scores.tuples_used = n
     return scores

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import (ArDensityModel, estimate_selectivity, interval_bin_weights)
+from .model import (ArDensityModel, _is_int, estimate_selectivity, interval_bin_weights)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, Join, SchemaGraph,
                          TableData, materialize_join)
@@ -35,6 +35,14 @@ class WorkloadConfig:
     focus_columns: tuple[str, ...] = ()   # qualified names favored by generation
     focus_prob: float = 0.5
     num_samples: int = 512                # progressive-sampling paths per query
+
+    def validate(self):
+        for name in ("n_queries", "max_predicates", "num_samples"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ValidationError(f"{name} must be an integer >= 1")
+        for name in ("dim_scope_prob", "focus_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------

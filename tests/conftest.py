@@ -152,7 +152,7 @@ def enumerate_probabilities(model: ArDensityModel):
     combos = np.array(list(itertools.product(*[range(s) for s in sizes])),
                       dtype=np.int64)
     logits, _ = forward(model, combos)
-    terms = batch_nll_terms(model, combos, logits)
+    terms = batch_nll_terms(model, combos, logits)[0]
     return combos, np.exp(-terms.sum(axis=1))
 
 
@@ -201,6 +201,118 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
         sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         return float(weight.mean()), sem
     return float(weight.mean())
+
+
+def reference_forward(model: ArDensityModel, X: np.ndarray, training=False, rng=None):
+    """``forward`` as plain expressions, one fresh array per operation."""
+    B = X.shape[0]
+    emb = model.cfg.embedding_dim
+    P = model.params
+    A0 = np.empty((B, emb * model.ncols))
+    for p, i in enumerate(model.order):
+        A0[:, p * emb:(p + 1) * emb] = model.embeddings[i][X[:, i]]
+
+    keep = 1.0 - model.cfg.dropout
+    use_dropout = training and model.cfg.dropout > 0.0
+    cache = {"X": X, "A0": A0, "blocks": []}
+
+    h = A0 @ P["w_in"] + P["b_in"]
+    cache["h0"] = h
+    for r in range(model.cfg.residual_blocks):
+        a = np.maximum(h, 0.0)
+        z = a @ P[f"w1_{r}"] + P[f"b1_{r}"]
+        c = np.maximum(z, 0.0)
+        if use_dropout:
+            dmask = (rng.random(c.shape) < keep).astype(np.float64) / keep
+            d = c * dmask
+        else:
+            dmask = None
+            d = c
+        u = d @ P[f"w2_{r}"] + P[f"b2_{r}"]
+        h_next = h + u
+        cache["blocks"].append({"h": h, "a": a, "z": z, "d": d, "dmask": dmask})
+        h = h_next
+    cache["h_last"] = h
+    hf = np.maximum(h, 0.0)
+    cache["hf"] = hf
+    logits = hf @ P["w_out"] + P["b_out"]
+    return logits, cache
+
+
+def reference_loss_and_grad(model: ArDensityModel, X: np.ndarray, column_weights=None,
+                            training=False, rng=None):
+    """``loss_and_grad`` as plain expressions: a log-softmax per column for
+    the loss and again for the probabilities, a zeroed gradient filled by
+    assignment, and ``np.add.at`` for the embedding rows.  The library's
+    in-place step must match it byte for byte."""
+    w = np.ones(model.ncols) if column_weights is None else \
+        np.asarray(column_weights, dtype=np.float64)
+    B = X.shape[0]
+    logits, cache = reference_forward(model, X, training=training, rng=rng)
+    offs = model.logit_offsets()
+    terms = np.empty((B, model.ncols))
+    for i in range(model.ncols):
+        ls = _log_softmax(logits[:, offs[i]:offs[i + 1]])
+        terms[:, i] = -ls[np.arange(B), X[:, i]]
+    loss = float((terms * w).sum(axis=1).mean())
+
+    dlogits = np.empty_like(logits)
+    for i in range(model.ncols):
+        block = logits[:, offs[i]:offs[i + 1]]
+        p = np.exp(_log_softmax(block))
+        p[np.arange(B), X[:, i]] -= 1.0
+        dlogits[:, offs[i]:offs[i + 1]] = p * (w[i] / B)
+
+    P = model.params
+    grad = np.zeros_like(model.theta)
+    G = model.unflatten(grad)
+    G["w_out"][...] = cache["hf"].T @ dlogits
+    G["b_out"][...] = dlogits.sum(axis=0)
+    dhf = dlogits @ P["w_out"].T
+    dh = dhf * (cache["h_last"] > 0.0)
+
+    for r in reversed(range(model.cfg.residual_blocks)):
+        blk = cache["blocks"][r]
+        du = dh
+        G[f"w2_{r}"][...] = blk["d"].T @ du
+        G[f"b2_{r}"][...] = du.sum(axis=0)
+        dd = du @ P[f"w2_{r}"].T
+        dc = dd * blk["dmask"] if blk["dmask"] is not None else dd
+        dz = dc * (blk["z"] > 0.0)
+        G[f"w1_{r}"][...] = blk["a"].T @ dz
+        G[f"b1_{r}"][...] = dz.sum(axis=0)
+        da = dz @ P[f"w1_{r}"].T
+        dh = dh + da * (blk["h"] > 0.0)
+
+    G["w_in"][...] = cache["A0"].T @ dh
+    G["b_in"][...] = dh.sum(axis=0)
+    dA0 = dh @ P["w_in"].T
+    emb = model.cfg.embedding_dim
+    for p, i in enumerate(model.order):
+        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, p * emb:(p + 1) * emb])
+    grad[:model.keep.size] *= model.keep
+    return loss, grad
+
+
+class ReferenceAdam:
+    """``AdamState`` as plain expressions, with fresh temporaries each step."""
+
+    def __init__(self, model: ArDensityModel):
+        self.t = 0
+        self.m = np.zeros_like(model.theta)
+        self.v = np.zeros_like(model.theta)
+
+    def step(self, model: ArDensityModel, grad: np.ndarray):
+        cfg = model.cfg
+        self.t += 1
+        bc1 = 1.0 - cfg.beta1 ** self.t
+        bc2 = 1.0 - cfg.beta2 ** self.t
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * grad
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * grad * grad
+        model.theta -= cfg.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.eps)
+        model.theta[:model.keep.size] *= model.keep
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,34 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(doc))
         self.check_rejected(path, capsys, field)
 
+    @pytest.mark.parametrize("task,match", [
+        ("A-1-1.0", "'task' must be a mapping"),
+        ({"name": 12, "conditions": []}, "needs a name")])
+    def test_malformed_task_section(self, tmp_path, capsys, task, match):
+        self.check_rejected(write_config(tmp_path, task=task), capsys, match)
+
+    @pytest.mark.parametrize("condition,match", [
+        ({"column": "amount", "lo": 30.0, "hi": 60.0}, "naming a table"),
+        ({"table": "fact", "lo": 30.0, "hi": 60.0}, "needs a column"),
+        ("fact.amount", "naming a table")])
+    def test_malformed_task_condition(self, tmp_path, capsys, condition, match):
+        path = write_config(tmp_path, task={"name": "A-1-1.0", "conditions": [condition]})
+        self.check_rejected(path, capsys, match)
+
+    def test_dataset_without_dir(self, tmp_path, capsys):
+        path = write_config(tmp_path, dataset={"path": "data"})
+        self.check_rejected(path, capsys, "dataset.*dir")
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_queries", 0), ("max_predicates", 0), ("num_samples", 0), ("num_samples", 2.5),
+        ("dim_scope_prob", 1.5), ("focus_prob", -0.1)])
+    def test_workload_value_out_of_range(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["workload"][field] = value
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, field)
+
 
 class TestDeterminismAndAblation:
     def prep(self, tmp_path):

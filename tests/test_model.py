@@ -1,19 +1,20 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cardest.errors import FormatError, TrainingError, ValidationError
-from cardest.model import (ModelConfig, _degrees, _log_softmax, batch_nll_terms,
+from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
-from conftest import (array_offset, enumerate_probabilities, fd_gradient,
-                      max_relative_error, reference_estimate_selectivity,
-                      rewrite_checkpoint, tiny_model)
+from conftest import (ReferenceAdam, array_offset, enumerate_probabilities,
+                      fd_gradient, max_relative_error, reference_estimate_selectivity,
+                      reference_loss_and_grad, rewrite_checkpoint, tiny_model)
 
 
 def cat_spec(name, dom):
@@ -142,7 +143,7 @@ class TestLayout:
 
 
 def nll_terms(m, X):
-    return batch_nll_terms(m, X, forward(m, X)[0])
+    return batch_nll_terms(m, X, forward(m, X)[0])[0]
 
 
 class TestNll:
@@ -266,6 +267,91 @@ class TestTrain:
         assert (m.theta[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
 
+STEP_CASES = ["dropout", "weighted", "repeated_codes", "batch_of_one", "single_column",
+              "permuted", "domain_pruned", "pruned_mask"]
+
+
+def step_case(case):
+    """(model, batch sampler, column weights, dropout on) for one case of the
+    in-place training step against the plain-expression reference.  Every
+    parameter is random, so no conditional starts uniform."""
+    weights, training = None, False
+    if case == "single_column":
+        cfg = ModelConfig(embedding_dim=3, hidden_dim=6, residual_blocks=2, dropout=0.2)
+        m = init_model([cat_spec("t.a", 5)], cfg, seed=31)
+        training = True
+    elif case == "permuted":
+        m = tiny_model(seed=32, doms=(3, 4, 5), order=(2, 3, 0, 1), hidden_dim=12, blocks=2)
+    else:
+        m = tiny_model(seed=33, doms=(4, 3), hidden_dim=10, blocks=2,
+                       dropout=0.3 if case == "dropout" else 0.0)
+        training = case == "dropout"
+    rng = np.random.default_rng(STEP_CASES.index(case))
+    m.theta[:] = rng.normal(0.0, 0.5, m.theta.size)
+    m.theta[:m.keep.size] *= m.keep
+    if case == "pruned_mask":
+        m.keep *= rng.random(m.keep.size) >= 0.3
+        m.theta[:m.keep.size] *= m.keep
+    if case == "domain_pruned":
+        domain_prune_categorical(m, "t.c0", np.array([0, 2, 3]))
+    if case == "weighted":
+        weights = np.array([0.0, 2.5, 0.25])
+    n = {"batch_of_one": 1, "repeated_codes": 24}.get(case, 16)
+
+    def batch(step):
+        r = np.random.default_rng(100 + step)
+        if case == "repeated_codes":  # few distinct rows, each many times
+            rows = np.stack([r.integers(0, c.domain_size, 3) for c in m.columns], axis=1)
+            return rows[r.integers(0, 3, n)]
+        return np.stack([r.integers(0, c.domain_size, n) for c in m.columns], axis=1)
+
+    return m, batch, weights, training
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_matches_reference_for_20_steps(self, case):
+        m, batch, weights, training = step_case(case)
+        ref = m.copy()
+        adam, ref_adam = AdamState(m), ReferenceAdam(ref)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for step in range(20):
+            X = batch(step)
+            loss, grad = loss_and_grad(m, X, weights, training=training, rng=rng)
+            ref_loss, ref_grad = reference_loss_and_grad(ref, X, weights,
+                                                         training=training, rng=ref_rng)
+            assert loss == ref_loss
+            np.testing.assert_array_equal(grad, ref_grad)
+            adam.step(m, grad)
+            ref_adam.step(ref, ref_grad)
+            np.testing.assert_array_equal(m.theta, ref.theta)
+        assert m.checksum() == ref.checksum()
+
+    def test_adam_step_allocates_no_theta_sized_array(self):
+        m = tiny_model(seed=34, doms=(40, 30), bins=32, embedding_dim=8, hidden_dim=64,
+                       blocks=2)
+        X = np.stack([np.arange(32) % c.domain_size for c in m.columns], axis=1)
+        grad = loss_and_grad(m, X)[1]
+        adam = AdamState(m)
+        adam.step(m, grad)  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adam.step(m, grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < m.theta.nbytes // 4
+
+    def test_gradients_are_independent_vectors(self):
+        m = tiny_model(seed=35)
+        X = np.zeros((4, m.ncols), dtype=np.int64)
+        g1, g2 = loss_and_grad(m, X)[1], loss_and_grad(m, X)[1]
+        assert not np.shares_memory(g1, g2)
+        assert not np.shares_memory(g1, m.theta)
+        np.testing.assert_array_equal(g1, g2)
+
+
 REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",
                    "single_column"]
 
@@ -328,6 +414,11 @@ class TestEstimate:
         # Monte-Carlo standard error of the path-weight mean
         se = max(np.sqrt(exact * (1 - exact) / n), 1e-4)
         assert abs(est - exact) <= 3 * se
+
+    def test_num_samples_below_one_rejected(self):
+        m = tiny_model(seed=12)
+        with pytest.raises(ValidationError, match="num_samples"):
+            estimate_selectivity(m, {"t.c0": np.ones(3)}, 0, np.random.default_rng(0))
 
     def test_unknown_column_rejected(self):
         m = tiny_model(seed=14)

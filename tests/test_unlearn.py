@@ -48,7 +48,7 @@ class TestAttributeSensitivity:
 
 def row_terms(m, row):
     X = np.asarray(row)[None, :]
-    return batch_nll_terms(m, X, forward(m, X)[0])[0]
+    return batch_nll_terms(m, X, forward(m, X)[0])[0][0]
 
 
 def weighted_loss(m, row, shift, loss_mode):
