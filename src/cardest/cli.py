@@ -26,7 +26,7 @@ import yaml
 from . import __version__
 from .datagen import DataGenConfig, gen_star_schema
 from .errors import (CardestError, ConfigurationError, StageOrderingError,
-                     TrainingError, ValidationError)
+                     ValidationError)
 from .model import (ModelConfig, encode_relation, init_model,
                     load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
@@ -470,9 +470,6 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CardestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -131,8 +131,7 @@ def gen_star_schema(cfg: DataGenConfig) -> SchemaGraph:
         hub_data.append(codes)
 
     amount = _draw_numeric(rng, cfg.hub_rows, lo, hi, skewed)
-    hub_columns.append(ColumnSpec("amount", NUMERICAL, lo=lo, hi=hi,
-                                  distinct_values=np.unique(amount)))
+    hub_columns.append(ColumnSpec("amount", NUMERICAL, lo=lo, hi=hi))
     hub_data.append(amount)
     tables.append(TableData("fact", hub_columns, hub_data))
 
@@ -142,7 +141,7 @@ def gen_star_schema(cfg: DataGenConfig) -> SchemaGraph:
         columns = [
             ColumnSpec("id", CATEGORICAL, dictionary=np.arange(n_dim, dtype=np.int64)),
             ColumnSpec(f"grp{d}", CATEGORICAL, dictionary=_dictionary(card, 1000 * d)),
-            ColumnSpec(f"val{d}", NUMERICAL, lo=lo, hi=hi, distinct_values=np.unique(vals)),
+            ColumnSpec(f"val{d}", NUMERICAL, lo=lo, hi=hi),
         ]
         data = [np.arange(n_dim, dtype=np.int64), codes, vals]
         tables.append(TableData(f"dim{d}", columns, data))

@@ -48,6 +48,8 @@ class NumericRemap:
             prev_end = b
         if self.retained_length <= 0.0:
             raise ValidationError("retained subranges have zero total length")
+        if np.isinf((self.hi - self.lo) / self.retained_length):
+            raise ValidationError("retained subranges are too short to rescale")
 
     @property
     def retained_length(self) -> float:

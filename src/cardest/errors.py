@@ -25,11 +25,7 @@ class EmptyRelationError(CardestError):
     """An operation that needs rows received an empty relation."""
 
 
-class DomainError(CardestError):
-    """A cell value is not representable in the model's current domain."""
-
-
-class GapError(DomainError):
+class GapError(CardestError):
     """A numeric value falls inside a deleted subrange; callers must clamp first."""
 
 

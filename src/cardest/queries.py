@@ -1,5 +1,6 @@
 """Conjunctive queries over join scopes: predicate types and the
-line-oriented workload file format.
+line-oriented workload file format, which is written for inspection and
+never read back.
 
 Predicates live in original value space.  ``eq`` matches one categorical
 value; ``range`` matches an interval with independently open/closed
@@ -39,10 +40,6 @@ class Predicate:
                 raise ValidationError(f"{self.op} predicate needs lo and hi")
             if self.hi < self.lo:
                 raise ValidationError(f"predicate range [{self.lo}, {self.hi}] inverted")
-
-    @property
-    def table(self) -> str:
-        return self.column.split(".", 1)[0]
 
     def matches(self, originals: np.ndarray) -> np.ndarray:
         """Boolean mask over original values."""
@@ -99,45 +96,8 @@ def serialize_query(q: Query) -> str:
     return " | ".join(parts)
 
 
-def parse_query(line: str) -> Query:
-    try:
-        head, scope_part, pred_part = [s.strip() for s in line.split("|", 2)]
-        qid = int(head.lstrip("q"))
-        scope = tuple(scope_part.removeprefix("scope=").split(","))
-        preds = []
-        if pred_part:
-            for tok in pred_part.split(";"):
-                fields = tok.split()
-                col, op = fields[0], fields[1]
-                if op == "eq":
-                    preds.append(Predicate(col, "eq", value=float(fields[2])))
-                elif op.startswith("in"):
-                    b = op[2:]
-                    preds.append(Predicate(col, "range", lo=float(fields[2]),
-                                           hi=float(fields[3]),
-                                           lo_strict=b[0] == "(",
-                                           hi_strict=b[1] == ")"))
-                elif op == "outside":
-                    preds.append(Predicate(col, "outside", lo=float(fields[2]),
-                                           hi=float(fields[3])))
-                elif op == "empty":
-                    preds.append(Predicate(col, "empty"))
-                else:
-                    raise ValidationError(f"unknown op {op!r}")
-        return Query(qid, scope, tuple(preds))
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"cannot parse query line {line!r}: {exc}") from exc
-
-
 def save_workload(queries: list[Query], path):
     with open(path, "w") as fh:
         for q in queries:
             fh.write(serialize_query(q) + "\n")
 
-
-def load_workload(path) -> list[Query]:
-    out = []
-    for line in open(path).read().splitlines():
-        if line.strip():
-            out.append(parse_query(line))
-    return out

@@ -30,7 +30,6 @@ class ColumnSpec:
     dictionary: np.ndarray | None = None  # categorical: code -> original value
     lo: float = 0.0                       # numerical bounds
     hi: float = 0.0
-    distinct_values: np.ndarray | None = None  # numerical: sorted values present
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERICAL):
@@ -89,7 +88,7 @@ class TableData:
                     raise ValidationError(
                         f"{self.name}.{spec.name}: code outside 0..{spec.domain_size - 1}")
             else:
-                if col.size and (col.min() < spec.lo or col.max() > spec.hi):
+                if not ((col >= spec.lo) & (col <= spec.hi)).all():  # nan fails too
                     raise ValidationError(
                         f"{self.name}.{spec.name}: value outside [{spec.lo}, {spec.hi}]")
 
@@ -222,8 +221,6 @@ class DatasetSplit:
     task: DeletionTask
     joins: list["Join"]
     hub: str
-    retained_idx: list[np.ndarray] | None = None   # original row positions
-    deleted_idx: list[np.ndarray] | None = None
 
     def retained_table(self, name: str) -> TableData:
         for t in self.retained:
@@ -231,15 +228,10 @@ class DatasetSplit:
                 return t
         raise ConfigurationError(f"unknown table {name!r}")
 
-    def deleted_table(self, name: str) -> TableData:
-        for t in self.deleted:
-            if t.name == name:
-                return t
-        raise ConfigurationError(f"unknown table {name!r}")
-
     def original_table(self, name: str) -> TableData:
         """Original rows as retained + deleted (order is not the input order)."""
-        r, d = self.retained_table(name), self.deleted_table(name)
+        r = self.retained_table(name)
+        d = self.deleted[self.retained.index(r)]
         return TableData(name, r.columns,
                          [np.concatenate([a, b]) for a, b in zip(r.data, d.data)])
 
@@ -286,7 +278,7 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
         by_table.setdefault(cond.table, []).append(cond)
 
     rng = np.random.default_rng(seed)
-    retained, deleted, ridx, didx = [], [], [], []
+    retained, deleted = [], []
     for table in db.tables:
         conds = by_table.get(table.name, [])
         mask = np.zeros(table.row_count, dtype=bool)
@@ -306,10 +298,7 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
         kept = np.nonzero(keep)[0]
         retained.append(table.take(kept))
         deleted.append(table.take(chosen))
-        ridx.append(kept)
-        didx.append(chosen)
-    return DatasetSplit(retained, deleted, task, joins=list(db.joins), hub=db.hub,
-                        retained_idx=ridx, deleted_idx=didx)
+    return DatasetSplit(retained, deleted, task, joins=list(db.joins), hub=db.hub)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +317,6 @@ class JoinRelation:
     columns: list[ColumnSpec]       # qualified "table.column" names
     data: list[np.ndarray]
     cardinality: int
-    tables: list[TableData]
     joins: list[Join]
 
     def column(self, qualified: str) -> np.ndarray:
@@ -417,8 +405,7 @@ def materialize_join(tables: list[TableData], joins: list[Join],
     for spec, tname, cname in _output_columns(ordered, joins):
         cols.append(spec)
         data.append(lookup[tname].column(cname)[row_idx[tname]])
-    return JoinRelation(columns=cols, data=data, cardinality=n,
-                        tables=ordered, joins=joins)
+    return JoinRelation(columns=cols, data=data, cardinality=n, joins=joins)
 
 
 def semi_join_deletion(split: DatasetSplit, table_index: int,
@@ -514,7 +501,7 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
     if not schema_path.exists():
         raise ConfigurationError(f"no schema file at {schema_path}")
     tables: list[TableData] = []
-    joins: list[Join] = []
+    joins: list[tuple[str, Join]] = []   # (schema line, join)
     hub = None
     current: list[tuple[str, list]] = []  # (table, [column defs])
 
@@ -528,48 +515,57 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
             col_raw = raw[cname]
             if kind == CATEGORICAL:
                 dictionary = _read_dict(directory / f"{tname}__{cname}.dict")
-                codes = col_raw.astype(np.int64)
+                with np.errstate(invalid="ignore"):
+                    codes = col_raw.astype(np.int64)
+                if (codes != col_raw).any():
+                    raise ConfigurationError(f"{directory / tname}.csv: column {cname!r} "
+                                             "holds a code that is not an integer")
                 columns.append(ColumnSpec(cname, CATEGORICAL, dictionary=dictionary))
                 data.append(codes)
             else:
-                vals = col_raw.astype(np.float64)
-                distinct = np.unique(vals) if vals.size else np.array([], dtype=np.float64)
-                columns.append(ColumnSpec(cname, NUMERICAL, lo=lo, hi=hi,
-                                          distinct_values=distinct))
-                data.append(vals)
+                columns.append(ColumnSpec(cname, NUMERICAL, lo=lo, hi=hi))
+                data.append(col_raw.astype(np.float64))
         tables.append(TableData(tname, columns, data))
 
     for lineno, line in enumerate(schema_path.read_text().splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "table":
+        where = f"{schema_path}:{lineno}"
+        if parts[0] in ("table", "join", "hub"):
             flush()
-            current.append((parts[1], []))
-        elif parts[0] == "column":
-            if not current:
-                raise ConfigurationError(f"schema.txt:{lineno}: column before table")
-            if parts[2] == CATEGORICAL:
-                current[-1][1].append((parts[1], CATEGORICAL, 0.0, 0.0))
-            elif parts[2] == NUMERICAL:
-                current[-1][1].append((parts[1], NUMERICAL, float(parts[3]), float(parts[4])))
+        try:
+            if parts[0] == "table":
+                current.append((parts[1], []))
+            elif parts[0] == "column":
+                if not current:
+                    raise ConfigurationError(f"{where}: column before table")
+                if parts[2] == CATEGORICAL:
+                    current[-1][1].append((parts[1], CATEGORICAL, 0.0, 0.0))
+                elif parts[2] == NUMERICAL:
+                    current[-1][1].append((parts[1], NUMERICAL, float(parts[3]),
+                                           float(parts[4])))
+                else:
+                    raise ConfigurationError(f"{where}: bad kind {parts[2]!r}")
+            elif parts[0] == "join":
+                c_t, c_c = parts[1].split(".")
+                p_t, p_c = parts[2].split(".")
+                joins.append((where, Join(c_t, c_c, p_t, p_c)))
+            elif parts[0] == "hub":
+                hub = parts[1]
             else:
-                raise ConfigurationError(f"schema.txt:{lineno}: bad kind {parts[2]!r}")
-        elif parts[0] == "join":
-            flush()
-            child_fk, parent_pk = parts[1], parts[2]
-            c_t, c_c = child_fk.split(".")
-            p_t, p_c = parent_pk.split(".")
-            joins.append(Join(c_t, c_c, p_t, p_c))
-        elif parts[0] == "hub":
-            flush()
-            hub = parts[1]
-        else:
-            raise ConfigurationError(f"schema.txt:{lineno}: unknown directive {parts[0]!r}")
+                raise ConfigurationError(f"{where}: unknown directive {parts[0]!r}")
+        except (IndexError, ValueError) as exc:
+            raise ConfigurationError(f"{where}: malformed line {line.strip()!r}") from exc
     flush()
     if hub is None:
-        raise ConfigurationError("schema.txt declares no hub")
-    db = SchemaGraph(tables, joins, hub)
+        raise ConfigurationError(f"{schema_path} declares no hub")
+    names = {t.name for t in tables}
+    for where, j in joins:
+        unknown = sorted({j.child, j.parent} - names)
+        if unknown:
+            raise ConfigurationError(f"{where}: join names unknown table {unknown[0]!r}")
+    db = SchemaGraph(tables, [j for _, j in joins], hub)
     if validate:
         db.validate()  # partial datasets (split halves) skip this
     return db
@@ -580,26 +576,44 @@ def _read_csv(path: Path, expected_header: list[str]) -> dict[str, np.ndarray]:
         raise ConfigurationError(f"missing table file {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != expected_header:
             raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
         rows = list(reader)
     out = {}
     for i, name in enumerate(header):
-        out[name] = np.array([r[i] for r in rows], dtype=np.float64) if rows else \
-            np.array([], dtype=np.float64)
+        try:
+            out[name] = np.array([r[i] for r in rows], dtype=np.float64)
+        except (IndexError, ValueError) as exc:
+            raise ConfigurationError(f"{path}:{_bad_cell_line(rows, i)}: column {name!r} "
+                                     "needs a number in every row") from exc
     return out
+
+
+def _bad_cell_line(rows: list[list[str]], i: int) -> int | None:
+    """File line (the header is line 1) of the first row whose i-th cell is
+    missing or not a number."""
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            np.float64(row[i])
+        except (IndexError, ValueError):
+            return lineno
+    return None
 
 
 def _read_dict(path: Path) -> np.ndarray:
     if not path.exists():
         raise ConfigurationError(f"missing dictionary file {path}")
     pairs = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        code, val = line.split(",", 1)
-        pairs.append((int(code), int(val)))
+        try:
+            code, val = line.split(",", 1)
+            pairs.append((int(code), int(val)))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: expected integer 'code,value', "
+                                     f"got {line!r}") from exc
     pairs.sort()
     if [c for c, _ in pairs] != list(range(len(pairs))):
         raise ConfigurationError(f"{path}: codes are not dense 0..n-1")

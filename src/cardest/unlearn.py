@@ -121,13 +121,8 @@ def effective_column_weights(shift: np.ndarray, loss_mode: str, ncols: int) -> n
 @dataclass(eq=False)
 class SensitivityScores:
     values: np.ndarray    # in the model's theta layout
-    iterations: int = 0
     tuples_used: int = 0
     tuples_skipped: int = 0
-
-    @property
-    def empty(self) -> bool:
-        return self.iterations == 0
 
 
 def zero_scores(model: ArDensityModel) -> SensitivityScores:
@@ -144,12 +139,10 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     Tuples whose categorical cells are no longer representable (their codes
     were domain-pruned) are skipped; numeric cells in deleted gaps are
     clamped to the nearest retained boundary.  An empty or fully skipped
-    relation yields zero scores with ``empty`` set, contributing no pruning.
+    relation yields zero scores with ``tuples_used == 0``, contributing no
+    pruning.
     """
     scores = zero_scores(model)
-    if rel.cardinality == 0:
-        scores.tuples_skipped = 0
-        return scores
     codes, valid = encode_relation(model, rel, gap_policy="clamp")
     scores.tuples_skipped = int((~valid).sum())
     codes = codes[valid]
@@ -162,7 +155,6 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
         idx = rng.choice(n, size=take, replace=False)
         grad = loss_and_grad(model, codes[idx], weights)[1]
         scores.values += np.square(grad, out=grad)
-    scores.iterations = n_iterations
     scores.tuples_used = n
     return scores
 
@@ -228,7 +220,7 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
                  "tuples_used": scores.tuples_used,
                  "tuples_skipped": scores.tuples_skipped,
                  "pruned": 0, "saturated": False, "skipped": False}
-        if scores.empty or scores.tuples_used == 0:
+        if scores.tuples_used == 0:
             # nothing representable to score: this table contributes no pruning
             entry["skipped"] = True
         else:
@@ -326,22 +318,17 @@ def apply_domain_pruning(model: ArDensityModel, split: DatasetSplit,
     return report
 
 
-def clamp_query(query: Query, remaps: dict[str, NumericRemap],
-                deleted_categorical: dict[str, set]) -> Query:
+def clamp_query(query: Query, remaps: dict[str, NumericRemap]) -> Query:
     """Rewrite a query against the pruned value space.
 
     Numeric predicates on remapped columns get their endpoints moved inward
     to the nearest retained boundary and remapped (a range wholly inside a
-    deleted gap becomes an ``empty`` predicate).  Equality predicates on
-    deleted categorical values become ``empty``.  Everything else passes
-    through unchanged.
+    deleted gap becomes an ``empty`` predicate).  Everything else passes
+    through unchanged: predicates on pruned categorical values already match
+    no code the model can represent.
     """
     out = []
     for p in query.predicates:
-        if p.op == "eq" and p.column in deleted_categorical and \
-                p.value in deleted_categorical[p.column]:
-            out.append(Predicate(p.column, "empty"))
-            continue
         remap = remaps.get(p.column)
         if remap is None or p.op not in ("range", "outside"):
             out.append(p)

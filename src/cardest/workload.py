@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class QErrorReport:
     percentiles: dict[str, dict[int, float]]   # per qtype and "ALL"
     excluded: dict[str, int]
     degenerate: bool
-    timings: dict[str, float] = field(default_factory=dict)
 
     def included(self, qtype: str | None = None) -> list[float]:
         return [r.qerr for r in self.rows
@@ -228,7 +227,7 @@ def model_constraints(model: ArDensityModel, q: Query) -> dict[str, np.ndarray]:
     """
     remaps = {c.name: c.remap for c in model.columns
               if c.kind != CATEGORICAL and c.remap is not None}
-    clamped = clamp_query(q, remaps, deleted_categorical={})
+    clamped = clamp_query(q, remaps)
     out: dict[str, np.ndarray] = {}
     for p in clamped.predicates:
         i = model.column_index(p.column)
@@ -259,7 +258,10 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
     evaluation is ordered or parallelized.
     """
     if threads is None:
-        threads = int(os.environ.get("CEP_THREADS", "1"))
+        env = os.environ.get("CEP_THREADS", "1")
+        if not (env.isdigit() and int(env) >= 1):
+            raise ValidationError(f"CEP_THREADS must be an integer >= 1, got {env!r}")
+        threads = int(env)
 
     def one(item):
         k, (qtype, q) = item

@@ -38,8 +38,7 @@ def make_table(name, cols):
         else:
             vals, lo, hi = payload
             vals = np.asarray(vals, dtype=np.float64)
-            specs.append(ColumnSpec(cname, NUMERICAL, lo=lo, hi=hi,
-                                    distinct_values=np.unique(vals)))
+            specs.append(ColumnSpec(cname, NUMERICAL, lo=lo, hi=hi))
             data.append(vals)
     return TableData(name, specs, data)
 
@@ -107,8 +106,7 @@ def tiny_model(seed=0, doms=(3, 4), bins=4, embedding_dim=2, hidden_dim=8,
     for i, d in enumerate(doms):
         specs.append(ColumnSpec(f"t.c{i}", CATEGORICAL,
                                 dictionary=np.arange(d, dtype=np.int64)))
-    specs.append(ColumnSpec("t.num", NUMERICAL, lo=0.0, hi=1.0,
-                            distinct_values=np.linspace(0, 1, 5)))
+    specs.append(ColumnSpec("t.num", NUMERICAL, lo=0.0, hi=1.0))
     cfg = ModelConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim,
                       residual_blocks=blocks, dropout=dropout, numeric_bins=bins,
                       column_order=order)

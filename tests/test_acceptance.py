@@ -202,16 +202,14 @@ def _small_join_model():
     dim = TableData("cust", [
         ColumnSpec("id", CATEGORICAL, dictionary=np.arange(n_dim, dtype=np.int64)),
         ColumnSpec("seg", CATEGORICAL, dictionary=np.array([10, 20, 30, 40, 50])),
-        ColumnSpec("age", NUMERICAL, lo=0.0, hi=80.0,
-                   distinct_values=np.arange(0.0, 81.0)),
+        ColumnSpec("age", NUMERICAL, lo=0.0, hi=80.0),
     ], [np.arange(n_dim, dtype=np.int64),
         rng.integers(0, 5, n_dim).astype(np.int64),
         rng.integers(0, 81, n_dim).astype(np.float64)])
     hub = TableData("orders", [
         ColumnSpec("cid", CATEGORICAL, dictionary=np.arange(n_dim, dtype=np.int64)),
         ColumnSpec("kind", CATEGORICAL, dictionary=np.array([1, 2, 3, 4, 5, 6])),
-        ColumnSpec("price", NUMERICAL, lo=0.0, hi=100.0,
-                   distinct_values=np.arange(0.0, 101.0)),
+        ColumnSpec("price", NUMERICAL, lo=0.0, hi=100.0),
     ], [rng.integers(0, n_dim, n_hub).astype(np.int64),
         rng.integers(0, 6, n_hub).astype(np.int64),
         rng.integers(0, 101, n_hub).astype(np.float64)])

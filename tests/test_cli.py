@@ -5,7 +5,9 @@ import pytest
 import yaml
 
 from cardest.cli import load_config, main
-from cardest.errors import ConfigurationError
+from cardest.datagen import DataGenConfig, gen_star_schema
+from cardest.errors import ConfigurationError, ValidationError
+from cardest.relational import load_dataset, save_dataset
 from conftest import rewrite_checkpoint
 
 
@@ -140,6 +142,32 @@ class TestConfigErrors:
         path = write_config(tmp_path, dataset={"path": "data"})
         self.check_rejected(path, capsys, "dataset.*dir")
 
+    @pytest.mark.parametrize("name,old,new,match", [
+        ("schema.txt", "column status categorical", "column status",
+         r"schema.txt:\d+: malformed line 'column status'"),
+        ("schema.txt", "numerical 0.0 1000.0", "numerical 0.0", r"schema.txt:\d+: malformed"),
+        ("schema.txt", "join fact.dim1_id dim1.id", "join fact.dim1_id",
+         r"schema.txt:\d+: malformed"),
+        ("schema.txt", "join fact.dim1_id dim1.id", "join fact.dim1_id dimX.id",
+         r"schema.txt:\d+: join names unknown table 'dimX'"),
+        ("fact.csv", "\n", "\n0,0,0,0,abc\n", r"fact.csv:2: column 'amount'"),
+        ("fact.csv", "\n", "\n0,0,0,0,nan\n", r"fact.amount: value outside"),
+        ("fact.csv", "\n", "\n0,0,1.5,0,1.0\n", r"fact.csv: column 'status' .* not an integer"),
+        ("dim1.csv", None, "", r"dim1.csv: header \[\]"),
+        ("fact__status.dict", "0,", "zero,", r"fact__status.dict:1: "),
+    ], ids=["column-fields", "numeric-bound", "join-fields", "join-unknown-table",
+            "csv-cell", "csv-nan", "csv-fractional-code", "csv-empty", "dict-code"])
+    def test_malformed_dataset_dir(self, tmp_path, capsys, name, old, new, match):
+        ext = tmp_path / "ext"
+        save_dataset(gen_star_schema(DataGenConfig(hub_rows=50, dim_rows=(5, 4))), ext)
+        f = ext / name
+        f.write_text(new if old is None else f.read_text().replace(old, new, 1))
+        with pytest.raises((ConfigurationError, ValidationError), match=match):
+            load_dataset(ext)
+        assert run("gen-data", write_config(tmp_path, dataset={"dir": str(ext)})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("field,value", [
         ("n_queries", 0), ("max_predicates", 0), ("num_samples", 0), ("num_samples", 2.5),
         ("dim_scope_prob", 1.5), ("focus_prob", -0.1)])
@@ -191,6 +219,14 @@ class TestDeterminismAndAblation:
         assert main(["unlearn", "-c", str(cfg), "--method", "cep",
                      "--alpha", "0.1", "--ns", "2"]) == 0
         assert (run_dir / "unlearn-cep" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("threads", ["two", "0"])
+    def test_bad_cep_threads_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        cfg, _ = self.prep(tmp_path)
+        monkeypatch.setenv("CEP_THREADS", threads)
+        assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 2
+        err = capsys.readouterr().err
+        assert "CEP_THREADS" in err and "Traceback" not in err
 
     def test_malformed_checkpoint_exits_4(self, tmp_path, capsys):
         cfg, run_dir = self.prep(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardest.domains import (NumericRemap, build_numeric_remap, clamp_interval,
@@ -8,6 +8,17 @@ from cardest.domains import (NumericRemap, build_numeric_remap, clamp_interval,
 from cardest.errors import GapError, ValidationError
 
 GAP_REMAP = NumericRemap(0.0, 100.0, ((0.0, 40.0), (60.0, 100.0)))
+
+
+@st.composite
+def remaps(draw):
+    """Random remaps of [0, 100]: consecutive pairs of sorted cut points are
+    the retained subranges (possibly touching, possibly single points)."""
+    cuts = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=2, max_size=10)))
+    try:
+        return NumericRemap(0.0, 100.0, tuple(zip(cuts[0::2], cuts[1::2])))
+    except ValidationError:
+        assume(False)
 
 
 class TestRemapValue:
@@ -116,3 +127,39 @@ class TestRemapArray:
         out = remap_array(GAP_REMAP, np.array([41.0, 59.0]), on_gap="clamp")
         assert out[0] == pytest.approx(remap_value(GAP_REMAP, 40.0))
         assert out[1] == pytest.approx(remap_value(GAP_REMAP, 60.0))
+
+
+class TestRemapProperties:
+    def test_unscalable_retained_length_rejected(self):
+        # (hi - lo) / 1e-313 overflows, and every image would be nan
+        with pytest.raises(ValidationError, match="too short"):
+            NumericRemap(0.0, 100.0, ((0.0, 1e-313),))
+
+    @given(remaps(), st.lists(st.floats(0.0, 100.0), min_size=2, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_remap_array_nondecreasing(self, remap, xs):
+        # gap values clamp to a boundary, whose image both neighbours share
+        out = remap_array(remap, np.sort(xs), on_gap="clamp")
+        assert (np.diff(out) >= 0.0).all()
+
+    @given(remaps())
+    @settings(max_examples=100, deadline=None)
+    def test_subrange_images_tile_the_range(self, remap):
+        starts = [remap_value(remap, a) for a, _ in remap.subranges]
+        ends = [remap_value(remap, b) for _, b in remap.subranges]
+        assert starts[0] == remap.lo and ends[-1] == pytest.approx(remap.hi)
+        assert ends[:-1] == starts[1:]
+
+    @given(remaps(), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_clamp_interval_endpoints_are_retained_images(self, remap, a, b):
+        lo, hi = min(a, b), max(a, b)
+        # the least and greatest retained points of [lo, hi] are among these
+        candidates = [x for x in (lo, hi, *np.ravel(remap.subranges))
+                      if lo <= x <= hi and remap.subrange_index(x) is not None]
+        out = clamp_interval(remap, lo, hi)
+        if not candidates:
+            assert out is None
+            return
+        images = [remap_value(remap, x) for x in candidates]
+        assert out == (min(images), max(images))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardest.errors import FormatError, TrainingError, ValidationError
 from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax, batch_nll_terms,
@@ -521,6 +523,18 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_byte_flip_is_format_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("flip") / "m.ckpt"
+        save_checkpoint(tiny_model(seed=18), p)
+        raw = bytearray(p.read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        raw[pos] ^= data.draw(st.integers(1, 255), label="xor mask")
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_checkpoint(p)

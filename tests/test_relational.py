@@ -43,17 +43,20 @@ class TestApplyDeletion:
         s1 = apply_deletion(db, task, seed=9)
         s2 = apply_deletion(db, task, seed=9)
         assert s1.deleted[0].row_count == 2
-        np.testing.assert_array_equal(s1.deleted_idx[0], s2.deleted_idx[0])
+        np.testing.assert_array_equal(s1.deleted[0].column("year"),
+                                      s2.deleted[0].column("year"))
 
     def test_split_completeness(self, star_db):
         task = DeletionTask("A", (Condition("fact", "amount", lo=10, hi=70),), 0.5)
         for seed in range(5):
             split = apply_deletion(star_db, task, seed=seed)
             for i, table in enumerate(star_db.tables):
-                r = set(split.retained_idx[i].tolist())
-                d = set(split.deleted_idx[i].tolist())
-                assert r | d == set(range(table.row_count))
-                assert not r & d
+                kept, gone = split.retained[i], split.deleted[i]
+                for j, col in enumerate(table.data):
+                    np.testing.assert_array_equal(
+                        np.sort(np.concatenate([kept.data[j], gone.data[j]])), np.sort(col))
+            amount = split.deleted[0].column("amount")
+            assert amount.size and ((amount >= 10) & (amount <= 70)).all()
 
     def test_unknown_table_and_column(self, star_db):
         task = DeletionTask("A", (Condition("nope", "amount", lo=0, hi=1),), 0.5)
@@ -126,14 +129,15 @@ class TestMaterializeJoin:
 
 
 class TestSemiJoinDeletion:
-    def make_split(self):
+    def make_split(self, *conditions):
         dim = make_table("dim", [("id", CATEGORICAL, ([1, 2], [0, 1, 2])),
                                  ("tag", CATEGORICAL, ([0, 1], [10, 11]))])
         fact = make_table("fact", [("fk", CATEGORICAL, ([1, 1, 2], [0, 1, 2])),
                                    ("p", CATEGORICAL, ([0, 1, 2], [5, 6, 7]))])
         db = SchemaGraph([fact, dim], [Join("fact", "fk", "dim", "id")], hub="fact")
         # delete dim row id=1 (code with original value 1 -> tag 10)
-        task = DeletionTask("A", (Condition("dim", "id", value=1),), 1.0)
+        conditions = (Condition("dim", "id", value=1),) + conditions
+        task = DeletionTask("A", conditions, 1.0)
         return apply_deletion(db, task, seed=0)
 
     def test_hand_semi_join(self):
@@ -143,10 +147,14 @@ class TestSemiJoinDeletion:
         np.testing.assert_array_equal(np.sort(rel.column("fact.p")), [0, 1])
 
     def test_other_tables_stay_original(self):
-        split = self.make_split()
-        # the fact table in the semi-join is the original, not retained
+        # fact also loses its row with p=5 (code 0), which references dim id=1
+        split = self.make_split(Condition("fact", "p", value=5))
+        assert split.retained[0].row_count == 2
+        # the semi-join pairs deleted dim rows with the original fact table,
+        # so the deleted fact row still counts
         rel = semi_join_deletion(split, 1)
-        assert len(rel.tables[0].data[0]) == 3
+        assert rel.cardinality == 2
+        np.testing.assert_array_equal(np.sort(rel.column("fact.p")), [0, 1])
 
     def test_empty_deleted_subset(self, star_db):
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=100),), 1.0)

@@ -156,7 +156,7 @@ class TestAccumulateScores:
         rel = semi_join_deletion(split, 1)  # dim1 untouched -> empty
         scores = accumulate_scores(model, rel, np.ones(model.ncols), 2, 4,
                                    np.random.default_rng(0))
-        assert scores.empty
+        assert scores.tuples_used == 0
         assert (scores.values == 0).all()
 
     def test_scores_nonnegative(self, star_db):
@@ -329,29 +329,24 @@ class TestClampQuery:
 
     def test_range_inside_gap_becomes_empty(self):
         q = Query(0, ("t",), (Predicate("t.x", "range", lo=50.0, hi=55.0),))
-        out = clamp_query(q, {"t.x": self.REMAP}, {})
+        out = clamp_query(q, {"t.x": self.REMAP})
         assert out.predicates[0].op == "empty"
 
     def test_straddling_range_remapped(self):
         q = Query(0, ("t",), (Predicate("t.x", "range", lo=30.0, hi=70.0),))
-        out = clamp_query(q, {"t.x": self.REMAP}, {})
+        out = clamp_query(q, {"t.x": self.REMAP})
         p = out.predicates[0]
         assert (p.lo, p.hi) == (pytest.approx(37.5), pytest.approx(62.5))
-
-    def test_deleted_categorical_equality_empty(self):
-        q = Query(0, ("t",), (Predicate("t.c", "eq", value=3.0),))
-        out = clamp_query(q, {}, {"t.c": {3.0}})
-        assert out.predicates[0].op == "empty"
 
     def test_untouched_predicates_pass_through(self):
         q = Query(0, ("t",), (Predicate("t.c", "eq", value=1.0),
                               Predicate("t.y", "range", lo=1.0, hi=2.0)))
-        out = clamp_query(q, {}, {})
+        out = clamp_query(q, {})
         assert out.predicates == q.predicates
 
     def test_outside_predicate_clamped(self):
         q = Query(0, ("t",), (Predicate("t.x", "outside", lo=20.0, hi=80.0),))
-        out = clamp_query(q, {"t.x": self.REMAP}, {})
+        out = clamp_query(q, {"t.x": self.REMAP})
         p = out.predicates[0]
         assert p.op == "outside"
         assert p.lo == pytest.approx(25.0)   # image of 20
@@ -505,7 +500,7 @@ def test_sensitivity_scores_additive_merge(star_db):
     rng = np.random.default_rng(0)
     shards = [accumulate_scores(model, rel, np.ones(model.ncols), 1, 4, rng)
               for _ in range(5)]
-    assert sum(s.iterations for s in shards) == whole.iterations == 5
+    assert all(s.tuples_used == whole.tuples_used > 0 for s in shards)
     np.testing.assert_array_equal(sum(s.values for s in shards), whole.values)
 
 

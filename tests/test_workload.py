@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import ValidationError
-from cardest.queries import (Predicate, Query, load_workload, parse_query,
-                             save_workload, serialize_query)
+from cardest.queries import Predicate, Query, save_workload, serialize_query
 from cardest.relational import materialize_join
 from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
                               convergence_trace, evaluate, gen_workload,
@@ -38,7 +37,7 @@ class TestGenWorkload:
             assert "fact" in q.scope
             assert 1 <= len(q.predicates) <= 4
             for p in q.predicates:
-                assert p.table in q.scope
+                assert p.column.split(".", 1)[0] in q.scope
 
     def test_focus_columns_show_up(self, star_db):
         cfg = WorkloadConfig(focus_columns=("fact.amount",), focus_prob=1.0)
@@ -58,13 +57,10 @@ class TestQuerySerialization:
                                            lo_strict=True, hi_strict=False),)),
         ]
         save_workload(queries, tmp_path / "w.txt")
-        loaded = load_workload(tmp_path / "w.txt")
-        assert [serialize_query(q) for q in loaded] == \
+        assert (tmp_path / "w.txt").read_text().splitlines() == \
             [serialize_query(q) for q in queries]
-
-    def test_parse_error(self):
-        with pytest.raises(ValidationError):
-            parse_query("garbage")
+        assert serialize_query(queries[2]) == \
+            "q2 | scope=fact | fact.amount in(] 0.0 4.0"
 
 
 class TestComplementQuery:
