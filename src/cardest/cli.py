@@ -246,12 +246,8 @@ def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
     _require(split_dir / "task.json", "cardest delete")
     retained = load_dataset(split_dir / "retained", validate=False)
     deleted = load_dataset(split_dir / "deleted", validate=False)
-    doc = json.loads((split_dir / "task.json").read_text())
-    conds = tuple(Condition(table=c["table"], column=c["column"], value=c["value"],
-                            lo=c["lo"], hi=c["hi"]) for c in doc["conditions"])
-    task = DeletionTask(dtype=doc["dtype"], conditions=conds, ratio=doc["ratio"])
-    return DatasetSplit(retained.tables, deleted.tables, task,
-                        joins=retained.joins, hub=retained.hub)
+    return DatasetSplit(retained.tables, deleted.tables, joins=retained.joins,
+                        hub=retained.hub)
 
 
 def cmd_unlearn(cfg: ExperimentConfig, method: str,

@@ -69,7 +69,7 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -757,40 +757,17 @@ def _column_from_meta(meta: dict) -> ModelColumn:
                        hi=float(meta["hi"]), bins=meta["bins"], remap=remap)
 
 
-def _array_specs(shapes: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple[int, ...]]]:
-    """(key, shape) of a checkpoint's arrays in file order: the embeddings,
-    the other parameters sorted by name, then one ``prune:`` mask (1 = keep)
-    per dense weight."""
-    emb = [k for k in shapes if k.startswith("emb:")]
-    dense = sorted(set(shapes) - set(emb))
-    return ([(k, shapes[k]) for k in emb + dense]
-            + [(f"prune:{k}", shapes[k]) for k in shapes if k.startswith("w")])
-
-
 def save_checkpoint(model: ArDensityModel, path: str | Path):
-    """Binary checkpoint: magic, version, JSON metadata, float64 LE arrays,
+    """Binary checkpoint: magic, version, JSON metadata, then ``theta`` and
+    ``keep`` as little-endian float64 in their in-memory order, and a
     trailing 8-byte SHA-256 prefix over everything before it."""
-    # the prune mask is the keep-mask wherever a connection exists, 1 elsewhere
-    arrays = model.unflatten(model.theta)
-    prune = model.unflatten(np.where(model.connectivity() > 0, model.keep, 1.0))
-    arrays.update({f"prune:{k}": v for k, v in prune.items()})
-    keys = [k for k, _ in _array_specs(_parameter_shapes(model.cfg, model.columns))]
-    meta = {
-        "config": asdict(model.cfg),
-        "order": [int(v) for v in model.order],
-        "columns": [_column_meta(c) for c in model.columns],
-        "arrays": [{"key": k, "shape": list(arrays[k].shape)} for k in keys],
-    }
+    meta = {"config": asdict(model.cfg), "order": [int(v) for v in model.order],
+            "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    body += struct.pack("<I", len(meta_bytes))
-    body += meta_bytes
-    for k in keys:
-        body += np.ascontiguousarray(arrays[k], dtype="<f8").tobytes()
-    digest = hashlib.sha256(bytes(body)).digest()[:8]
-    Path(path).write_bytes(bytes(body) + digest)
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
+                     meta_bytes] + [np.ascontiguousarray(v, dtype="<f8")
+                                    for v in (model.theta, model.keep)])
+    Path(path).write_bytes(body + hashlib.sha256(body).digest()[:8])
 
 
 def load_checkpoint(path: str | Path) -> ArDensityModel:
@@ -816,24 +793,22 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
         order = np.array(meta["order"], dtype=np.int64)
         if sorted(order) != list(range(len(columns))):
             raise ValueError("order is not a permutation of the columns")
-        shapes = _parameter_shapes(cfg, columns)
-        specs = _array_specs(shapes)
-        layout = [(a["key"], tuple(a["shape"])) for a in meta["arrays"]]
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
-    if layout != specs:
-        raise FormatError(f"{path}: arrays do not match the model the metadata describes")
-    sizes = [math.prod(shape) for _, shape in specs]
-    if 12 + meta_len + 8 * sum(sizes) != len(body):
+    shapes = _parameter_shapes(cfg, columns)
+    n_theta = sum(math.prod(s) for s in shapes.values())
+    # keep covers the dense weights (the "w" keys), the prefix of theta
+    n_keep = sum(math.prod(s) for k, s in shapes.items() if k.startswith("w"))
+    off = 12 + meta_len
+    if off + 8 * (n_theta + n_keep) != len(body):
         raise FormatError(f"{path}: array bytes do not match the metadata")
-    data = np.frombuffer(body, dtype="<f8", offset=12 + meta_len).astype(np.float64)
-    arrays = dict(zip((k for k, _ in specs), np.split(data, np.cumsum(sizes)[:-1])))
-    prune = np.concatenate([arrays[k] for k in arrays if k.startswith("prune:")])
-    if not np.isin(prune, (0.0, 1.0)).all():
-        raise FormatError(f"{path}: prune mask entries must be 0 or 1")
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
-                           theta=np.concatenate([arrays[k] for k in shapes]), keep=prune)
-    model.keep *= model.connectivity()
+    data = np.frombuffer(body, dtype="<f8", offset=off).astype(np.float64)
+    theta, keep = np.split(data, [n_theta])
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta, keep=keep)
+    if not np.isin(model.keep, (0.0, 1.0)).all():
+        raise FormatError(f"{path}: keep-mask entries must be 0 or 1")
+    if (model.keep > model.connectivity()).any():
+        raise FormatError(f"{path}: keep-mask is 1 where no connection exists")
     if (model.theta[:model.keep.size][model.keep == 0.0] != 0.0).any():
         raise FormatError(f"{path}: non-zero weight at a masked position")
     return model

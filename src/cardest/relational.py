@@ -218,7 +218,6 @@ class DeletionTask:
 class DatasetSplit:
     retained: list[TableData]
     deleted: list[TableData]
-    task: DeletionTask
     joins: list["Join"]
     hub: str
 
@@ -298,7 +297,7 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
         kept = np.nonzero(keep)[0]
         retained.append(table.take(kept))
         deleted.append(table.take(chosen))
-    return DatasetSplit(retained, deleted, task, joins=list(db.joins), hub=db.hub)
+    return DatasetSplit(retained, deleted, joins=list(db.joins), hub=db.hub)
 
 
 # ---------------------------------------------------------------------------

@@ -332,12 +332,3 @@ def rewrite_checkpoint(path, edit):
         np.asarray(payload, dtype="<f8").tobytes()
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
 
-
-def array_offset(meta, key):
-    """Index of an array's first value in the checkpoint payload."""
-    offset = 0
-    for spec in meta["arrays"]:
-        if spec["key"] == key:
-            return offset
-        offset += int(np.prod(spec["shape"]))
-    raise KeyError(key)

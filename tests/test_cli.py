@@ -245,3 +245,13 @@ class TestDeterminismAndAblation:
         assert main(["unlearn", "-c", str(cfg), "--method", "retrain"]) == 0
         timing = (run_dir / "unlearn-retrain" / "timing.csv").read_text()
         assert "train_seconds" in timing
+
+    def test_unlearn_does_not_read_task_json(self, tmp_path):
+        # every stage takes the task from the config; task.json only marks
+        # that `delete` ran, so its contents may be anything
+        cfg, run_dir = self.prep(tmp_path)
+        task_json = run_dir / "split" / "task.json"
+        doc = json.loads(task_json.read_text())
+        del doc["conditions"]
+        task_json.write_text(json.dumps(doc))
+        assert main(["unlearn", "-c", str(cfg), "--method", "retrain"]) == 0

@@ -14,7 +14,7 @@ from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax, batch
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
-from conftest import (ReferenceAdam, array_offset, enumerate_probabilities,
+from conftest import (ReferenceAdam, enumerate_probabilities,
                       fd_gradient, max_relative_error, reference_estimate_selectivity,
                       reference_loss_and_grad, rewrite_checkpoint, tiny_model)
 
@@ -550,6 +550,7 @@ class TestCheckpoint:
         assert loaded.checksum() == m.checksum()
 
     # Each case below is digest-valid, so only the content check can fire.
+    # The payload is theta, then keep: keep entry j sits at theta.size + j.
 
     def test_array_layout_must_match_metadata(self, tmp_path):
         m = tiny_model(seed=26)
@@ -558,41 +559,53 @@ class TestCheckpoint:
         rewrite_checkpoint(p, lambda meta, payload: (meta, payload))
         assert load_checkpoint(p).checksum() == m.checksum()
 
-        def extra_array(meta, payload):
-            meta["arrays"].append({"key": "w_extra", "shape": [2]})
-            return meta, np.concatenate([payload, [0.5, 0.5]])
-
-        rewrite_checkpoint(p, extra_array)
-        with pytest.raises(FormatError):
+        rewrite_checkpoint(p, lambda meta, payload: (meta, np.append(payload, 0.0)))
+        with pytest.raises(FormatError, match="array bytes"):
             load_checkpoint(p)
 
-    def test_prune_entries_must_be_0_or_1(self, tmp_path):
+    def test_keep_entries_must_be_0_or_1(self, tmp_path):
         m = tiny_model(seed=27)
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
+        connected = int(np.flatnonzero(m.keep)[0])
 
-        def half_prune(meta, payload):
-            payload[array_offset(meta, "prune:w_in")] = 0.5
+        def half_keep(meta, payload):
+            payload[m.theta.size + connected] = 0.5
             return meta, payload
 
-        rewrite_checkpoint(p, half_prune)
-        with pytest.raises(FormatError):
+        rewrite_checkpoint(p, half_keep)
+        with pytest.raises(FormatError, match="0 or 1"):
+            load_checkpoint(p)
+
+    def test_keep_is_0_where_no_connection(self, tmp_path):
+        m = tiny_model(seed=30)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+        unconnected = int(np.flatnonzero(m.connectivity() == 0)[0])
+
+        def keep_unconnected(meta, payload):
+            payload[m.theta.size + unconnected] = 1.0
+            return meta, payload
+
+        rewrite_checkpoint(p, keep_unconnected)
+        with pytest.raises(FormatError, match="no connection"):
             load_checkpoint(p)
 
     def test_masked_weight_must_be_zero(self, tmp_path):
         m = tiny_model(seed=28)
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
-        unconnected = int(np.flatnonzero(m.unflatten(m.connectivity())["w_out"] == 0)[0])
+        # theta offsets of the unconnected w_out positions
+        offsets = m.unflatten(np.arange(m.theta.size))["w_out"]
+        unconnected = int(offsets[m.unflatten(m.connectivity())["w_out"] == 0][0])
 
         def masked_weight(meta, payload):
-            payload[array_offset(meta, "w_out") + unconnected] = 0.25
+            payload[unconnected] = 0.25
             return meta, payload
 
         rewrite_checkpoint(p, masked_weight)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="masked position"):
             load_checkpoint(p)
-
 
     @pytest.mark.parametrize("case", [
         "no_config", "column_without_kind", "column_without_bins",
@@ -626,11 +639,12 @@ class TestCheckpoint:
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    # version 1 stored hidden units and input rows in another order: its
-    # arrays have the same shapes, so only the version tells them apart
+    # version 1 stored hidden units and input rows in another order, and
+    # version 2 per-key arrays and prune masks: only the version tells a
+    # file's layout, so every other version is rejected
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
-    for version in (1, 99):
+    for version in (1, 2, 99):
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", version)

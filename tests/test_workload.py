@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import ValidationError
@@ -13,6 +13,25 @@ from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
                               model_constraints, nearest_rank_percentile,
                               q_error, summarize, true_cardinality)
 from test_unlearn import tiny_star_model
+
+
+def recount(db, q) -> int:
+    """Row-by-row count of ``q`` over the full join, in original value
+    space: the oracle ``true_cardinality`` is checked against."""
+    rel = materialize_join(db.tables, db.joins)
+    spec_by_name = {s.name: s for s in rel.columns}
+    count = 0
+    for r in range(rel.cardinality):
+        ok = True
+        for p in q.predicates:
+            spec = spec_by_name[p.column]
+            v = rel.column(p.column)[r]
+            original = spec.dictionary[int(v)] if spec.kind == "categorical" else v
+            if not p.matches(np.array([original]))[0]:
+                ok = False
+                break
+        count += ok
+    return count
 
 
 class TestGenWorkload:
@@ -91,6 +110,26 @@ class TestComplementQuery:
             c_cq = true_cardinality(star_db.tables, star_db.joins, cq)
             assert c_oq + c_cq == c_all
 
+    # star_db is only read, so one instance can serve every example
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_oq_and_cq_counts_add_up(self, star_db, seed):
+        cfg = WorkloadConfig(focus_columns=("fact.amount", "dim2.val"), focus_prob=1.0)
+        for q in gen_workload(star_db, 8, seed, cfg):
+            closed = [p for p in q.predicates
+                      if p.op == "range" and not (p.lo_strict or p.hi_strict)]
+            assert closed  # the focus predicate
+            for p in closed:
+                if sum(o.column == p.column for o in q.predicates) != 1:
+                    continue
+                cq = complement_query(q, {p.column})
+                rest = q.with_predicates([o for o in q.predicates if o is not p])
+                counts = [true_cardinality(star_db.tables, star_db.joins, x)
+                          for x in (q, cq, rest)]
+                assert counts[0] + counts[1] == counts[2]
+                assert counts == [recount(star_db, x) for x in (q, cq, rest)]
+
 
 class TestTrueCardinality:
     def test_no_predicates_is_join_size(self, star_db):
@@ -103,24 +142,8 @@ class TestTrueCardinality:
         assert true_cardinality(star_db.tables, star_db.joins, q) == 0
 
     def test_matches_row_by_row_recount(self, star_db):
-        queries = gen_workload(star_db, 20, seed=9, cfg=WorkloadConfig())
-        rel = materialize_join(star_db.tables, star_db.joins)
-        spec_by_name = {s.name: s for s in rel.columns}
-        for q in queries:
-            fast = true_cardinality(star_db.tables, star_db.joins, q)
-            slow = 0
-            for r in range(rel.cardinality):
-                ok = True
-                for p in q.predicates:
-                    spec = spec_by_name[p.column]
-                    v = rel.column(p.column)[r]
-                    original = spec.dictionary[int(v)] if spec.kind == "categorical" \
-                        else v
-                    if not p.matches(np.array([original]))[0]:
-                        ok = False
-                        break
-                slow += ok
-            assert fast == slow
+        for q in gen_workload(star_db, 20, seed=9, cfg=WorkloadConfig()):
+            assert true_cardinality(star_db.tables, star_db.joins, q) == recount(star_db, q)
 
 
 class TestQError:
