@@ -1,5 +1,5 @@
-"""Value-domain bookkeeping for deletions: deleted-domain sets and the
-compaction map that removes gaps from a numeric column's range.
+"""Value-domain bookkeeping for deletions: the compaction map that removes
+gaps from a numeric column's range.
 
 A numeric column whose retained values no longer cover the original range
 [lo, hi] keeps only a set of disjoint subranges.  ``NumericRemap`` rescales
@@ -8,7 +8,6 @@ equal-width binning never wastes resolution on deleted regions.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,61 +65,22 @@ class NumericRemap:
     def is_identity(self) -> bool:
         return self.subranges == ((self.lo, self.hi),)
 
-    def subrange_index(self, x: float) -> int | None:
-        """Index of the subrange containing x, or None when x sits in a gap.
-
-        A shared boundary (b_j == a_{j+1}) resolves to the earlier interval;
-        both choices map to the same output value.
-        """
-        starts = [a for a, _ in self.subranges]
-        j = bisect.bisect_right(starts, x) - 1
-        if j >= 0 and x <= self.subranges[j][1]:
-            return j
-        return None
-
-
-def remap_value(remap: NumericRemap, x: float) -> float:
-    """Map a retained value into the compacted space.
-
-    Raises GapError when x lies strictly inside a deleted gap (callers are
-    expected to clamp query endpoints before remapping).
-    """
-    j = remap.subrange_index(x)
-    if j is None:
-        raise GapError(f"value {x} lies in a deleted gap of column range "
-                       f"[{remap.lo}, {remap.hi}]")
-    a, _ = remap.subranges[j]
-    off = remap.offsets[j]
-    scale = (remap.hi - remap.lo) / remap.retained_length
-    return (x - a + off) * scale + remap.lo
-
 
 def clamp_interval(remap: NumericRemap, lo: float, hi: float) -> tuple[float, float] | None:
     """Move interval endpoints inward to the nearest retained boundary and
     remap them.  Returns the remapped interval, or None when [lo, hi]
     contains no retained point (it sat entirely inside a gap or outside the
     column range)."""
-    if hi < lo:
+    starts, ends = np.array(remap.subranges, dtype=np.float64).T
+    i = np.searchsorted(ends, lo)                      # first subrange ending at or after lo
+    j = np.searchsorted(starts, hi, side="right") - 1  # last subrange starting at or before hi
+    if hi < lo or i == len(ends) or j < 0:
         return None
-    new_lo = None
-    if remap.subrange_index(lo) is not None:
-        new_lo = lo
-    else:
-        for a, _ in remap.subranges:
-            if a >= lo:
-                new_lo = a
-                break
-    new_hi = None
-    if remap.subrange_index(hi) is not None:
-        new_hi = hi
-    else:
-        for _, b in reversed(remap.subranges):
-            if b <= hi:
-                new_hi = b
-                break
-    if new_lo is None or new_hi is None or new_lo > new_hi:
+    new_lo, new_hi = max(lo, starts[i]), min(hi, ends[j])
+    if new_lo > new_hi:
         return None
-    return remap_value(remap, new_lo), remap_value(remap, new_hi)
+    out = remap_array(remap, [new_lo, new_hi])
+    return float(out[0]), float(out[1])
 
 
 def build_numeric_remap(lo: float, hi: float, retained_values: np.ndarray,
@@ -174,8 +134,7 @@ def remap_array(remap: NumericRemap, xs: np.ndarray, on_gap: str = "error") -> n
     ``"clamp"`` moves gap values to the nearest retained boundary first.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    starts = np.array([a for a, _ in remap.subranges])
-    ends = np.array([b for _, b in remap.subranges])
+    starts, ends = np.array(remap.subranges, dtype=np.float64).T
     offs = np.array(remap.offsets)
     j = np.searchsorted(starts, xs, side="right") - 1
     jc = np.clip(j, 0, len(starts) - 1)

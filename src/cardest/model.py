@@ -735,13 +735,15 @@ def _column_meta(col: ModelColumn) -> dict:
 
 def _column_from_meta(meta: dict) -> ModelColumn:
     """Inverse of ``_column_meta``; raises KeyError, TypeError or ValueError
-    on a missing or mistyped field."""
+    on a missing or mistyped field, categorical codes that are not strictly
+    increasing, or numerical bounds that are not finite with lo <= hi."""
     if meta["kind"] == CATEGORICAL:
         codes, values = np.array(meta["codes"]), np.array(meta["values"])
         dict_size = operator.index(meta["dict_size"])
         if not (codes.ndim == 1 and codes.size and codes.dtype.kind == "i"
                 and values.shape == codes.shape and values.dtype.kind == "i"
-                and 0 <= codes.min() and codes.max() < dict_size):
+                and 0 <= codes.min() and codes.max() < dict_size
+                and (np.diff(codes) > 0).all()):
             raise ValueError(f"column {meta['name']!r}: bad codes or values")
         return ModelColumn(meta["name"], CATEGORICAL, codes=codes.astype(np.int64),
                            values=values.astype(np.int64), dict_size=dict_size)
@@ -749,12 +751,15 @@ def _column_from_meta(meta: dict) -> ModelColumn:
         raise ValueError(f"column {meta['name']!r}: unknown kind {meta['kind']!r}")
     if operator.index(meta["bins"]) < 1:
         raise ValueError(f"column {meta['name']!r}: bins must be >= 1")
+    lo, hi = float(meta["lo"]), float(meta["hi"])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"column {meta['name']!r}: bounds must be finite, lo <= hi")
     remap = None
     if meta.get("remap"):
         remap = NumericRemap(meta["remap"]["lo"], meta["remap"]["hi"],
                              tuple((a, b) for a, b in meta["remap"]["subranges"]))
-    return ModelColumn(meta["name"], NUMERICAL, lo=float(meta["lo"]),
-                       hi=float(meta["hi"]), bins=meta["bins"], remap=remap)
+    return ModelColumn(meta["name"], NUMERICAL, lo=lo, hi=hi, bins=meta["bins"],
+                       remap=remap)
 
 
 def save_checkpoint(model: ArDensityModel, path: str | Path):
@@ -774,7 +779,7 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     raw = Path(path).read_bytes()
     if len(raw) < 20 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
-    body, digest = raw[:-8], raw[-8:]
+    body, digest = memoryview(raw)[:-8], raw[-8:]
     if hashlib.sha256(body).digest()[:8] != digest:
         raise FormatError(f"{path}: checksum mismatch")
     version, = struct.unpack("<I", body[4:8])
@@ -783,13 +788,17 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
                           f"(this build reads version {CHECKPOINT_VERSION})")
     meta_len, = struct.unpack("<I", body[8:12])
     try:
-        meta = json.loads(body[12:12 + meta_len].decode())
+        meta = json.loads(str(body[12:12 + meta_len], "utf-8"))
         cfg_dict = dict(meta["config"])
         if cfg_dict.get("column_order") is not None:
             cfg_dict["column_order"] = tuple(cfg_dict["column_order"])
         cfg = ModelConfig(**cfg_dict)
         cfg.validate()
         columns = [_column_from_meta(m) for m in meta["columns"]]
+        if not columns:
+            raise ValueError("no columns")
+        if len({c.name for c in columns}) != len(columns):
+            raise ValueError("duplicate column names")
         order = np.array(meta["order"], dtype=np.int64)
         if sorted(order) != list(range(len(columns))):
             raise ValueError("order is not a permutation of the columns")

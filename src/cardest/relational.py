@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,7 @@ class SchemaGraph:
     hub: str
 
     def table(self, name: str) -> TableData:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise ConfigurationError(f"unknown table {name!r}")
+        return _named(self.tables, name)
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
@@ -221,18 +219,20 @@ class DatasetSplit:
     joins: list["Join"]
     hub: str
 
+    @cached_property
+    def original(self) -> list[TableData]:
+        """Each table's original rows as retained + deleted (order is not the
+        input order), built once per split: the split's tables must not
+        change after its first use."""
+        return [TableData(r.name, r.columns,
+                          [np.concatenate([a, b]) for a, b in zip(r.data, d.data)])
+                for r, d in zip(self.retained, self.deleted)]
+
     def retained_table(self, name: str) -> TableData:
-        for t in self.retained:
-            if t.name == name:
-                return t
-        raise ConfigurationError(f"unknown table {name!r}")
+        return _named(self.retained, name)
 
     def original_table(self, name: str) -> TableData:
-        """Original rows as retained + deleted (order is not the input order)."""
-        r = self.retained_table(name)
-        d = self.deleted[self.retained.index(r)]
-        return TableData(name, r.columns,
-                         [np.concatenate([a, b]) for a, b in zip(r.data, d.data)])
+        return _named(self.original, name)
 
     def tables_with_deletions(self) -> list[str]:
         return [t.name for t in self.deleted if t.row_count > 0]
@@ -241,8 +241,14 @@ class DatasetSplit:
         return materialize_join(self.retained, self.joins, cap=cap)
 
     def original_join(self, cap: int = JOIN_CAP_DEFAULT) -> "JoinRelation":
-        originals = [self.original_table(t.name) for t in self.retained]
-        return materialize_join(originals, self.joins, cap=cap)
+        return materialize_join(self.original, self.joins, cap=cap)
+
+
+def _named(tables: list[TableData], name: str) -> TableData:
+    for t in tables:
+        if t.name == name:
+            return t
+    raise ConfigurationError(f"unknown table {name!r}")
 
 
 def condition_mask(table: TableData, cond: Condition) -> np.ndarray:
@@ -415,13 +421,8 @@ def semi_join_deletion(split: DatasetSplit, table_index: int,
     deleted subset yields a valid empty relation (cardinality 0)."""
     if not 0 <= table_index < len(split.retained):
         raise ValidationError(f"table index {table_index} out of range")
-    tables = []
-    for i in range(len(split.retained)):
-        name = split.retained[i].name
-        if i == table_index:
-            tables.append(split.deleted[i])
-        else:
-            tables.append(split.original_table(name))
+    tables = list(split.original)
+    tables[table_index] = split.deleted[table_index]
     return materialize_join(tables, split.joins, cap=cap)
 
 

@@ -188,23 +188,23 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
 
 
 def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
-                                     cfg: CepConfig, rng: np.random.Generator,
+                                     retained_rel: JoinRelation, cfg: CepConfig,
+                                     rng: np.random.Generator,
                                      cap: int = JOIN_CAP_DEFAULT) -> dict:
     """Iterative pruning over the per-table deleted joins (in place).
 
-    Computes column shifts from the full vs retained joins once, then for
-    each table with deletions accumulates scores over the deleted join and
-    prunes a per-table share alpha/K of the weight pool, so the total
-    pruned fraction is alpha up to integer rounding.
+    Computes column shifts from the full join vs ``retained_rel`` (the
+    split's retained join) once, then for each table with deletions
+    accumulates scores over the deleted join and prunes a per-table share
+    alpha/K of the weight pool, so the total pruned fraction is alpha up to
+    integer rounding.
     """
     cfg.validate()
     tables_k = split.tables_with_deletions()
     if not tables_k:
         return {"tables": [], "total_pruned": 0, "pool_size": model.eligible_weight_count(),
                 "shift": np.zeros(model.ncols)}
-    full_rel = split.original_join(cap)
-    retained_rel = split.retained_join(cap)
-    shift = column_shift_weights(model, full_rel, retained_rel)
+    shift = column_shift_weights(model, split.original_join(cap), retained_rel)
 
     pool_size = model.eligible_weight_count()
     k_count = len(tables_k)
@@ -428,7 +428,7 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
             prune_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
             info["sensitivity"] = distribution_sensitivity_pruning(
-                model, split, cep_cfg, prune_rng, cap=cap)
+                model, split, retained_rel, cep_cfg, prune_rng, cap=cap)
             if not cep_cfg.freeze_pruned:
                 # pruning acted as a targeted reset: the zeroed weights may
                 # relearn from retained data during fine-tuning

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardest.domains import (NumericRemap, build_numeric_remap, clamp_interval,
-                             remap_array, remap_value)
+                             remap_array)
 from cardest.errors import GapError, ValidationError
 
 GAP_REMAP = NumericRemap(0.0, 100.0, ((0.0, 40.0), (60.0, 100.0)))
@@ -23,41 +23,40 @@ def remaps(draw):
 
 class TestRemapValue:
     def test_second_subrange(self):
-        assert remap_value(GAP_REMAP, 70.0) == pytest.approx(62.5, abs=1e-12)
+        assert remap_array(GAP_REMAP, [70.0])[0] == pytest.approx(62.5, abs=1e-12)
 
     def test_first_subrange(self):
-        assert remap_value(GAP_REMAP, 20.0) == pytest.approx(25.0, abs=1e-12)
+        assert remap_array(GAP_REMAP, [20.0])[0] == pytest.approx(25.0, abs=1e-12)
 
     def test_boundary_coincidence(self):
         # both sides of the gap map to the same point; the map is
         # nondecreasing but not strictly increasing
-        assert remap_value(GAP_REMAP, 40.0) == pytest.approx(50.0, abs=1e-12)
-        assert remap_value(GAP_REMAP, 60.0) == pytest.approx(50.0, abs=1e-12)
+        np.testing.assert_allclose(remap_array(GAP_REMAP, [40.0, 60.0]), [50.0, 50.0],
+                                   atol=1e-12)
 
     def test_lower_bound_fixed(self):
-        assert remap_value(GAP_REMAP, 0.0) == 0.0
+        assert remap_array(GAP_REMAP, [0.0])[0] == 0.0
 
     def test_gap_raises(self):
         with pytest.raises(GapError):
-            remap_value(GAP_REMAP, 50.0)
+            remap_array(GAP_REMAP, [50.0])
 
     def test_identity_when_no_gaps(self):
         ident = NumericRemap(0.0, 10.0, ((0.0, 10.0),))
-        for x in (0.0, 3.3, 10.0):
-            assert remap_value(ident, x) == pytest.approx(x, abs=1e-12)
+        xs = [0.0, 3.3, 10.0]
+        np.testing.assert_allclose(remap_array(ident, xs), xs, atol=1e-12)
 
     @given(st.lists(st.floats(0.0, 40.0), min_size=2, max_size=8),
            st.lists(st.floats(60.0, 100.0), min_size=0, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, left, right):
-        xs = sorted(left + right)
-        ys = [remap_value(GAP_REMAP, x) for x in xs]
-        assert all(a <= b + 1e-12 for a, b in zip(ys, ys[1:]))
+        ys = remap_array(GAP_REMAP, sorted(left + right))
+        assert (np.diff(ys) >= -1e-12).all()
 
     def test_image_is_gap_free(self):
         # subrange images tile [lo, hi] without holes
-        ends = [remap_value(GAP_REMAP, b) for _, b in GAP_REMAP.subranges]
-        starts = [remap_value(GAP_REMAP, a) for a, _ in GAP_REMAP.subranges]
+        starts = remap_array(GAP_REMAP, [a for a, _ in GAP_REMAP.subranges])
+        ends = remap_array(GAP_REMAP, [b for _, b in GAP_REMAP.subranges])
         assert starts[0] == 0.0 and ends[-1] == 100.0
         assert ends[0] == starts[1]
 
@@ -83,9 +82,7 @@ class TestBuildRemap:
         vals = np.array([10.0, 30.0, 50.0, 90.0])
         remap = build_numeric_remap(0.0, 100.0, vals, gap_threshold=1.0 / 10)
         assert remap.retained_length > 0
-        for v in vals:
-            j = remap.subrange_index(v)
-            assert j is not None
+        remap_array(remap, vals)  # every retained value lies in a subrange
 
     def test_empty_retained_rejected(self):
         with pytest.raises(ValidationError):
@@ -103,7 +100,7 @@ class TestClampInterval:
 
     def test_within_one_subrange_keeps_values(self):
         lo, hi = clamp_interval(GAP_REMAP, 10.0, 20.0)
-        assert (lo, hi) == (remap_value(GAP_REMAP, 10.0), remap_value(GAP_REMAP, 20.0))
+        assert (lo, hi) == tuple(remap_array(GAP_REMAP, [10.0, 20.0]))
 
     def test_endpoints_pulled_inward(self):
         lo, hi = clamp_interval(GAP_REMAP, 45.0, 70.0)
@@ -114,10 +111,10 @@ class TestClampInterval:
 
 class TestRemapArray:
     def test_matches_scalar(self):
+        # the scalar images of TestRemapValue, mapped as one array
         xs = np.array([0.0, 20.0, 40.0, 60.0, 70.0, 100.0])
         out = remap_array(GAP_REMAP, xs)
-        expected = [remap_value(GAP_REMAP, x) for x in xs]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, [0.0, 25.0, 50.0, 50.0, 62.5, 100.0], atol=1e-12)
 
     def test_gap_error(self):
         with pytest.raises(GapError):
@@ -125,8 +122,7 @@ class TestRemapArray:
 
     def test_clamp_picks_nearest_boundary(self):
         out = remap_array(GAP_REMAP, np.array([41.0, 59.0]), on_gap="clamp")
-        assert out[0] == pytest.approx(remap_value(GAP_REMAP, 40.0))
-        assert out[1] == pytest.approx(remap_value(GAP_REMAP, 60.0))
+        np.testing.assert_allclose(out, remap_array(GAP_REMAP, [40.0, 60.0]))
 
 
 class TestRemapProperties:
@@ -145,10 +141,10 @@ class TestRemapProperties:
     @given(remaps())
     @settings(max_examples=100, deadline=None)
     def test_subrange_images_tile_the_range(self, remap):
-        starts = [remap_value(remap, a) for a, _ in remap.subranges]
-        ends = [remap_value(remap, b) for _, b in remap.subranges]
+        starts = remap_array(remap, [a for a, _ in remap.subranges])
+        ends = remap_array(remap, [b for _, b in remap.subranges])
         assert starts[0] == remap.lo and ends[-1] == pytest.approx(remap.hi)
-        assert ends[:-1] == starts[1:]
+        assert (ends[:-1] == starts[1:]).all()
 
     @given(remaps(), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     @settings(max_examples=100, deadline=None)
@@ -156,10 +152,10 @@ class TestRemapProperties:
         lo, hi = min(a, b), max(a, b)
         # the least and greatest retained points of [lo, hi] are among these
         candidates = [x for x in (lo, hi, *np.ravel(remap.subranges))
-                      if lo <= x <= hi and remap.subrange_index(x) is not None]
+                      if lo <= x <= hi and any(a <= x <= b for a, b in remap.subranges)]
         out = clamp_interval(remap, lo, hi)
         if not candidates:
             assert out is None
             return
-        images = [remap_value(remap, x) for x in candidates]
-        assert out == (min(images), max(images))
+        images = remap_array(remap, candidates)
+        assert out == (images.min(), images.max())

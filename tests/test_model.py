@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import FormatError, TrainingError, ValidationError
-from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax, batch_nll_terms,
+from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax,
+                           _parameter_shapes, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
@@ -610,7 +611,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", [
         "no_config", "column_without_kind", "column_without_bins",
         "column_without_codes", "unknown_config_field", "mistyped_config_field",
-        "undecodable_json"])
+        "undecodable_json", "no_columns", "duplicate_column_names", "repeated_code",
+        "numeric_lo_above_hi", "numeric_lo_nan", "numeric_hi_infinite"])
     def test_malformed_metadata_is_format_error(self, tmp_path, case):
         m = tiny_model(seed=29)
         p = tmp_path / "m.ckpt"
@@ -629,6 +631,22 @@ class TestCheckpoint:
                 meta["config"]["width"] = 3
             elif case == "mistyped_config_field":
                 meta["config"]["hidden_dim"] = "8"
+            elif case == "no_columns":   # with a payload of the right size
+                meta["columns"], meta["order"] = [], []
+                shapes = _parameter_shapes(m.cfg, [])
+                payload = np.zeros(sum(np.prod(s) for s in shapes.values())
+                                   + sum(np.prod(s) for k, s in shapes.items()
+                                         if k.startswith("w")))
+            elif case == "duplicate_column_names":
+                meta["columns"][1]["name"] = meta["columns"][0]["name"]
+            elif case == "repeated_code":
+                meta["columns"][0]["codes"][1] = meta["columns"][0]["codes"][0]
+            elif case == "numeric_lo_above_hi":
+                meta["columns"][-1]["lo"] = 2.0
+            elif case == "numeric_lo_nan":
+                meta["columns"][-1]["lo"] = float("nan")
+            elif case == "numeric_hi_infinite":
+                meta["columns"][-1]["hi"] = float("inf")
             else:
                 return b"\xff{not json", payload
             return meta, payload

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
@@ -182,6 +185,86 @@ class TestSemiJoinDeletion:
             [split.retained[0], split.original_table("dim1"),
              split.original_table("dim2")], split.joins).cardinality
         assert semi_join_deletion(split, 0).cardinality == full - retained_only
+
+
+def star_join_rows(tables, joins):
+    """Brute-force star join, the hub listed first and every join from the
+    hub to one dimension: for each hub row, a nested loop over each
+    dimension's rows keeps those whose key equals the hub row's foreign key.
+    Returns the output column names (every column except the dimension
+    keys) and the sorted output rows."""
+    hub, dims = tables[0], {t.name: t for t in tables[1:]}
+    names = [f"{hub.name}.{spec.name}" for spec in hub.columns]
+    for j in joins:
+        names += [f"{j.parent}.{spec.name}" for spec in dims[j.parent].columns
+                  if spec.name != j.pk]
+    rows = []
+    for h in range(hub.row_count):
+        combos = [[]]
+        for j in joins:
+            dim, fk = dims[j.parent], hub.column(j.fk)[h]
+            keys, others = dim.column(j.pk), [
+                col for spec, col in zip(dim.columns, dim.data) if spec.name != j.pk]
+            matches = [[float(col[d]) for col in others]
+                       for d in range(dim.row_count) if keys[d] == fk]
+            combos = [c + m for c in combos for m in matches]
+        rows += [tuple([float(col[h]) for col in hub.data] + c) for c in combos]
+    return names, sorted(rows)
+
+
+def relation_rows(rel, names):
+    assert sorted(s.name for s in rel.columns) == sorted(names)
+    return sorted(zip(*[rel.column(n).astype(np.float64).tolist() for n in names]))
+
+
+@st.composite
+def star_splits(draw):
+    """A tiny generated star schema and a random A or R deletion split."""
+    n_dims = draw(st.integers(1, 2))
+    db = gen_star_schema(DataGenConfig(
+        hub_rows=draw(st.integers(1, 200)),
+        dim_rows=tuple(draw(st.integers(1, 30)) for _ in range(n_dims)),
+        dim_cat_cards=(4,) * n_dims, profile=draw(st.sampled_from(["skewed", "uniform"])),
+        seed=draw(st.integers(0, 2**16))))
+    tables = draw(st.lists(st.sampled_from(db.tables), min_size=1, unique_by=lambda t: t.name))
+    dtype = draw(st.sampled_from("AR"))
+    conditions = []
+    for t in tables:
+        if dtype == "R":
+            conditions.append(Condition(t.name))
+            continue
+        spec = draw(st.sampled_from([c for c in t.columns
+                                     if c.name not in db.key_columns(t.name)]))
+        if spec.kind == CATEGORICAL:
+            value = draw(st.sampled_from(spec.dictionary.tolist()))
+            conditions.append(Condition(t.name, spec.name, value=value))
+        else:
+            lo, hi = sorted(draw(st.floats(spec.lo, spec.hi)) for _ in range(2))
+            conditions.append(Condition(t.name, spec.name, lo=lo, hi=hi))
+    task = DeletionTask(dtype, tuple(conditions), draw(st.floats(0.01, 1.0)))
+    return db, apply_deletion(db, task, seed=draw(st.integers(0, 2**16)))
+
+
+class TestJoinPathProperties:
+    """The split's joins against brute force over the generated (pre-split)
+    tables, compared as sorted row multisets."""
+
+    @given(star_splits())
+    @settings(max_examples=25, deadline=None)
+    def test_semi_join_matches_nested_loop(self, db_split):
+        db, split = db_split
+        for k in range(len(db.tables)):
+            tables = list(db.tables)
+            tables[k] = split.deleted[k]
+            names, expected = star_join_rows(tables, db.joins)
+            assert relation_rows(semi_join_deletion(split, k), names) == expected
+
+    @given(star_splits())
+    @settings(max_examples=25, deadline=None)
+    def test_original_join_matches_nested_loop(self, db_split):
+        db, split = db_split
+        names, expected = star_join_rows(db.tables, db.joins)
+        assert relation_rows(split.original_join(), names) == expected
 
 
 class TestEmpiricalPmf:

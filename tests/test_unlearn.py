@@ -230,7 +230,7 @@ class TestDistributionSensitivityPruning:
         split = apply_deletion(star_db, task, seed=2)
         model = tiny_star_model(star_db)
         cfg = CepConfig(alpha=0.5, sampling_iterations=3, batch_size=4)
-        info = distribution_sensitivity_pruning(model, split, cfg,
+        info = distribution_sensitivity_pruning(model, split, split.retained_join(), cfg,
                                                 np.random.default_rng(0))
         pool = info["pool_size"]
         expected = 2 * int(np.floor(0.25 * pool))
@@ -243,7 +243,8 @@ class TestDistributionSensitivityPruning:
         cfg = CepConfig(alpha=0.4, sampling_iterations=2, batch_size=4)
 
         m1 = tiny_star_model(star_db)
-        distribution_sensitivity_pruning(m1, split, cfg, np.random.default_rng(5))
+        distribution_sensitivity_pruning(m1, split, split.retained_join(), cfg,
+                                         np.random.default_rng(5))
 
         m2 = tiny_star_model(star_db)
         full = split.original_join()
@@ -262,7 +263,8 @@ class TestDistributionSensitivityPruning:
             t.data = [c[:0] for c in t.data]  # force all-empty deletions
         model = tiny_star_model(star_db)
         before = model.checksum()
-        info = distribution_sensitivity_pruning(model, split, CepConfig(alpha=0.5),
+        info = distribution_sensitivity_pruning(model, split, split.retained_join(),
+                                                CepConfig(alpha=0.5),
                                                 np.random.default_rng(0))
         assert model.checksum() == before
         assert info["total_pruned"] == 0
