@@ -254,10 +254,11 @@ def cmd_unlearn(cfg: ExperimentConfig, method: str,
                 cep_overrides: dict | None = None) -> Path:
     if method not in METHODS:
         raise ValidationError(f"--method must be one of {METHODS}")
-    split = _load_split(cfg)
     cep_cfg = cfg.cep
     if cep_overrides:
         cep_cfg = CepConfig(**{**asdict(cfg.cep), **cep_overrides})
+        cep_cfg.validate()
+    split = _load_split(cfg)
     original = None
     if method != "retrain":
         ckpt = cfg.output_dir / "model" / "original.ckpt"

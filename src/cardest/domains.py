@@ -9,6 +9,7 @@ equal-width binning never wastes resolution on deleted regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,23 +48,45 @@ class NumericRemap:
             prev_end = b
         if self.retained_length <= 0.0:
             raise ValidationError("retained subranges have zero total length")
-        if np.isinf((self.hi - self.lo) / self.retained_length):
+        if np.isinf(self.scale):
             raise ValidationError("retained subranges are too short to rescale")
 
-    @property
+    # the arrays below are built once per remap, read-only, and read by
+    # every remap_array and clamp_interval call; the sums stay sequential
+
+    @cached_property
     def retained_length(self) -> float:
         return float(sum(b - a for a, b in self.subranges))
 
-    @property
-    def offsets(self) -> tuple[float, ...]:
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return _frozen([a for a, _ in self.subranges])
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        return _frozen([b for _, b in self.subranges])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each subrange starts on the packed axis."""
         offs = [0.0]
         for a, b in self.subranges[:-1]:
             offs.append(offs[-1] + (b - a))
-        return tuple(offs)
+        return _frozen(offs)
+
+    @cached_property
+    def scale(self) -> float:
+        return (self.hi - self.lo) / self.retained_length
 
     @property
     def is_identity(self) -> bool:
         return self.subranges == ((self.lo, self.hi),)
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def clamp_interval(remap: NumericRemap, lo: float, hi: float) -> tuple[float, float] | None:
@@ -71,7 +94,7 @@ def clamp_interval(remap: NumericRemap, lo: float, hi: float) -> tuple[float, fl
     remap them.  Returns the remapped interval, or None when [lo, hi]
     contains no retained point (it sat entirely inside a gap or outside the
     column range)."""
-    starts, ends = np.array(remap.subranges, dtype=np.float64).T
+    starts, ends = remap.starts, remap.ends
     i = np.searchsorted(ends, lo)                      # first subrange ending at or after lo
     j = np.searchsorted(starts, hi, side="right") - 1  # last subrange starting at or before hi
     if hi < lo or i == len(ends) or j < 0:
@@ -134,8 +157,7 @@ def remap_array(remap: NumericRemap, xs: np.ndarray, on_gap: str = "error") -> n
     ``"clamp"`` moves gap values to the nearest retained boundary first.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    starts, ends = np.array(remap.subranges, dtype=np.float64).T
-    offs = np.array(remap.offsets)
+    starts, ends, offs = remap.starts, remap.ends, remap.offsets
     j = np.searchsorted(starts, xs, side="right") - 1
     jc = np.clip(j, 0, len(starts) - 1)
     inside = (j >= 0) & (xs <= ends[jc])
@@ -151,5 +173,4 @@ def remap_array(remap: NumericRemap, xs: np.ndarray, on_gap: str = "error") -> n
         xs = np.where(inside, xs, clamped)
         j = np.searchsorted(starts, xs, side="right") - 1
         jc = np.clip(j, 0, len(starts) - 1)
-    scale = (remap.hi - remap.lo) / remap.retained_length
-    return (xs - starts[jc] + offs[jc]) * scale + remap.lo
+    return (xs - starts[jc] + offs[jc]) * remap.scale + remap.lo

@@ -25,13 +25,18 @@ costs about one forward pass in total and gives ``forward``'s numbers up to
 the order of floating-point sums.  The sampler reads ``params`` in place,
 through slices, and keeps its per-path state in one workspace per call.
 
-Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch,
-and sensitivity scoring runs ``loss_and_grad`` alone.  The gradient vector
-starts empty and each of its parts is written once, in place: ``out=``
-matrix products and sums, and one ``np.bincount`` for the embedding rows.
-Each column's log-softmax is computed once per step and serves both the
-loss and the probabilities.  Adam updates ``m``, ``v`` and ``theta``
-through two work vectors it allocates once, so a step allocates nothing the
+Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch.
+Sensitivity scoring runs ``batch_weight_grads``, which needs the dense
+weight gradients only, for several batches stacked into one forward pass
+whose arrays live in a workspace the caller keeps across calls.  Both carry the gradient down the network through the same backward pass,
+which hands each dense layer's activations and output gradient to the
+caller.  The training gradient vector starts empty and each of its parts is
+written once, in place: ``out=`` matrix products and sums, and one
+``np.bincount`` for the embedding rows, whose input slots ``forward``
+gathers with one index into the embedding tail.  Each column's log-softmax
+is computed once per step and serves both the loss and the probabilities.
+Adam updates ``m``, ``v`` and ``theta`` chunk by chunk through two
+chunk-sized work vectors it allocates once, so a step allocates nothing the
 size of ``theta``.  Each of these does the same floating-point operations
 in the same order as the plain expressions, so trained weights and loss
 traces are byte-identical to what those give.
@@ -70,6 +75,9 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
 
 CHECKPOINT_MAGIC = b"CEPM"
 CHECKPOINT_VERSION = 3
+# elements per Adam chunk: the six chunk-sized float64 arrays a step streams
+# take 1.5 MB, inside a 2 MB L2
+ADAM_CHUNK = 32_768
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,7 @@ class ModelConfig:
         if not (isinstance(order, tuple) and all(_is_int(v) for v in counts + order)):
             raise ValidationError("model dimensions, numeric_bins, batch_size, epochs "
                                   "and column_order must be integers")
-        if not all(isinstance(v, Real) and not isinstance(v, bool)
+        if not all(_is_number(v)
                    for v in (self.dropout, self.lr, self.beta1, self.beta2, self.eps)):
             raise ValidationError("dropout, lr, beta1, beta2 and eps must be numbers")
         if min(self.embedding_dim, self.hidden_dim, self.residual_blocks) < 1:
@@ -115,6 +123,10 @@ class ModelConfig:
 
 def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
 
 
 @dataclass(eq=False)
@@ -324,44 +336,62 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
 # forward / backward
 
 
+def _buffer(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh array, or the one ``work`` keeps under ``name`` for arrays of
+    this shape."""
+    if work is None:
+        return np.empty(shape)
+    if name not in work or work[name].shape != shape:
+        work[name] = np.empty(shape)
+    return work[name]
+
+
 def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
-            rng: np.random.Generator | None = None):
+            rng: np.random.Generator | None = None, work: dict | None = None):
     """Logits for a batch of encoded rows; returns (logits, cache).
 
     ``X`` is (batch, ncols) int codes in current domains.  Dropout is only
-    applied when ``training`` is set, drawing masks from ``rng``.
+    applied when ``training`` is set, drawing masks from ``rng``.  With a
+    ``work`` dict the activations and logits are written into arrays it
+    keeps, so calls on batches of one size reuse the same memory; the
+    returned arrays are then overwritten by the next such call.
     """
     B = X.shape[0]
+    hid = (B, model.cfg.hidden_dim)
     emb = model.cfg.embedding_dim
     P = model.params
-    A0 = np.empty((B, emb * model.ncols))
-    for p, i in enumerate(model.order):
-        A0[:, p * emb:(p + 1) * emb] = model.embeddings[i][X[:, i]]
+    # the embedding tables sit back to back at the end of theta, in column
+    # order like the logit blocks, so column i's table starts at row offs[i];
+    # input slot p reads row X[:, order[p]] of column order[p]'s table
+    offs = model.logit_offsets()
+    table = model.theta[model.theta.size - offs[-1] * emb:].reshape(-1, emb)
+    rows = X[:, model.order] + offs[model.order]
+    A0 = table[rows].reshape(B, -1)
 
     keep = 1.0 - model.cfg.dropout
     use_dropout = training and model.cfg.dropout > 0.0
-    cache = {"X": X, "A0": A0, "blocks": []}
+    cache = {"rows": rows, "A0": A0, "blocks": []}
 
-    h = A0 @ P["w_in"]
+    h = np.matmul(A0, P["w_in"], out=_buffer(work, "h0", hid))
     h += P["b_in"]
     for r in range(model.cfg.residual_blocks):
-        a = np.maximum(h, 0.0)
-        z = a @ P[f"w1_{r}"]
+        a = np.maximum(h, 0.0, out=_buffer(work, f"a{r}", hid))
+        z = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"z{r}", hid))
         z += P[f"b1_{r}"]
-        d = np.maximum(z, 0.0)
+        d = np.maximum(z, 0.0, out=_buffer(work, f"d{r}", hid))
         dmask = None
         if use_dropout:
             dmask = np.multiply(rng.random(d.shape) < keep, 1.0 / keep)
             d *= dmask
-        u = d @ P[f"w2_{r}"]
+        u = np.matmul(d, P[f"w2_{r}"], out=_buffer(work, f"h{r + 1}", hid))
         u += P[f"b2_{r}"]
         u += h
         cache["blocks"].append({"h": h, "a": a, "z": z, "d": d, "dmask": dmask})
         h = u
     cache["h_last"] = h
-    hf = np.maximum(h, 0.0)
+    hf = np.maximum(h, 0.0, out=_buffer(work, "hf", hid))
     cache["hf"] = hf
-    logits = hf @ P["w_out"]
+    logits = np.matmul(hf, P["w_out"], out=_buffer(work, "logits", (B, offs[-1])))
     logits += P["b_out"]
     return logits, cache
 
@@ -394,6 +424,57 @@ def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray
     return -np.take_along_axis(ls, offs[:-1] + X, axis=1), ls
 
 
+def _column_weights(model: ArDensityModel, column_weights) -> np.ndarray:
+    if column_weights is None:
+        return np.ones(model.ncols)
+    w = np.asarray(column_weights, dtype=np.float64)
+    if w.shape != (model.ncols,):
+        raise ValidationError("column_weights length must equal the column count")
+    if (w < 0).any():
+        raise ValidationError("column_weights must be nonnegative")
+    return w
+
+
+def _output_delta(model: ArDensityModel, X: np.ndarray, ls: np.ndarray,
+                  scale: np.ndarray) -> np.ndarray:
+    """The loss gradient at the logits, written over the log-probabilities
+    ``ls``: softmax minus the one-hot of the true code, times each column's
+    ``scale`` (its weight over the batch size)."""
+    offs = model.logit_offsets()
+    np.exp(ls, out=ls)
+    ls[np.arange(X.shape[0])[:, None], offs[:-1] + X] -= 1.0
+    ls *= np.repeat(scale, np.diff(offs))
+    return ls
+
+
+def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
+              work: dict | None = None) -> np.ndarray:
+    """Carry the logit gradient down the network and return the gradient at
+    the input layer's output.  For each dense layer, output layer first,
+    ``sink(key, A, D)`` receives the layer's input activations ``A`` and
+    the gradient ``D`` at its output: the weight gradient is ``A.T @ D`` and
+    the bias gradient is ``D``'s column sum.  ``D`` changes after the call
+    returns.  ``work`` holds the gradient arrays as in ``forward``."""
+    P = model.params
+    hid = cache["hf"].shape
+    sink("w_out", cache["hf"], dlogits)
+    dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hid))
+    dh *= cache["h_last"] > 0.0
+    for r in reversed(range(model.cfg.residual_blocks)):
+        blk = cache["blocks"][r]
+        sink(f"w2_{r}", blk["d"], dh)
+        dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hid))
+        if blk["dmask"] is not None:
+            dz *= blk["dmask"]
+        dz *= blk["z"] > 0.0
+        sink(f"w1_{r}", blk["a"], dz)
+        da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hid))
+        da *= blk["h"] > 0.0
+        dh += da
+    sink("w_in", cache["A0"], dh)
+    return dh
+
+
 def loss_and_grad(model: ArDensityModel, X: np.ndarray,
                   column_weights: np.ndarray | None = None,
                   training: bool = False, rng: np.random.Generator | None = None):
@@ -414,61 +495,61 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     adds a cell's rows in row order starting from 0.0), so the loss and the
     gradient are byte-identical to them.
     """
-    if column_weights is None:
-        w = np.ones(model.ncols)
-    else:
-        w = np.asarray(column_weights, dtype=np.float64)
-        if w.shape != (model.ncols,):
-            raise ValidationError("column_weights length must equal the column count")
-        if (w < 0).any():
-            raise ValidationError("column_weights must be nonnegative")
-
+    w = _column_weights(model, column_weights)
     B = X.shape[0]
     logits, cache = forward(model, X, training=training, rng=rng)
-    terms, dlogits = batch_nll_terms(model, X, logits)
+    terms, ls = batch_nll_terms(model, X, logits)
     loss = float((terms * w).sum(axis=1).mean())
+    dlogits = _output_delta(model, X, ls, w / B)
 
-    # softmax minus the one-hot of the true code, times w_i / B
-    offs = model.logit_offsets()
-    np.exp(dlogits, out=dlogits)
-    dlogits[np.arange(B)[:, None], offs[:-1] + X] -= 1.0
-    dlogits *= np.repeat(w / B, np.diff(offs))
-
-    P = model.params
     grad = np.empty_like(model.theta)
     G = model.unflatten(grad)
-    np.matmul(cache["hf"].T, dlogits, out=G["w_out"])
-    np.sum(dlogits, axis=0, out=G["b_out"])
-    dh = dlogits @ P["w_out"].T
-    dh *= cache["h_last"] > 0.0
 
-    for r in reversed(range(model.cfg.residual_blocks)):
-        blk = cache["blocks"][r]
-        np.matmul(blk["d"].T, dh, out=G[f"w2_{r}"])
-        np.sum(dh, axis=0, out=G[f"b2_{r}"])
-        dz = dh @ P[f"w2_{r}"].T
-        if blk["dmask"] is not None:
-            dz *= blk["dmask"]
-        dz *= blk["z"] > 0.0
-        np.matmul(blk["a"].T, dz, out=G[f"w1_{r}"])
-        np.sum(dz, axis=0, out=G[f"b1_{r}"])
-        da = dz @ P[f"w1_{r}"].T
-        da *= blk["h"] > 0.0
-        dh += da
+    def write(key, act, delta):
+        np.matmul(act.T, delta, out=G[key])
+        np.sum(delta, axis=0, out=G["b" + key[1:]])
 
-    np.matmul(cache["A0"].T, dh, out=G["w_in"])
-    np.sum(dh, axis=0, out=G["b_in"])
-    dA0 = dh @ P["w_in"].T
-    # cell (row, slot p, component j) adds to code X[row, order[p]] of
-    # column order[p]'s table, all tables laid out back to back
+    dh = _backward(model, cache, dlogits, write)
+    dA0 = dh @ model.params["w_in"].T
+    # cell (row, slot p, component j) is element j of the slot's embedding
+    # row, counted from the start of the embedding tail
     emb = model.cfg.embedding_dim
-    sizes = [e.size for e in model.embeddings]
-    starts = np.cumsum([0] + sizes[:-1])[model.order]
-    cells = (starts + X[:, model.order] * emb)[:, :, None] + np.arange(emb)
-    tail = grad.size - sum(sizes)
-    grad[tail:] = np.bincount(cells.ravel(), weights=dA0.ravel(), minlength=sum(sizes))
+    cells = (cache["rows"] * emb)[:, :, None] + np.arange(emb)
+    tail = sum(e.size for e in model.embeddings)
+    grad[grad.size - tail:] = np.bincount(cells.ravel(), weights=dA0.ravel(),
+                                          minlength=tail)
     grad[:model.keep.size] *= model.keep
     return loss, grad
+
+
+def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.ndarray,
+                       batch_rows: int, sink, work: dict):
+    """Dense weight gradients of the weighted NLL for each of the batches of
+    ``batch_rows`` rows stacked in ``X``, without dropout.
+
+    One forward pass and one backward delta chain serve the whole stack;
+    only the weight products ``A_b.T @ D_b`` are taken per batch, and each
+    batch's loss is averaged over its own ``batch_rows``.  For every dense
+    layer, output layer first, and every batch in stack order,
+    ``sink(key, g)`` receives the gradient of weight ``key``, equal to the
+    block ``loss_and_grad`` gives that batch alone before the keep-mask, in
+    an array the next call overwrites.  Biases and embeddings get no
+    gradient.  Every array the pass needs lives in ``work``, which the
+    caller keeps across calls: a stack's activations outgrow the heap space
+    the allocator keeps, so fresh arrays would cost a page fault per page
+    on every call.
+    """
+    w = _column_weights(model, column_weights)
+    logits, cache = forward(model, X, work=work)
+    dlogits = _output_delta(model, X, batch_nll_terms(model, X, logits)[1], w / batch_rows)
+    grads = model.unflatten(_buffer(work, "grad", model.keep.shape))
+
+    def per_batch(key, act, delta):
+        for lo in range(0, X.shape[0], batch_rows):
+            sink(key, np.matmul(act[lo:lo + batch_rows].T, delta[lo:lo + batch_rows],
+                                out=grads[key]))
+
+    _backward(model, cache, dlogits, per_batch, work)
 
 
 # ---------------------------------------------------------------------------
@@ -478,41 +559,50 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
 class AdamState:
     """Adam (Kingma & Ba, 2015) on ``theta``, updated in place.
 
-    Besides the moments ``m`` and ``v`` it keeps two ``theta``-sized work
+    Besides the moments ``m`` and ``v`` it keeps two chunk-sized work
     vectors, so a step allocates nothing the size of ``theta``.  The step
-    applies ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    walks ``theta`` in chunks of ``ADAM_CHUNK`` elements, so the six arrays
+    it streams (``theta``, the gradient, both moments and both work vectors)
+    stay in L2 while a chunk passes through the whole update.  On each chunk
+    it applies ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``theta -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` through ``out=`` ufuncs
-    with the same operands in the same order, so ``theta`` is byte-identical
-    to what the plain expressions give; then it re-zeroes the masked
-    positions.
+    with the same operands in the same order, then re-zeroes the chunk's
+    masked positions.  Every element sees the operations of the plain
+    expressions in their order, so ``theta`` is byte-identical to what they
+    give.
     """
 
     def __init__(self, model: ArDensityModel):
         self.t = 0
         self.m = np.zeros_like(model.theta)
         self.v = np.zeros_like(model.theta)
-        self.work = np.empty((2, model.theta.size))
+        self.work = np.empty((2, min(ADAM_CHUNK, model.theta.size)))
 
     def step(self, model: ArDensityModel, grad: np.ndarray):
         cfg = model.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        num, den = self.work
-        self.m *= cfg.beta1
-        self.m += np.multiply(grad, 1.0 - cfg.beta1, out=num)
-        self.v *= cfg.beta2
-        np.multiply(grad, 1.0 - cfg.beta2, out=den)
-        self.v += np.multiply(den, grad, out=den)
-        np.divide(self.m, bc1, out=num)
-        num *= cfg.lr
-        np.divide(self.v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += cfg.eps
-        num /= den
-        model.theta -= num
-        # keep masked weight positions at exactly 0
-        model.theta[:model.keep.size] *= model.keep
+        theta, keep = model.theta, model.keep
+        for lo in range(0, theta.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, theta.size)
+            num, den = self.work[:, :hi - lo]
+            m, v, g, th = self.m[lo:hi], self.v[lo:hi], grad[lo:hi], theta[lo:hi]
+            m *= cfg.beta1
+            m += np.multiply(g, 1.0 - cfg.beta1, out=num)
+            v *= cfg.beta2
+            np.multiply(g, 1.0 - cfg.beta2, out=den)
+            v += np.multiply(den, g, out=den)
+            np.divide(m, bc1, out=num)
+            num *= cfg.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += cfg.eps
+            num /= den
+            th -= num
+            # keep masked weight positions at exactly 0
+            if lo < keep.size:
+                th[:keep.size - lo] *= keep[lo:hi]
 
 
 def train(model: ArDensityModel, data: np.ndarray, seed: int,

@@ -10,7 +10,8 @@ Two pruning stages followed by fine-tuning on the retained join:
   gradient of a column-shift-weighted loss over per-table "deleted join"
   relations (the join with one table swapped for its deleted rows) and
   zeroes the highest-scoring weights, spreading the total budget evenly
-  over the affected tables.
+  over the affected tables.  Only trainable dense weights can be pruned,
+  so scores cover the dense weights only and are zero where ``keep`` is.
 
 During the fine-tune that follows, the zeroed weights may regrow by
 default (pruning acts as a targeted reset, which measurably beats
@@ -27,8 +28,8 @@ import numpy as np
 
 from .domains import NumericRemap, build_numeric_remap, clamp_interval
 from .errors import ConfigurationError, ValidationError
-from .model import (ArDensityModel, ModelConfig, encode_relation, init_model,
-                    loss_and_grad, train)
+from .model import (ArDensityModel, ModelConfig, _is_int, _is_number,
+                    batch_weight_grads, encode_relation, init_model, train)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
                          JoinRelation, attribute_specs, empirical_pmf,
@@ -36,6 +37,9 @@ from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
 
 LOSS_MODES = ("per_conditional", "joint_aggregated")
 METHODS = ("stale", "retrain", "finetune", "cep")
+# sampling iterations scored per forward pass: stacks of 4 ran no faster
+# than stacks of 2 and took more memory
+SCORE_STACK = 2
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,27 @@ class CepConfig:
     freeze_pruned: bool = False
 
     def validate(self):
-        if not 0.0 <= self.alpha < 1.0:
+        """Types and ranges of every field, as ``ModelConfig.validate``
+        checks its own."""
+        if not all(_is_int(v) for v in (self.sampling_iterations, self.batch_size,
+                                        self.finetune_epochs)):
+            raise ValidationError("sampling_iterations, batch_size and finetune_epochs "
+                                  "must be integers")
+        if not all(isinstance(v, bool) for v in (self.domain_prune, self.sensitivity_prune,
+                                                 self.freeze_pruned)):
+            raise ValidationError("domain_prune, sensitivity_prune and freeze_pruned "
+                                  "must be true or false")
+        if not (_is_number(self.alpha) and 0.0 <= self.alpha < 1.0):
             raise ValidationError("alpha must lie in [0, 1)")
         if self.sampling_iterations < 1:
             raise ValidationError("sampling_iterations must be >= 1")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
+        if self.finetune_epochs < 0:
+            raise ValidationError("finetune_epochs must be >= 0")
+        if self.gap_threshold is not None and not (
+                _is_number(self.gap_threshold) and 0.0 < self.gap_threshold <= 1.0):
+            raise ValidationError("gap_threshold must be null or lie in (0, 1]")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -120,13 +141,13 @@ def effective_column_weights(shift: np.ndarray, loss_mode: str, ncols: int) -> n
 
 @dataclass(eq=False)
 class SensitivityScores:
-    values: np.ndarray    # in the model's theta layout
+    values: np.ndarray    # over the dense-weight prefix of theta, like keep
     tuples_used: int = 0
     tuples_skipped: int = 0
 
 
 def zero_scores(model: ArDensityModel) -> SensitivityScores:
-    return SensitivityScores(values=np.zeros_like(model.theta))
+    return SensitivityScores(values=np.zeros_like(model.keep))
 
 
 def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
@@ -135,6 +156,12 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
                       loss_mode: str = "per_conditional") -> SensitivityScores:
     """Squared batch-mean gradients of the shift-weighted loss, summed over
     sampling iterations of one deleted-join relation.
+
+    Scores cover the dense weights only, the only ones ``prune_step`` can
+    prune, and are exactly 0 where ``keep`` is 0.  Each iteration draws
+    its batch in turn; ``SCORE_STACK`` batches share one forward pass, and
+    every batch's squared gradient is added in iteration order, so the
+    scores equal those of one ``loss_and_grad`` call per iteration.
 
     Tuples whose categorical cells are no longer representable (their codes
     were domain-pruned) are skipped; numeric cells in deleted gaps are
@@ -151,10 +178,18 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     weights = effective_column_weights(shift, loss_mode, model.ncols)
     n = codes.shape[0]
     take = min(batch_size, n)
-    for _ in range(n_iterations):
-        idx = rng.choice(n, size=take, replace=False)
-        grad = loss_and_grad(model, codes[idx], weights)[1]
-        scores.values += np.square(grad, out=grad)
+    acc = model.unflatten(scores.values)
+    work: dict = {}
+
+    def add_square(key, g):
+        acc[key] += np.square(g, out=g)
+
+    for first in range(0, n_iterations, SCORE_STACK):
+        stack = min(SCORE_STACK, n_iterations - first)
+        idx = np.concatenate([rng.choice(n, size=take, replace=False) for _ in range(stack)])
+        batch_weight_grads(model, codes[idx], weights, take, add_square, work)
+    # keep is 0 or 1: this zeroes the masked positions and leaves the rest
+    scores.values *= model.keep
     scores.tuples_used = n
     return scores
 

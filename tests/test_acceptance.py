@@ -442,7 +442,7 @@ def test_criterion_10_budget_and_ablation(desk, tmp_path):
         m = runs.original.copy()
         scores = zero_scores(m)
         rng = np.random.default_rng(7)
-        scores.values[:] = rng.random(m.theta.size) * scale
+        scores.values[:] = rng.random(scores.values.size) * scale
         prune_step(m, scores, alpha_k=0.25)
         masks.append(m.keep.copy())
     scale_ok = np.array_equal(masks[0], masks[1])

@@ -178,6 +178,25 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(doc))
         self.check_rejected(path, capsys, field)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("finetune_epochs", -1), ("sampling_iterations", 2.5),
+        ("domain_prune", "no"), ("gap_threshold", 2.0)])
+    def test_cep_value_out_of_range(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["cep"][field] = value
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, field)
+
+    @pytest.mark.parametrize("flag", [["--finetune-epochs", "-1"], ["--alpha", "1.5"],
+                                      ["--ns", "0"]])
+    def test_bad_unlearn_override_exits_2(self, tmp_path, capsys, flag):
+        # checked before any stage output is read, so no earlier stage is needed
+        path = write_config(tmp_path)
+        assert main(["unlearn", "-c", str(path), "--method", "cep", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDeterminismAndAblation:
     def prep(self, tmp_path):

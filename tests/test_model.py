@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import FormatError, TrainingError, ValidationError
-from cardest.model import (AdamState, ModelConfig, _degrees, _log_softmax,
+from cardest.model import (ADAM_CHUNK, AdamState, ModelConfig, _degrees, _log_softmax,
                            _parameter_shapes, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
@@ -271,7 +271,7 @@ class TestTrain:
 
 
 STEP_CASES = ["dropout", "weighted", "repeated_codes", "batch_of_one", "single_column",
-              "permuted", "domain_pruned", "pruned_mask"]
+              "permuted", "domain_pruned", "pruned_mask", "multi_chunk"]
 
 
 def step_case(case):
@@ -285,6 +285,13 @@ def step_case(case):
         training = True
     elif case == "permuted":
         m = tiny_model(seed=32, doms=(3, 4, 5), order=(2, 3, 0, 1), hidden_dim=12, blocks=2)
+    elif case == "multi_chunk":
+        # Adam walks theta in four chunks; keep ends inside the second, so
+        # the chunks after it hold no dense weight
+        m = tiny_model(seed=36, doms=(6000, 30), bins=32, embedding_dim=8, hidden_dim=8,
+                       blocks=2)
+        assert ADAM_CHUNK < m.keep.size < m.theta.size - ADAM_CHUNK
+        assert m.keep.size % ADAM_CHUNK
     else:
         m = tiny_model(seed=33, doms=(4, 3), hidden_dim=10, blocks=2,
                        dropout=0.3 if case == "dropout" else 0.0)
@@ -292,7 +299,7 @@ def step_case(case):
     rng = np.random.default_rng(STEP_CASES.index(case))
     m.theta[:] = rng.normal(0.0, 0.5, m.theta.size)
     m.theta[:m.keep.size] *= m.keep
-    if case == "pruned_mask":
+    if case in ("pruned_mask", "multi_chunk"):
         m.keep *= rng.random(m.keep.size) >= 0.3
         m.theta[:m.keep.size] *= m.keep
     if case == "domain_pruned":

@@ -21,7 +21,7 @@ from cardest.unlearn import (CepConfig, accumulate_scores,
                              fine_tune, prune_step, release_pruning, run_method,
                              zero_scores)
 from cardest.workload import model_constraints
-from conftest import tiny_model
+from conftest import reference_loss_and_grad, tiny_model
 
 
 class TestAttributeSensitivity:
@@ -125,7 +125,36 @@ class TestAccumulateScores:
             idx = rng.choice(codes.shape[0], size=4, replace=False)
             g = loss_and_grad(model, codes[idx], shift)[1]
             manual += g * g
-        np.testing.assert_allclose(scores.values, manual, rtol=1e-12)
+        # scores cover the dense weights, the only ones prune_step reads
+        np.testing.assert_array_equal(scores.values, manual[:model.keep.size])
+
+    @pytest.mark.parametrize("n_iterations,batch_size", [(5, 8), (4, 8), (3, 10_000)],
+                             ids=["odd-iterations", "even-iterations", "n-below-batch"])
+    def test_matches_reference_replay(self, star_db, n_iterations, batch_size):
+        # random weights (a fresh output layer is all zero) and 30% pruned,
+        # so masked positions would get non-zero squares if left unmasked
+        model, rel = self.make_setup(star_db)
+        rng = np.random.default_rng(11)
+        model.theta[:] = rng.normal(0.0, 0.5, model.theta.size)
+        model.keep *= rng.random(model.keep.size) >= 0.3
+        model.theta[:model.keep.size] *= model.keep
+        shift = np.array([0.5, 0.0, 2.0, 1.25, 0.75, 3.0])[:model.ncols]
+        scores = accumulate_scores(model, rel, shift, n_iterations, batch_size,
+                                   np.random.default_rng(7))
+        from cardest.model import encode_relation
+        codes, valid = encode_relation(model, rel, gap_policy="clamp")
+        codes = codes[valid]
+        n = codes.shape[0]
+        rng = np.random.default_rng(7)
+        manual = np.zeros_like(model.theta)
+        for _ in range(n_iterations):
+            idx = rng.choice(n, size=min(batch_size, n), replace=False)
+            g = reference_loss_and_grad(model, codes[idx], shift)[1]
+            manual += np.square(g)
+        assert scores.tuples_used == n
+        np.testing.assert_array_equal(scores.values, manual[:model.keep.size])
+        assert (scores.values[model.keep == 0.0] == 0.0).all()
+        assert (scores.values[model.keep == 1.0] > 0.0).any()
 
     def test_zero_shift_zero_scores(self, star_db):
         model, rel = self.make_setup(star_db)
@@ -143,7 +172,7 @@ class TestAccumulateScores:
         def total(schedule):
             acc = zero_scores(model)
             for b in schedule:
-                g = loss_and_grad(model, b, shift)[1]
+                g = loss_and_grad(model, b, shift)[1][:model.keep.size]
                 acc.values += g * g
             return acc.values
 
@@ -200,7 +229,7 @@ class TestPruneStep:
             model = tiny_star_model(star_db)
             scores = zero_scores(model)
             rng = np.random.default_rng(0)
-            scores.values[:] = rng.random(model.theta.size) * scale
+            scores.values[:] = rng.random(scores.values.size) * scale
             prune_step(model, scores, alpha_k=0.3)
             masks.append(model.keep.copy())
         np.testing.assert_array_equal(masks[0], masks[1])
