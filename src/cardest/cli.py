@@ -94,12 +94,17 @@ def _section(cls, d, name: str, **defaults):
                   **{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}})
 
 
+# libyaml's parser where PyYAML was built with it: the resolver and the
+# constructor are the same Python classes, so every value is the same
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
     try:
-        raw = yaml.safe_load(path.read_text()) or {}
+        raw = yaml.load(path.read_text(), Loader=YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -859,10 +859,15 @@ def save_checkpoint(model: ArDensityModel, path: str | Path):
     meta = {"config": asdict(model.cfg), "order": [int(v) for v in model.order],
             "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
-                     meta_bytes] + [np.ascontiguousarray(v, dtype="<f8")
-                                    for v in (model.theta, model.keep)])
-    Path(path).write_bytes(body + hashlib.sha256(body).digest()[:8])
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
+             meta_bytes] + [np.ascontiguousarray(v, dtype="<f8")
+                            for v in (model.theta, model.keep)]
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:  # hashed and written in place, never joined
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest()[:8])
 
 
 def load_checkpoint(path: str | Path) -> ArDensityModel:

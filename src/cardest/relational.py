@@ -474,16 +474,11 @@ def save_dataset(db: SchemaGraph, directory: str | Path):
             else:
                 lines.append(f"column {spec.name} numerical {spec.lo!r} {spec.hi!r}")
         with open(directory / f"{t.name}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([spec.name for spec in t.columns])
-            matrix = []
-            for spec, col in zip(t.columns, t.data):
-                if spec.kind == CATEGORICAL:
-                    matrix.append([str(int(v)) for v in col])
-                else:
-                    matrix.append([repr(float(v)) for v in col])
-            for row in zip(*matrix) if matrix else []:
-                w.writerow(row)
+            csv.writer(fh).writerow([spec.name for spec in t.columns])
+            if t.row_count:
+                cells = [_cell_text(t.name, spec, col) for spec, col in zip(t.columns, t.data)]
+                fh.write("\r\n".join(map(",".join, zip(*cells))))
+                fh.write("\r\n")  # csv.writer's row terminator
         for spec in t.columns:
             if spec.kind == CATEGORICAL:
                 with open(directory / f"{t.name}__{spec.name}.dict", "w") as fh:
@@ -493,6 +488,18 @@ def save_dataset(db: SchemaGraph, directory: str | Path):
         lines.append(f"join {j.child}.{j.fk} {j.parent}.{j.pk}")
     lines.append(f"hub {db.hub}")
     (directory / "schema.txt").write_text("\n".join(lines) + "\n")
+
+
+def _cell_text(table: str, spec: ColumnSpec, col: np.ndarray) -> list[str]:
+    """A column's CSV cells: ``str`` of each code, ``repr`` of each float.
+    Codes are looked up in a table of the domain's code strings, so a code
+    outside it is rejected rather than wrapped."""
+    if spec.kind != CATEGORICAL:
+        return list(map(repr, col.tolist()))
+    size = spec.domain_size
+    if col.min() < 0 or col.max() >= size:
+        raise ValidationError(f"{table}.{spec.name}: code outside 0..{size - 1}")
+    return np.array([str(c) for c in range(size)], dtype=object)[col].tolist()
 
 
 def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
@@ -524,7 +531,7 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
                 data.append(codes)
             else:
                 columns.append(ColumnSpec(cname, NUMERICAL, lo=lo, hi=hi))
-                data.append(col_raw.astype(np.float64))
+                data.append(col_raw)
         tables.append(TableData(tname, columns, data))
 
     for lineno, line in enumerate(schema_path.read_text().splitlines(), start=1):
@@ -572,33 +579,79 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
 
 
 def _read_csv(path: Path, expected_header: list[str]) -> dict[str, np.ndarray]:
+    """One contiguous float64 column per header name.  The body is parsed in
+    one pass by numpy's text reader; only a file it refuses is re-read row
+    by row, to name the line at fault."""
     if not path.exists():
         raise ConfigurationError(f"missing table file {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != expected_header:
-            raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
-        rows = list(reader)
-    out = {}
+        header = next(csv.reader(fh), [])
+        header_only = not fh.read(1)
+    if header != expected_header:
+        raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
+    if header_only:  # a table with no rows, such as the deleted half of an untouched table
+        return {name: np.empty(0) for name in header}
+    try:
+        if _has_blank_line(path):  # loadtxt would skip it
+            raise ValueError("blank line")
+        body = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
+                          comments=None, quotechar='"')
+        if body.shape[1] != len(header):  # every row has the same wrong cell count
+            raise ValueError(f"{body.shape[1]} cells per row")
+    except ValueError as exc:
+        raise _cell_error(path, header, exc) from exc
+    return {name: np.ascontiguousarray(body[:, i]) for i, name in enumerate(header)}
+
+
+def _has_blank_line(path: Path) -> bool:
+    r"""Whether the file holds an empty line: a line end right after another.
+    Line ends are "\n", "\r" and "\r\n", as loadtxt reads them, so every
+    adjacent pair of "\n" and "\r" bytes but "\r\n" is one."""
+    prev = np.zeros(1, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            b = np.concatenate([prev, np.frombuffer(chunk, dtype=np.uint8)])
+            lf, cr = b == ord("\n"), b == ord("\r")
+            if (lf[:-1] & (lf[1:] | cr[1:])).any() or (cr[:-1] & cr[1:]).any():
+                return True
+            prev = b[-1:]
+    return False
+
+
+def _cell_error(path: Path, header: list[str], exc: ValueError) -> ConfigurationError:
+    """The error for a table body that loadtxt refused or that holds a blank
+    line, naming the first bad line of a csv re-read."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
     for i, name in enumerate(header):
-        try:
-            out[name] = np.array([r[i] for r in rows], dtype=np.float64)
-        except (IndexError, ValueError) as exc:
-            raise ConfigurationError(f"{path}:{_bad_cell_line(rows, i)}: column {name!r} "
-                                     "needs a number in every row") from exc
-    return out
+        lineno = _bad_cell_line(rows, i)
+        if lineno is not None:
+            return ConfigurationError(f"{path}:{lineno}: column {name!r} "
+                                      "needs a number in every row")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) > len(header):
+            return ConfigurationError(f"{path}:{lineno}: row has {len(row)} cells, "
+                                      f"the header has {len(header)}")
+    return ConfigurationError(f"{path}: unreadable table body ({exc})")
 
 
 def _bad_cell_line(rows: list[list[str]], i: int) -> int | None:
     """File line (the header is line 1) of the first row whose i-th cell is
     missing or not a number."""
     for lineno, row in enumerate(rows, start=2):
-        try:
-            np.float64(row[i])
-        except (IndexError, ValueError):
+        if i >= len(row) or not _is_number(row[i]):
             return lineno
     return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether loadtxt reads the cell as a float: what ``float`` reads, less
+    underscores between digits and non-ASCII digits."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.strip().isascii()
 
 
 def _read_dict(path: Path) -> np.ndarray:

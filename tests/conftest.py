@@ -7,6 +7,7 @@ compare two genuinely different computations.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -15,6 +16,7 @@ import struct
 import numpy as np
 import pytest
 
+from cardest.errors import ConfigurationError
 from cardest.model import (ArDensityModel, ModelConfig, _log_softmax,
                            batch_nll_terms, forward, init_model, loss_and_grad)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Join,
@@ -332,3 +334,36 @@ def rewrite_checkpoint(path, edit):
         np.asarray(payload, dtype="<f8").tobytes()
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
 
+
+# ---------------------------------------------------------------------------
+# table CSVs, one cell at a time
+
+
+def reference_save_csv(path, t: TableData):
+    """``save_dataset``'s table file as a row-at-a-time ``csv.writer`` loop."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([spec.name for spec in t.columns])
+        matrix = []
+        for spec, col in zip(t.columns, t.data):
+            if spec.kind == CATEGORICAL:
+                matrix.append([str(int(v)) for v in col])
+            else:
+                matrix.append([repr(float(v)) for v in col])
+        for row in zip(*matrix) if matrix else []:
+            w.writerow(row)
+
+
+def reference_read_csv(path, expected_header: list[str]) -> dict[str, np.ndarray]:
+    """``relational._read_csv`` as a ``csv.reader`` loop with one Python
+    string and one ``float`` parse per cell; its error path is left out."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != expected_header:
+            raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
+        rows = list(reader)
+    out = {}
+    for i, name in enumerate(header):
+        out[name] = np.array([r[i] for r in rows], dtype=np.float64)
+    return out

@@ -155,8 +155,20 @@ class TestConfigErrors:
         ("fact.csv", "\n", "\n0,0,1.5,0,1.0\n", r"fact.csv: column 'status' .* not an integer"),
         ("dim1.csv", None, "", r"dim1.csv: header \[\]"),
         ("fact__status.dict", "0,", "zero,", r"fact__status.dict:1: "),
+        ("fact.csv", "\n", "\n0,0,0,0,1.0\n\n",
+         r"fact.csv:3: column 'dim1_id' needs a number in every row"),
+        ("dim2.csv", None, "id,grp2,val2\n0,0,1.0\n1,0,1.0\n2,0,1.0\n3,0,1.0\n\n",
+         r"dim2.csv:6: column 'id' needs a number in every row"),
+        ("dim2.csv", None, "id,grp2,val2\r0,0,1.0\r\r1,0,1.0\r2,0,1.0\r3,0,1.0\r",
+         r"dim2.csv:3: column 'id' needs a number in every row"),
+        ("fact.csv", "\n", "\n0,0,0,0,1.0,7\n", r"fact.csv:2: row has 6 cells, the header has 5"),
+        ("dim2.csv", None, "id,grp2,val2\n0,0,1.0,9\n1,0,1.0,9\n2,0,1.0,9\n3,0,1.0,9\n",
+         r"dim2.csv:2: row has 4 cells, the header has 3"),
+        ("fact.csv", "\n", "\n0,0,0,0,1_000\n", r"fact.csv:2: column 'amount'"),
     ], ids=["column-fields", "numeric-bound", "join-fields", "join-unknown-table",
-            "csv-cell", "csv-nan", "csv-fractional-code", "csv-empty", "dict-code"])
+            "csv-cell", "csv-nan", "csv-fractional-code", "csv-empty", "dict-code",
+            "csv-blank-line", "csv-trailing-blank-line", "csv-blank-line-cr", "csv-extra-cell",
+            "csv-extra-cell-every-row", "csv-underscore"])
     def test_malformed_dataset_dir(self, tmp_path, capsys, name, old, new, match):
         ext = tmp_path / "ext"
         save_dataset(gen_star_schema(DataGenConfig(hub_rows=50, dim_rows=(5, 4))), ext)
@@ -196,6 +208,17 @@ class TestConfigErrors:
         assert main(["unlearn", "-c", str(path), "--method", "cep", *flag]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_reads_configs_as_python_loader(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = [readme.split("```yaml\n", 1)[1].split("```", 1)[0],
+            write_config(tmp_path).read_text(),
+            write_config(tmp_path, dataset={"dir": "data"}).read_text(),
+            "model: {lr: 1e-3, dropout: 1.0e-1, epochs: 0x1f}\nseeds: ~\n"]
+    for text in docs:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 class TestDeterminismAndAblation:

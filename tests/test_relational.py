@@ -1,3 +1,7 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +12,11 @@ from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, apply_deletion,
-                                empirical_pmf, materialize_join,
+                                _read_csv, empirical_pmf, load_dataset,
+                                materialize_join, save_dataset,
                                 semi_join_deletion)
-from conftest import make_table, nested_loop_join
+from conftest import (make_table, nested_loop_join, reference_read_csv,
+                      reference_save_csv)
 
 
 def single_table_db(years):
@@ -265,6 +271,65 @@ class TestJoinPathProperties:
         db, split = db_split
         names, expected = star_join_rows(db.tables, db.joins)
         assert relation_rows(split.original_join(), names) == expected
+
+
+# floats whose repr takes every form: signed zero, integral, exponent
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 5e-324, 1e16, 1e-5]),
+                   st.integers(-10**6, 10**6).map(float), st.floats(allow_nan=False))
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 0-50 rows of categorical codes and floats."""
+    n = draw(st.integers(0, 50))
+    cols = []
+    for c in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            size = draw(st.integers(1, 300))
+            codes = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+            cols.append((f"c{c}", CATEGORICAL, (codes, np.arange(size))))
+        else:
+            vals = draw(st.lists(FLOATS, min_size=n, max_size=n))
+            cols.append((f"c{c}", NUMERICAL, (vals, 0.0, 0.0)))
+    return make_table("t", cols)
+
+
+class TestCsvPersistence:
+    """Table files against the cell-at-a-time csv loops in conftest."""
+
+    @given(csv_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_csv_module_reference(self, t):
+        header = [spec.name for spec in t.columns]
+        with tempfile.TemporaryDirectory() as d:
+            save_dataset(SchemaGraph([t], [], hub="t"), Path(d) / "new")
+            reference_save_csv(Path(d) / "ref.csv", t)
+            path = Path(d) / "new" / "t.csv"
+            assert path.read_bytes() == (Path(d) / "ref.csv").read_bytes()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _read_csv(path, header)
+            want = reference_read_csv(path, header)
+        for name in header:
+            assert got[name].dtype == want[name].dtype
+            assert np.array_equal(got[name], want[name])
+            assert got[name].tobytes() == want[name].tobytes()  # -0.0 keeps its sign
+
+    def test_header_only_table_loads_empty(self, tmp_path):
+        t = make_table("t", [("a", CATEGORICAL, ([], [5])), ("b", NUMERICAL, ([], 0.0, 1.0))])
+        save_dataset(SchemaGraph([t], [], hub="t"), tmp_path)
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "input contained no data"
+            loaded = load_dataset(tmp_path).tables[0]
+        assert loaded.row_count == 0
+        assert [col.dtype for col in loaded.data] == [np.int64, np.float64]
+
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_save_rejects_code_outside_domain(self, tmp_path, code):
+        t = make_table("t", [("a", CATEGORICAL, ([0, code], [5, 6]))])
+        with pytest.raises(ValidationError, match=r"t.a: code outside 0..1"):
+            save_dataset(SchemaGraph([t], [], hub="t"), tmp_path)
 
 
 class TestEmpiricalPmf:
