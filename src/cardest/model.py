@@ -28,11 +28,17 @@ through slices, and keeps its per-path state in one workspace per call.
 Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch.
 Sensitivity scoring runs ``batch_weight_grads``, which needs the dense
 weight gradients only, for several batches stacked into one forward pass
-whose arrays live in a workspace the caller keeps across calls.  Both carry the gradient down the network through the same backward pass,
-which hands each dense layer's activations and output gradient to the
-caller.  The training gradient vector starts empty and each of its parts is
-written once, in place: ``out=`` matrix products and sums, and one
-``np.bincount`` for the embedding rows, whose input slots ``forward``
+whose arrays live in a workspace the caller keeps across calls.  Both carry
+the gradient down the network through the same backward pass, which hands
+each dense layer's activations and output gradient to the caller.
+``forward`` caches only what that pass reads: the gathered inputs, and per
+residual block the block input after its ReLU (``a``) and the inner layer's
+output after ReLU and dropout (``d``), with the dropout mask; the residual
+stream is one array updated in place, and ends as the final ReLU's output.
+The backward pass takes every ReLU mask from those outputs, which is exact
+(see ``_backward``).  The training gradient vector starts empty and each of
+its parts is written once, in place: ``out=`` matrix products and sums, and
+one ``np.bincount`` for the embedding rows, whose input slots ``forward``
 gathers with one index into the embedding tail.  Each column's log-softmax
 is computed once per step and serves both the loss and the probabilities.
 Adam updates ``m``, ``v`` and ``theta`` chunk by chunk through two
@@ -355,6 +361,13 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     ``work`` dict the activations and logits are written into arrays it
     keeps, so calls on batches of one size reuse the same memory; the
     returned arrays are then overwritten by the next such call.
+
+    The cache holds what ``_backward`` reads and nothing else: the gathered
+    embedding rows (``A0``, with their ``rows``), each residual block's
+    ``a`` = relu(h) and ``d`` = relu(z) * dmask (``dmask`` None without
+    dropout), and ``hf``, the final relu(h).  The residual stream ``h`` is
+    one array: ``h += u`` gives the bits ``u + h`` would, and a block's
+    ``h`` and ``z`` are not needed once ``a`` and ``d`` exist.
     """
     B = X.shape[0]
     hid = (B, model.cfg.hidden_dim)
@@ -372,24 +385,23 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     use_dropout = training and model.cfg.dropout > 0.0
     cache = {"rows": rows, "A0": A0, "blocks": []}
 
-    h = np.matmul(A0, P["w_in"], out=_buffer(work, "h0", hid))
+    h = np.matmul(A0, P["w_in"], out=_buffer(work, "h", hid))
     h += P["b_in"]
+    u = _buffer(work, "u", hid)
     for r in range(model.cfg.residual_blocks):
         a = np.maximum(h, 0.0, out=_buffer(work, f"a{r}", hid))
-        z = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"z{r}", hid))
-        z += P[f"b1_{r}"]
-        d = np.maximum(z, 0.0, out=_buffer(work, f"d{r}", hid))
+        d = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"d{r}", hid))
+        d += P[f"b1_{r}"]
+        np.maximum(d, 0.0, out=d)
         dmask = None
         if use_dropout:
             dmask = np.multiply(rng.random(d.shape) < keep, 1.0 / keep)
             d *= dmask
-        u = np.matmul(d, P[f"w2_{r}"], out=_buffer(work, f"h{r + 1}", hid))
+        np.matmul(d, P[f"w2_{r}"], out=u)
         u += P[f"b2_{r}"]
-        u += h
-        cache["blocks"].append({"h": h, "a": a, "z": z, "d": d, "dmask": dmask})
-        h = u
-    cache["h_last"] = h
-    hf = np.maximum(h, 0.0, out=_buffer(work, "hf", hid))
+        h += u
+        cache["blocks"].append({"a": a, "d": d, "dmask": dmask})
+    hf = np.maximum(h, 0.0, out=h)
     cache["hf"] = hf
     logits = np.matmul(hf, P["w_out"], out=_buffer(work, "logits", (B, offs[-1])))
     logits += P["b_out"]
@@ -454,22 +466,29 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
     ``sink(key, A, D)`` receives the layer's input activations ``A`` and
     the gradient ``D`` at its output: the weight gradient is ``A.T @ D`` and
     the bias gradient is ``D``'s column sum.  ``D`` changes after the call
-    returns.  ``work`` holds the gradient arrays as in ``forward``."""
+    returns.  ``work`` holds the gradient arrays as in ``forward``.
+
+    Each ReLU mask is read off that ReLU's cached output: relu(x) > 0
+    exactly where x > 0, so ``hf > 0`` and ``a > 0`` are the masks of the
+    pre-activations.  ``d > 0`` is too wherever the dropout mask is
+    non-zero, since it scales by 1 / keep >= 1; where the dropout mask is
+    0, ``dz`` has already been multiplied by it, and either mask leaves the
+    same signed zero."""
     P = model.params
-    hid = cache["hf"].shape
-    sink("w_out", cache["hf"], dlogits)
-    dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hid))
-    dh *= cache["h_last"] > 0.0
+    hf = cache["hf"]
+    sink("w_out", hf, dlogits)
+    dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hf.shape))
+    dh *= hf > 0.0
     for r in reversed(range(model.cfg.residual_blocks)):
         blk = cache["blocks"][r]
         sink(f"w2_{r}", blk["d"], dh)
-        dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hid))
+        dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hf.shape))
         if blk["dmask"] is not None:
             dz *= blk["dmask"]
-        dz *= blk["z"] > 0.0
+        dz *= blk["d"] > 0.0
         sink(f"w1_{r}", blk["a"], dz)
-        da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hid))
-        da *= blk["h"] > 0.0
+        da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hf.shape))
+        da *= blk["a"] > 0.0
         dh += da
     sink("w_in", cache["A0"], dh)
     return dh
@@ -542,12 +561,14 @@ def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.
     w = _column_weights(model, column_weights)
     logits, cache = forward(model, X, work=work)
     dlogits = _output_delta(model, X, batch_nll_terms(model, X, logits)[1], w / batch_rows)
-    grads = model.unflatten(_buffer(work, "grad", model.keep.shape))
+    # one gradient array the size of the largest dense layer serves every
+    # layer in turn
+    buf = _buffer(work, "grad", (max(model.params[k].size for k in model.weight_keys()),))
 
     def per_batch(key, act, delta):
+        g = buf[:act.shape[1] * delta.shape[1]].reshape(act.shape[1], delta.shape[1])
         for lo in range(0, X.shape[0], batch_rows):
-            sink(key, np.matmul(act[lo:lo + batch_rows].T, delta[lo:lo + batch_rows],
-                                out=grads[key]))
+            sink(key, np.matmul(act[lo:lo + batch_rows].T, delta[lo:lo + batch_rows], out=g))
 
     _backward(model, cache, dlogits, per_batch, work)
 

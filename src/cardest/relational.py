@@ -459,7 +459,7 @@ def numeric_bin_index(values: np.ndarray, lo: float, hi: float, bins: int) -> np
 
 
 # ---------------------------------------------------------------------------
-# persistence: CSV tables + dictionaries + line-oriented schema file
+# persistence: CSV tables + dictionaries + line-oriented schema file, all UTF-8
 
 
 def save_dataset(db: SchemaGraph, directory: str | Path):
@@ -473,7 +473,7 @@ def save_dataset(db: SchemaGraph, directory: str | Path):
                 lines.append(f"column {spec.name} categorical")
             else:
                 lines.append(f"column {spec.name} numerical {spec.lo!r} {spec.hi!r}")
-        with open(directory / f"{t.name}.csv", "w", newline="") as fh:
+        with open(directory / f"{t.name}.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow([spec.name for spec in t.columns])
             if t.row_count:
                 cells = [_cell_text(t.name, spec, col) for spec, col in zip(t.columns, t.data)]
@@ -481,13 +481,13 @@ def save_dataset(db: SchemaGraph, directory: str | Path):
                 fh.write("\r\n")  # csv.writer's row terminator
         for spec in t.columns:
             if spec.kind == CATEGORICAL:
-                with open(directory / f"{t.name}__{spec.name}.dict", "w") as fh:
+                with open(directory / f"{t.name}__{spec.name}.dict", "w", encoding="utf-8") as fh:
                     for code, val in enumerate(spec.dictionary):
                         fh.write(f"{code},{int(val)}\n")
     for j in db.joins:
         lines.append(f"join {j.child}.{j.fk} {j.parent}.{j.pk}")
     lines.append(f"hub {db.hub}")
-    (directory / "schema.txt").write_text("\n".join(lines) + "\n")
+    (directory / "schema.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cell_text(table: str, spec: ColumnSpec, col: np.ndarray) -> list[str]:
@@ -534,7 +534,7 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
                 data.append(col_raw)
         tables.append(TableData(tname, columns, data))
 
-    for lineno, line in enumerate(schema_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(schema_path).splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -584,23 +584,37 @@ def _read_csv(path: Path, expected_header: list[str]) -> dict[str, np.ndarray]:
     by row, to name the line at fault."""
     if not path.exists():
         raise ConfigurationError(f"missing table file {path}")
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        header_only = not fh.read(1)
-    if header != expected_header:
-        raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
-    if header_only:  # a table with no rows, such as the deleted half of an untouched table
-        return {name: np.empty(0) for name in header}
     try:
-        if _has_blank_line(path):  # loadtxt would skip it
-            raise ValueError("blank line")
-        body = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
-                          comments=None, quotechar='"')
-        if body.shape[1] != len(header):  # every row has the same wrong cell count
-            raise ValueError(f"{body.shape[1]} cells per row")
-    except ValueError as exc:
-        raise _cell_error(path, header, exc) from exc
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            header_only = not fh.read(1)
+        if header != expected_header:
+            raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
+        if header_only:  # a table with no rows, such as the deleted half of an untouched table
+            return {name: np.empty(0) for name in header}
+        try:
+            if _has_blank_line(path):  # loadtxt would skip it
+                raise ValueError("blank line")
+            body = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2,
+                              comments=None, quotechar='"', encoding="utf-8")
+            if body.shape[1] != len(header):  # every row has the same wrong cell count
+                raise ValueError(f"{body.shape[1]} cells per row")
+        except ValueError as exc:
+            raise _cell_error(path, header, exc) from exc
+    except UnicodeDecodeError as exc:  # from any of the reads, _cell_error's too
+        raise _not_utf8(path, exc) from exc
     return {name: np.ascontiguousarray(body[:, i]) for i, name in enumerate(header)}
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ConfigurationError:
+    return ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _has_blank_line(path: Path) -> bool:
@@ -621,7 +635,7 @@ def _has_blank_line(path: Path) -> bool:
 def _cell_error(path: Path, header: list[str], exc: ValueError) -> ConfigurationError:
     """The error for a table body that loadtxt refused or that holds a blank
     line, naming the first bad line of a csv re-read."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     for i, name in enumerate(header):
         lineno = _bad_cell_line(rows, i)
@@ -658,7 +672,7 @@ def _read_dict(path: Path) -> np.ndarray:
     if not path.exists():
         raise ConfigurationError(f"missing dictionary file {path}")
     pairs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

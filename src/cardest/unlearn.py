@@ -263,6 +263,7 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
             entry.update(pruned=res["pruned"], saturated=res["saturated"])
             info["total_pruned"] += res["pruned"]
         info["tables"].append(entry)
+        del rel_k, scores  # freed before the next table's join is built and scored
     return info
 
 
@@ -416,6 +417,11 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
     finetune   continues training the original on the retained join;
     cep        domain-prunes and/or sensitivity-prunes, then fine-tunes.
 
+    ``original`` is taken over, not copied: finetune and cep prune and
+    train that very object and return it as ``MethodRun.model``, so only
+    one copy of the parameters is alive while they run.  A caller that
+    needs the original model afterwards passes ``original.copy()``.
+
     The fine-tune RNG stream depends only on ``seed``, so cep with both
     pruning stages disabled is bit-identical to finetune.
     """
@@ -427,7 +433,7 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
                "domain_prune_seconds": 0.0, "sensitivity_prune_seconds": 0.0}
 
     if method == "stale":
-        return MethodRun(method, original.copy(), timings)
+        return MethodRun(method, original, timings)
 
     retained_rel = split.retained_join(cap)
 
@@ -451,7 +457,7 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
         timings["train_seconds"] = time.perf_counter() - t0
         return MethodRun(method, model, timings, trace)
 
-    model = original.copy()
+    model = original
     info: dict = {}
     if method == "cep":
         t0 = time.perf_counter()

@@ -127,7 +127,7 @@ def desk():
             labeled = _labeled_workload(db, task, s)
             cfg = CepConfig(finetune_epochs=FT_EPOCHS)
 
-            ft = run_method("finetune", split, original, cfg, seed=300 + s)
+            ft = run_method("finetune", split, original.copy(), cfg, seed=300 + s)
 
             trace: list = []
             total_steps = math.ceil(total_rows / original.cfg.batch_size) * FT_EPOCHS
@@ -139,7 +139,7 @@ def desk():
                 if _want and (step % _interval == 0 or step == _total):
                     _trace.append((step, _reduced_q95(m, _labeled, _split, _tr, _s)))
 
-            cep = run_method("cep", split, original, cfg, seed=300 + s,
+            cep = run_method("cep", split, original.copy(), cfg, seed=300 + s,
                              model_cfg=mc, step_hook=hook)
 
             tr = TaskRuns(split=split, total_rows=total_rows, labeled=labeled,
@@ -293,8 +293,8 @@ def test_criterion_4_domain_disappearance(desk):
                               Condition("fact", "amount", lo=300.0, hi=800.0)), 1.0)
     split = apply_deletion(db, task, seed=100)
     cfg = CepConfig(finetune_epochs=6)
-    cep = run_method("cep", split, original, cfg, seed=41, model_cfg=original.cfg)
-    ft = run_method("finetune", split, original, cfg, seed=41)
+    cep = run_method("cep", split, original.copy(), cfg, seed=41, model_cfg=original.cfg)
+    ft = run_method("finetune", split, original.copy(), cfg, seed=41)
     total_rows = split.retained_join().cardinality
 
     q_cat = Query(0, ("fact", "dim1"), (Predicate("dim1.grp1", "eq", value=victim),))
@@ -429,8 +429,8 @@ def test_criterion_10_budget_and_ablation(desk, tmp_path):
     # toggles-off cep is bit-identical to finetune
     split = runs.tasks["A-1-1.0"].split
     cfg = CepConfig(domain_prune=False, sensitivity_prune=False, finetune_epochs=2)
-    r_ft = run_method("finetune", split, runs.original, cfg, seed=42)
-    r_cep = run_method("cep", split, runs.original, cfg, seed=42)
+    r_ft = run_method("finetune", split, runs.original.copy(), cfg, seed=42)
+    r_cep = run_method("cep", split, runs.original.copy(), cfg, seed=42)
     from cardest.model import save_checkpoint
     save_checkpoint(r_ft.model, tmp_path / "ft.ckpt")
     save_checkpoint(r_cep.model, tmp_path / "cep.ckpt")

@@ -165,15 +165,24 @@ class TestConfigErrors:
         ("dim2.csv", None, "id,grp2,val2\n0,0,1.0,9\n1,0,1.0,9\n2,0,1.0,9\n3,0,1.0,9\n",
          r"dim2.csv:2: row has 4 cells, the header has 3"),
         ("fact.csv", "\n", "\n0,0,0,0,1_000\n", r"fact.csv:2: column 'amount'"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("fact.csv", "\n", "\n0,0,0,0,1.0\udcff\n", r"fact.csv: not UTF-8 text"),
+        # past the first 8 KiB, so the header read succeeds and loadtxt meets it
+        ("dim2.csv", None, "id,grp2,val2\n" + "0,0,1.0\n" * 1100 + "1,0,1.0\udcff\n",
+         r"dim2.csv: not UTF-8 text"),
+        ("fact__status.dict", "0,", "0\udcff,", r"fact__status.dict: not UTF-8 text"),
+        ("schema.txt", "table fact", "table fact\udcff", r"schema.txt: not UTF-8 text"),
     ], ids=["column-fields", "numeric-bound", "join-fields", "join-unknown-table",
             "csv-cell", "csv-nan", "csv-fractional-code", "csv-empty", "dict-code",
             "csv-blank-line", "csv-trailing-blank-line", "csv-blank-line-cr", "csv-extra-cell",
-            "csv-extra-cell-every-row", "csv-underscore"])
+            "csv-extra-cell-every-row", "csv-underscore", "csv-not-utf8", "csv-body-not-utf8",
+            "dict-not-utf8", "schema-not-utf8"])
     def test_malformed_dataset_dir(self, tmp_path, capsys, name, old, new, match):
         ext = tmp_path / "ext"
         save_dataset(gen_star_schema(DataGenConfig(hub_rows=50, dim_rows=(5, 4))), ext)
         f = ext / name
-        f.write_text(new if old is None else f.read_text().replace(old, new, 1))
+        text = new if old is None else f.read_text().replace(old, new, 1)
+        f.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises((ConfigurationError, ValidationError), match=match):
             load_dataset(ext)
         assert run("gen-data", write_config(tmp_path, dataset={"dir": str(ext)})) == 2

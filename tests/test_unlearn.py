@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,18 @@ class TestClampQuery:
         assert p.hi == pytest.approx(75.0)   # image of 80
 
 
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes of the tracemalloc peak of ``fn(*args, **kwargs)`` above what
+    was allocated when it was called."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestFineTuneAndRunMethod:
     def make_split(self, star_db, ratio=0.5):
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), ratio)
@@ -429,17 +442,51 @@ class TestFineTuneAndRunMethod:
     def test_stale_returns_original(self, star_db):
         model = self.trained_original(star_db)
         split = self.make_split(star_db)
+        before = model.checksum()
         run = run_method("stale", split, model, CepConfig(), seed=0)
-        assert run.model.checksum() == model.checksum()
+        assert run.model is model and model.checksum() == before
         assert run.timings["prune_seconds"] == 0.0
+
+    @pytest.mark.parametrize("method", ["finetune", "cep"])
+    def test_run_method_trains_the_model_it_is_given(self, star_db, method):
+        model = self.trained_original(star_db)
+        before = model.checksum()
+        cfg = CepConfig(alpha=0.2, sampling_iterations=2, batch_size=8, finetune_epochs=1)
+        run = run_method(method, self.make_split(star_db, ratio=1.0), model, cfg, seed=5)
+        assert run.model is model and model.checksum() != before
+
+    def test_cep_peak_memory_in_theta_units(self, star_db):
+        # a desk-sized model on the tiny star schema, so theta-sized arrays
+        # dominate what tracemalloc sees; no domain pruning, since re-packing
+        # theta allocates a new one whether or not the input was copied
+        from cardest.model import ModelConfig, init_model
+        from cardest.relational import attribute_specs
+        model = init_model(attribute_specs(materialize_join(star_db.tables, star_db.joins)),
+                           ModelConfig(dropout=0.0), seed=0)
+        task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),
+                                  Condition("dim2", "val", lo=0, hi=50)), 1.0)
+        split = apply_deletion(star_db, task, seed=6)
+        nbytes = model.theta.nbytes
+        # squared gradients of four sampling iterations: measured 1.27 with one
+        # gradient array the size of w_out, 2.1-2.2 with one over every dense layer
+        rel = semi_join_deletion(split, 0)
+        peak = traced_peak(accumulate_scores, model, rel, np.ones(model.ncols), 4, 8,
+                           np.random.default_rng(0))
+        assert peak / nbytes < 1.5
+        # two tables scored and pruned, one fine-tune step: measured 4.44 with
+        # one copy of each array, 5.44 with a second model
+        cfg = CepConfig(alpha=0.3, sampling_iterations=2, batch_size=8, finetune_epochs=1,
+                        domain_prune=False)
+        peak = traced_peak(run_method, "cep", split, model, cfg, seed=2)
+        assert peak / nbytes < 5.0
 
     def test_cep_toggles_off_equals_finetune(self, star_db):
         model = self.trained_original(star_db)
         split = self.make_split(star_db)
         cfg = CepConfig(domain_prune=False, sensitivity_prune=False,
                         finetune_epochs=3)
-        r1 = run_method("finetune", split, model, cfg, seed=9)
-        r2 = run_method("cep", split, model, cfg, seed=9)
+        r1 = run_method("finetune", split, model.copy(), cfg, seed=9)
+        r2 = run_method("cep", split, model.copy(), cfg, seed=9)
         assert r1.model.checksum() == r2.model.checksum()
         assert r1.loss_trace == r2.loss_trace
 
@@ -472,8 +519,8 @@ class TestFineTuneAndRunMethod:
         split = self.make_split(star_db, ratio=1.0)
         cfg = CepConfig(alpha=0.2, sampling_iterations=2, batch_size=8,
                         finetune_epochs=2)
-        r1 = run_method("cep", split, model, cfg, seed=11)
-        r2 = run_method("cep", split, model, cfg, seed=11)
+        r1 = run_method("cep", split, model.copy(), cfg, seed=11)
+        r2 = run_method("cep", split, model.copy(), cfg, seed=11)
         assert r1.model.checksum() == r2.model.checksum()
 
 
