@@ -334,8 +334,8 @@ def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> P
     out = cfg.output_dir / f"eval-{method}"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv",
-               ["query_id", "type", "c", "c_hat", "qerr", "excluded_reason"],
-               [[r.qid, r.qtype, _fmt(r.true_card), _fmt(r.est_card),
+               ["query_id", "type", "c", "c_hat", "c_hat_sem", "qerr", "excluded_reason"],
+               [[r.qid, r.qtype, _fmt(r.true_card), _fmt(r.est_card), _fmt(r.est_sem),
                  _fmt(r.qerr) if r.qerr is not None else "",
                  r.excluded_reason or ""] for r in report.rows])
     rows = []

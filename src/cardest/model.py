@@ -26,26 +26,32 @@ the order of floating-point sums.  The sampler reads ``params`` in place,
 through slices, and keeps its per-path state in one workspace per call.
 
 Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch.
-Sensitivity scoring runs ``batch_weight_grads``, which needs the dense
-weight gradients only, for several batches stacked into one forward pass
-whose arrays live in a workspace the caller keeps across calls.  Both carry
-the gradient down the network through the same backward pass, which hands
-each dense layer's activations and output gradient to the caller.
-``forward`` caches only what that pass reads: the gathered inputs, and per
-residual block the block input after its ReLU (``a``) and the inner layer's
-output after ReLU and dropout (``d``), with the dropout mask; the residual
-stream is one array updated in place, and ends as the final ReLU's output.
-The backward pass takes every ReLU mask from those outputs, which is exact
-(see ``_backward``).  The training gradient vector starts empty and each of
-its parts is written once, in place: ``out=`` matrix products and sums, and
-one ``np.bincount`` for the embedding rows, whose input slots ``forward``
-gathers with one index into the embedding tail.  Each column's log-softmax
-is computed once per step and serves both the loss and the probabilities.
-Adam updates ``m``, ``v`` and ``theta`` chunk by chunk through two
-chunk-sized work vectors it allocates once, so a step allocates nothing the
-size of ``theta``.  Each of these does the same floating-point operations
-in the same order as the plain expressions, so trained weights and loss
-traces are byte-identical to what those give.
+``train`` keeps one workspace dict for its whole run and passes it to every
+``loss_and_grad`` call, which writes into it the forward activations, the
+dropout masks, the backward deltas and the ``theta``-sized gradient.  So a
+step holds one gradient, not the last step's as well, and reuses the same
+arrays instead of mapping fresh pages; the gradient a call returns lives in
+that workspace and is overwritten by the next call.  Sensitivity scoring
+runs ``batch_weight_grads``, which needs the dense weight gradients only,
+for several batches stacked into one forward pass whose arrays live in a
+workspace the caller keeps across calls in the same way.  Both carry the
+gradient down the network through the same backward pass, which hands each
+dense layer's activations and output gradient to the caller.  ``forward``
+caches only what that pass reads: the gathered inputs, and per residual
+block the block input after its ReLU (``a``) and the inner layer's output
+after ReLU and dropout (``d``), with the dropout mask; the residual stream
+is one array updated in place, and ends as the final ReLU's output.  The
+backward pass takes every ReLU mask from those outputs, which is exact (see
+``_backward``).  Every part of the gradient is written on every call, in
+place: ``out=`` matrix products and sums, and one ``np.bincount`` for the
+embedding rows, whose input slots ``forward`` gathers with one index into
+the embedding tail.  Each column's log-softmax is computed once per step
+and serves both the loss and the probabilities.  Adam updates ``m``, ``v``
+and ``theta`` chunk by chunk through two chunk-sized work vectors it
+allocates once, so a step allocates nothing the size of ``theta``.  Each of
+these does the same floating-point operations in the same order as the
+plain expressions, so trained weights and loss traces are byte-identical to
+what those give.
 
 Everything is float64 and driven by explicit numpy Generators; training,
 scoring, and inference are deterministic given seeds.  All parameters live
@@ -342,11 +348,9 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
 # forward / backward
 
 
-def _buffer(work: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A fresh array, or the one ``work`` keeps under ``name`` for arrays of
-    this shape."""
-    if work is None:
-        return np.empty(shape)
+def _buffer(work: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The array ``work`` keeps under ``name``, allocated anew only when
+    ``name`` is missing or holds another shape."""
     if name not in work or work[name].shape != shape:
         work[name] = np.empty(shape)
     return work[name]
@@ -357,10 +361,11 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     """Logits for a batch of encoded rows; returns (logits, cache).
 
     ``X`` is (batch, ncols) int codes in current domains.  Dropout is only
-    applied when ``training`` is set, drawing masks from ``rng``.  With a
-    ``work`` dict the activations and logits are written into arrays it
-    keeps, so calls on batches of one size reuse the same memory; the
-    returned arrays are then overwritten by the next such call.
+    applied when ``training`` is set, drawing masks from ``rng``.  The
+    activations, dropout masks and logits are written into arrays the
+    ``work`` dict keeps (a fresh dict when none is given), so calls on
+    batches of one size reuse the same memory; the returned arrays are then
+    overwritten by the next such call.
 
     The cache holds what ``_backward`` reads and nothing else: the gathered
     embedding rows (``A0``, with their ``rows``), each residual block's
@@ -369,6 +374,8 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     one array: ``h += u`` gives the bits ``u + h`` would, and a block's
     ``h`` and ``z`` are not needed once ``a`` and ``d`` exist.
     """
+    if work is None:
+        work = {}
     B = X.shape[0]
     hid = (B, model.cfg.hidden_dim)
     emb = model.cfg.embedding_dim
@@ -395,7 +402,8 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
         np.maximum(d, 0.0, out=d)
         dmask = None
         if use_dropout:
-            dmask = np.multiply(rng.random(d.shape) < keep, 1.0 / keep)
+            dmask = rng.random(out=_buffer(work, f"m{r}", hid))
+            np.multiply(dmask < keep, 1.0 / keep, out=dmask)
             d *= dmask
         np.matmul(d, P[f"w2_{r}"], out=u)
         u += P[f"b2_{r}"]
@@ -460,7 +468,7 @@ def _output_delta(model: ArDensityModel, X: np.ndarray, ls: np.ndarray,
 
 
 def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
-              work: dict | None = None) -> np.ndarray:
+              work: dict) -> np.ndarray:
     """Carry the logit gradient down the network and return the gradient at
     the input layer's output.  For each dense layer, output layer first,
     ``sink(key, A, D)`` receives the layer's input activations ``A`` and
@@ -496,15 +504,20 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
 
 def loss_and_grad(model: ArDensityModel, X: np.ndarray,
                   column_weights: np.ndarray | None = None,
-                  training: bool = False, rng: np.random.Generator | None = None):
+                  training: bool = False, rng: np.random.Generator | None = None,
+                  work: dict | None = None):
     """Weighted NLL and its exact gradient, averaged over the batch.
 
     The loss is mean_batch sum_i w_i * (-log p(col_i | earlier columns)).
-    The gradient is one fresh vector in ``theta`` layout; it is exactly zero
-    wherever ``keep`` is 0.
+    The gradient is a vector in ``theta`` layout, exactly zero wherever
+    ``keep`` is 0.  It lives in ``work``, with the forward activations, the
+    dropout masks and the backward deltas: a caller that passes the same
+    ``work`` to every call, as ``train`` does, gets the same arrays back,
+    and the returned gradient is overwritten by the next call.  Without
+    ``work`` each call gets a fresh dict, so its gradient is its own.
 
-    The vector starts empty and every part of it is written once, in place:
-    each weight block by ``np.matmul(..., out=)``, each bias by
+    Every part of the gradient is written on every call, in place: each
+    weight block by ``np.matmul(..., out=)``, each bias by
     ``np.sum(..., out=)``, and the embedding tail by one ``np.bincount``
     over the flat cell index of every (row, input slot, component).  The
     log-softmax of each column is computed once and serves both the loss
@@ -514,21 +527,23 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     adds a cell's rows in row order starting from 0.0), so the loss and the
     gradient are byte-identical to them.
     """
+    if work is None:
+        work = {}
     w = _column_weights(model, column_weights)
     B = X.shape[0]
-    logits, cache = forward(model, X, training=training, rng=rng)
+    logits, cache = forward(model, X, training=training, rng=rng, work=work)
     terms, ls = batch_nll_terms(model, X, logits)
     loss = float((terms * w).sum(axis=1).mean())
     dlogits = _output_delta(model, X, ls, w / B)
 
-    grad = np.empty_like(model.theta)
+    grad = _buffer(work, "grad", model.theta.shape)
     G = model.unflatten(grad)
 
     def write(key, act, delta):
         np.matmul(act.T, delta, out=G[key])
         np.sum(delta, axis=0, out=G["b" + key[1:]])
 
-    dh = _backward(model, cache, dlogits, write)
+    dh = _backward(model, cache, dlogits, write, work)
     dA0 = dh @ model.params["w_in"].T
     # cell (row, slot p, component j) is element j of the slot's embedding
     # row, counted from the start of the embedding tail
@@ -563,7 +578,8 @@ def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.
     dlogits = _output_delta(model, X, batch_nll_terms(model, X, logits)[1], w / batch_rows)
     # one gradient array the size of the largest dense layer serves every
     # layer in turn
-    buf = _buffer(work, "grad", (max(model.params[k].size for k in model.weight_keys()),))
+    buf = _buffer(work, "layer_grad",
+                  (max(model.params[k].size for k in model.weight_keys()),))
 
     def per_batch(key, act, delta):
         g = buf[:act.shape[1] * delta.shape[1]].reshape(act.shape[1], delta.shape[1])
@@ -635,6 +651,12 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     every row exactly once).  Dropout is active; all randomness comes from
     a generator seeded with ``seed``.  Raises TrainingError with the step
     index if the loss turns non-finite.
+
+    One workspace serves every step: ``loss_and_grad`` writes the step's
+    activations, dropout masks, deltas and gradient into it, so the
+    gradient ``AdamState.step`` reads is overwritten by the next step's
+    call and only one is ever alive.  A batch of another size (the last,
+    short batch of an epoch) reallocates the batch-sized arrays.
     """
     if data.shape[0] == 0:
         raise EmptyRelationError("cannot train on an empty relation")
@@ -642,13 +664,14 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     batch_size = model.cfg.batch_size if batch_size is None else batch_size
     rng = np.random.default_rng(seed)
     adam = AdamState(model)
+    work: dict = {}
     trace: list[float] = []
     step = 0
     for _ in range(epochs):
         perm = rng.permutation(data.shape[0])
         for start in range(0, len(perm), batch_size):
             batch = data[perm[start:start + batch_size]]
-            loss, grad = loss_and_grad(model, batch, training=True, rng=rng)
+            loss, grad = loss_and_grad(model, batch, training=True, rng=rng, work=work)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
             adam.step(model, grad)

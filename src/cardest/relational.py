@@ -114,6 +114,22 @@ class SchemaGraph:
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
 
+    def hub_paths(self) -> dict[str, set[str]]:
+        """Per table reachable from the hub, the tables on its path to the
+        hub in the join graph: the hub and every table between, but not the
+        table itself."""
+        adj: dict[str, set[str]] = {n: set() for n in self.table_names()}
+        for j in self.joins:
+            adj[j.child].add(j.parent)
+            adj[j.parent].add(j.child)
+        paths, stack = {self.hub: set()}, [self.hub]
+        while stack:
+            n = stack.pop()
+            for m in adj[n] - paths.keys():
+                paths[m] = paths[n] | {n}
+                stack.append(m)
+        return paths
+
     def key_columns(self, table: str) -> set[str]:
         keys = set()
         for j in self.joins:
@@ -131,19 +147,7 @@ class SchemaGraph:
             raise ConfigurationError(f"hub table {self.hub!r} missing")
         if len(self.joins) != len(names) - 1:
             raise ValidationError("join graph is not a tree (edge count)")
-        # connectivity of the undirected join graph
-        adj = {n: set() for n in names}
-        for j in self.joins:
-            adj[j.child].add(j.parent)
-            adj[j.parent].add(j.child)
-        seen, stack = set(), [self.hub]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj[n] - seen)
-        if seen != set(names):
+        if self.hub_paths().keys() != set(names):
             raise ValidationError("join graph is not connected")
         if any(j.parent == self.hub for j in self.joins):
             raise ValidationError("hub must not be referenced as a parent")

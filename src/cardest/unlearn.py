@@ -270,8 +270,10 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
 def release_pruning(model: ArDensityModel):
     """Lift pruning: the keep-mask returns to the connectivity mask, so the
     pruned weights stay at their current (zeroed) values but become
-    trainable again."""
-    model.keep = model.connectivity()
+    trainable again.  The mask is written into ``keep`` in place: a loaded
+    checkpoint's ``keep`` shares one buffer with ``theta``, so a new array
+    would leave the old mask alive beside it."""
+    model.keep[...] = model.connectivity()
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,13 @@ def _make_predicate(rng, table: TableData, spec) -> Predicate:
 
 def gen_workload(db: SchemaGraph, n_queries: int, seed: int,
                  cfg: WorkloadConfig) -> list[Query]:
-    """Deterministic random workload over the schema's attribute columns."""
+    """Deterministic random workload over the schema's attribute columns.
+
+    Each query's scope is a connected subtree of the join tree that holds
+    the hub.  Every non-hub table gets one coin flip, in table order, and a
+    drawn table joins the scope only when every table on its path to the
+    hub was drawn too; a focus column brings its table's path along.  On a
+    star every path is the hub alone, so each drawn table joins."""
     rng = np.random.default_rng(seed)
     by_table = {}
     for t in db.tables:
@@ -79,20 +85,19 @@ def gen_workload(db: SchemaGraph, n_queries: int, seed: int,
         by_table[t.name] = [s for s in t.columns if s.name not in keys]
     dims = [t.name for t in db.tables if t.name != db.hub]
     order = db.table_names()
+    paths = db.hub_paths()
 
     queries = []
     for qid in range(n_queries):
-        scope = {db.hub}
-        for d in dims:
-            if rng.random() < cfg.dim_scope_prob:
-                scope.add(d)
+        drawn = {db.hub} | {d for d in dims if rng.random() < cfg.dim_scope_prob}
+        scope = {t for t in drawn if paths[t] <= drawn}
         preds: list[Predicate] = []
         used: set[str] = set()
         if cfg.focus_columns and rng.random() < cfg.focus_prob:
             qual = cfg.focus_columns[int(rng.integers(0, len(cfg.focus_columns)))]
             tname, cname = qual.split(".", 1)
             table = db.table(tname)
-            scope.add(tname)
+            scope |= paths[tname] | {tname}
             preds.append(_make_predicate(rng, table, table.spec(cname)))
             used.add(qual)
         candidates = [(t, s) for t in order if t in scope for s in by_table[t]
@@ -182,6 +187,7 @@ class QueryResult:
     qtype: str          # "OQ" | "CQ"
     true_card: float
     est_card: float
+    est_sem: float      # Monte-Carlo standard error of est_card
     qerr: float | None
     excluded_reason: str | None
 
@@ -255,7 +261,9 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
     model represents: the original full-join cardinality for stale models,
     the retained one for retrain/finetune/cep.  Per-query RNG streams are
     derived from (seed, qtype, qid), so results are identical however the
-    evaluation is ordered or parallelized.
+    evaluation is ordered or parallelized.  Each estimate carries its
+    progressive-sampling standard error, scaled by ``total_rows`` like the
+    estimate itself.
     """
     if threads is None:
         env = os.environ.get("CEP_THREADS", "1")
@@ -269,11 +277,12 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
             np.random.SeedSequence(entropy=seed,
                                    spawn_key=(0 if qtype == "OQ" else 1, q.qid)))
         constraints = model_constraints(model, q)
-        sel = estimate_selectivity(model, constraints, num_samples=num_samples, rng=rng)
+        sel, sem = estimate_selectivity(model, constraints, num_samples=num_samples,
+                                        rng=rng, with_error=True)
         est = sel * total_rows
         true = true_cardinality(retained_tables, joins, q, cap=cap)
         err, reason = q_error(est, float(true))
-        return k, QueryResult(q.qid, qtype, float(true), est, err, reason)
+        return k, QueryResult(q.qid, qtype, float(true), est, sem * total_rows, err, reason)
 
     items = list(enumerate(labeled_queries))
     if threads > 1:

@@ -63,7 +63,7 @@ class TestStages:
         report = run_dir / "eval-cep" / "report.csv"
         assert report.exists()
         header = report.read_text().splitlines()[0]
-        assert header == "query_id,type,c,c_hat,qerr,excluded_reason"
+        assert header == "query_id,type,c,c_hat,c_hat_sem,qerr,excluded_reason"
         assert (run_dir / "eval-cep" / "summary.csv").exists()
 
         assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 0

@@ -271,7 +271,8 @@ class TestTrain:
 
 
 STEP_CASES = ["dropout", "weighted", "repeated_codes", "batch_of_one", "single_column",
-              "permuted", "domain_pruned", "pruned_mask", "multi_chunk"]
+              "permuted", "domain_pruned", "pruned_mask", "multi_chunk", "rows_128",
+              "rows_256"]
 
 
 def step_case(case):
@@ -293,9 +294,9 @@ def step_case(case):
         assert ADAM_CHUNK < m.keep.size < m.theta.size - ADAM_CHUNK
         assert m.keep.size % ADAM_CHUNK
     else:
+        training = case in ("dropout", "rows_128", "rows_256")
         m = tiny_model(seed=33, doms=(4, 3), hidden_dim=10, blocks=2,
-                       dropout=0.3 if case == "dropout" else 0.0)
-        training = case == "dropout"
+                       dropout=0.3 if training else 0.0)
     rng = np.random.default_rng(STEP_CASES.index(case))
     m.theta[:] = rng.normal(0.0, 0.5, m.theta.size)
     m.theta[:m.keep.size] *= m.keep
@@ -306,7 +307,8 @@ def step_case(case):
         domain_prune_categorical(m, "t.c0", np.array([0, 2, 3]))
     if case == "weighted":
         weights = np.array([0.0, 2.5, 0.25])
-    n = {"batch_of_one": 1, "repeated_codes": 24}.get(case, 16)
+    n = {"batch_of_one": 1, "repeated_codes": 24, "rows_128": 128, "rows_256": 256
+         }.get(case, 16)
 
     def batch(step):
         r = np.random.default_rng(100 + step)
@@ -325,9 +327,17 @@ class TestInPlaceStep:
         ref = m.copy()
         adam, ref_adam = AdamState(m), ReferenceAdam(ref)
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        # one workspace for every step, as train keeps it, whose arrays start
+        # as NaN: a gradient block or activation a step fails to write would
+        # survive the keep-multiply and break the bitwise comparison
+        work: dict = {}
+        stale = loss_and_grad(m, batch(0), weights, work=work)[1]
+        for a in work.values():
+            a.fill(np.nan)
         for step in range(20):
             X = batch(step)
-            loss, grad = loss_and_grad(m, X, weights, training=training, rng=rng)
+            loss, grad = loss_and_grad(m, X, weights, training=training, rng=rng, work=work)
+            assert grad is stale
             ref_loss, ref_grad = reference_loss_and_grad(ref, X, weights,
                                                          training=training, rng=ref_rng)
             assert loss == ref_loss
@@ -360,6 +370,9 @@ class TestInPlaceStep:
         assert not np.shares_memory(g1, g2)
         assert not np.shares_memory(g1, m.theta)
         np.testing.assert_array_equal(g1, g2)
+        # with one workspace the next call overwrites the returned gradient
+        work: dict = {}
+        assert loss_and_grad(m, X, work=work)[1] is loss_and_grad(m, X, work=work)[1]
 
 
 REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",

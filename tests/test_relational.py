@@ -360,3 +360,11 @@ def test_attribute_specs_exclude_keys(star_db):
     rel = materialize_join(star_db.tables, star_db.joins)
     names = {s.name for s in attribute_specs(rel)}
     assert names == {"fact.color", "fact.amount", "dim1.grp", "dim2.val"}
+
+
+def test_join_graph_must_reach_every_table(star_db):
+    # two edges for three tables, but both between the dimensions
+    joins = [Join("dim1", "id", "dim2", "id"), Join("dim2", "id", "dim1", "id")]
+    with pytest.raises(ValidationError, match="not connected"):
+        SchemaGraph(star_db.tables, joins, hub="fact").validate()
+    assert star_db.hub_paths() == {"fact": set(), "dim1": {"fact"}, "dim2": {"fact"}}

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from cardest.errors import ValidationError
 from cardest.queries import Predicate, Query, save_workload, serialize_query
-from cardest.relational import materialize_join
+from cardest.relational import CATEGORICAL, NUMERICAL, Join, SchemaGraph, materialize_join
 from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
                               convergence_trace, evaluate, gen_workload,
                               model_constraints, nearest_rank_percentile,
                               q_error, summarize, true_cardinality)
+from conftest import make_table
 from test_unlearn import tiny_star_model
 
 
@@ -64,6 +65,32 @@ class TestGenWorkload:
         hits = sum(any(p.column == "fact.amount" for p in q.predicates)
                    for q in queries)
         assert hits == 20
+
+    def test_depth_two_tree_scopes_are_connected(self):
+        # fact -> dim1 -> sub1: sub1 joins a scope only through dim1, so a
+        # scope of fact and sub1 alone would be no join subtree
+        rng = np.random.default_rng(9)
+        fact = make_table("fact", [
+            ("d1", CATEGORICAL, (rng.integers(0, 6, 40), np.arange(6))),
+            ("amount", NUMERICAL, (rng.integers(0, 100, 40).astype(float), 0.0, 100.0))])
+        dim1 = make_table("dim1", [
+            ("id", CATEGORICAL, (np.arange(6), np.arange(6))),
+            ("s1", CATEGORICAL, (np.array([0, 1, 2, 0, 1, 2]), np.arange(3))),
+            ("grp", CATEGORICAL, (rng.integers(0, 2, 6), [50, 60]))])
+        sub1 = make_table("sub1", [
+            ("id", CATEGORICAL, (np.arange(3), np.arange(3))),
+            ("sval", NUMERICAL, (np.array([10.0, 40.0, 80.0]), 0.0, 100.0))])
+        db = SchemaGraph([fact, dim1, sub1], [Join("fact", "d1", "dim1", "id"),
+                                              Join("dim1", "s1", "sub1", "id")], hub="fact")
+        db.validate()
+        cfg = WorkloadConfig(focus_columns=("sub1.sval",), focus_prob=0.3)
+        queries = gen_workload(db, 40, seed=6, cfg=cfg)
+        assert any("sub1" in q.scope for q in queries)
+        assert all("dim1" in q.scope for q in queries if "sub1" in q.scope)
+        rel = materialize_join(db.tables, db.joins)
+        report = evaluate(tiny_star_model(db), [("OQ", q) for q in queries], db.tables,
+                          db.joins, rel.cardinality, seed=0, num_samples=16)
+        assert len(report.rows) == 40
 
 
 class TestQuerySerialization:
@@ -172,7 +199,7 @@ class TestQError:
 
 class TestPercentiles:
     def test_single_value_all_percentiles(self):
-        rows = [QueryResult(0, "OQ", 1.0, 3.0, 3.0, None)]
+        rows = [QueryResult(0, "OQ", 1.0, 3.0, 0.0, 3.0, None)]
         report = summarize(rows)
         assert all(v == 3.0 for v in report.percentiles["OQ"].values())
 
@@ -192,15 +219,15 @@ class TestPercentiles:
         assert pcts == sorted(pcts)
 
     def test_exclusions_counted(self):
-        rows = [QueryResult(0, "OQ", 1.0, 2.0, 2.0, None),
-                QueryResult(1, "OQ", 5.0, 0.0, None, "model-zero"),
-                QueryResult(2, "CQ", 0.0, 2.0, None, "true-zero")]
+        rows = [QueryResult(0, "OQ", 1.0, 2.0, 0.0, 2.0, None),
+                QueryResult(1, "OQ", 5.0, 0.0, 0.0, None, "model-zero"),
+                QueryResult(2, "CQ", 0.0, 2.0, 0.0, None, "true-zero")]
         report = summarize(rows)
         assert report.excluded == {"model-zero": 1, "true-zero": 1}
         assert not report.degenerate
 
     def test_degenerate_report(self):
-        rows = [QueryResult(0, "OQ", 5.0, 0.0, None, "model-zero")]
+        rows = [QueryResult(0, "OQ", 5.0, 0.0, 0.0, None, "model-zero")]
         assert summarize(rows).degenerate
 
 
@@ -216,6 +243,24 @@ class TestEvaluate:
                       rel.cardinality, seed=8, num_samples=64)
         assert [r.est_card for r in r1.rows] == [r.est_card for r in r2.rows]
         assert len(r1.rows) == 10
+
+    def test_sem_scales_like_the_estimate(self, star_db):
+        # the estimate is what a call without with_error gives, bit for bit
+        from cardest.model import estimate_selectivity
+        model = tiny_star_model(star_db)
+        q = gen_workload(star_db, 1, seed=4, cfg=WorkloadConfig())[0]
+        total = materialize_join(star_db.tables, star_db.joins).cardinality
+        row = evaluate(model, [("OQ", q)], star_db.tables, star_db.joins, total,
+                       seed=8, num_samples=64).rows[0]
+        cons = model_constraints(model, q)
+
+        def stream():
+            return np.random.default_rng(np.random.SeedSequence(entropy=8,
+                                                                spawn_key=(0, q.qid)))
+        sel = estimate_selectivity(model, cons, 64, stream())
+        _, sem = estimate_selectivity(model, cons, 64, stream(), with_error=True)
+        assert row.est_card == sel * total
+        assert row.est_sem == sem * total > 0.0
 
     def test_threaded_matches_serial(self, star_db):
         model = tiny_star_model(star_db)
