@@ -9,11 +9,13 @@ bite on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .model import _is_int, _is_number
 from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Join,
                          SchemaGraph, TableData)
 
@@ -33,17 +35,31 @@ class DataGenConfig:
     unique_categoricals: bool = False          # require card <= rows per column
 
     def validate(self):
-        if self.hub_rows < 1 or any(n < 1 for n in self.dim_rows):
-            raise ValidationError("table sizes must be >= 1")
+        """Types and ranges of every field, as ``ModelConfig.validate``
+        checks its own."""
+        sizes = (self.dim_rows, self.hub_cat_cards, self.dim_cat_cards)
+        if not (all(isinstance(v, tuple) for v in sizes)
+                and all(_is_int(n) for n in (self.hub_rows, self.seed) + sum(sizes, ()))):
+            raise ValidationError("hub_rows, dim_rows, hub_cat_cards, dim_cat_cards and "
+                                  "seed must be integers")
+        if min((self.hub_rows,) + sum(sizes, ())) < 1:
+            raise ValidationError("hub_rows, dim_rows, hub_cat_cards and dim_cat_cards "
+                                  "must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.profile not in ("skewed", "uniform"):
             raise ValidationError(f"unknown profile {self.profile!r}")
-        if self.zipf_s <= 0:
-            raise ValidationError("zipf exponent must be > 0")
+        if not (_is_number(self.zipf_s) and 0.0 < self.zipf_s < math.inf):
+            raise ValidationError("zipf_s must be a finite number > 0")
         if len(self.dim_cat_cards) != len(self.dim_rows):
             raise ValidationError("need one dim categorical cardinality per dimension")
-        lo, hi = self.numeric_range
-        if hi <= lo:
-            raise ValidationError("numeric range must be nonempty")
+        bounds = self.numeric_range
+        if not (isinstance(bounds, tuple) and len(bounds) == 2
+                and all(_is_number(v) and math.isfinite(v) for v in bounds)
+                and bounds[0] < bounds[1]):
+            raise ValidationError("numeric_range must be two finite numbers lo < hi")
+        if not isinstance(self.unique_categoricals, bool):
+            raise ValidationError("unique_categoricals must be true or false")
         if self.unique_categoricals:
             for card in self.hub_cat_cards:
                 if card > self.hub_rows:

@@ -892,6 +892,8 @@ def _column_from_meta(meta: dict) -> ModelColumn:
     if meta.get("remap"):
         remap = NumericRemap(meta["remap"]["lo"], meta["remap"]["hi"],
                              tuple((a, b) for a, b in meta["remap"]["subranges"]))
+        if (remap.lo, remap.hi) != (lo, hi):
+            raise ValueError(f"column {meta['name']!r}: remap range differs from the column's")
     return ModelColumn(meta["name"], NUMERICAL, lo=lo, hi=hi, bins=meta["bins"],
                        remap=remap)
 

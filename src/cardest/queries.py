@@ -2,12 +2,11 @@
 line-oriented workload file format, which is written for inspection and
 never read back.
 
-Predicates live in original value space.  ``eq`` matches one categorical
-value; ``range`` matches an interval with independently open/closed
-endpoints; ``outside`` matches the strict complement of a closed interval
+Predicates live in original value space over closed intervals.  ``eq``
+matches one categorical value; ``range`` matches the closed interval
+[lo, hi]; ``outside`` matches the strict complement of a closed interval
 (value < lo or value > hi), which is what complement-query construction
-produces; ``empty`` matches nothing (the result of clamping a predicate
-whose whole range was deleted).
+produces.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-OPS = ("eq", "range", "outside", "empty")
+OPS = ("eq", "range", "outside")
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +26,6 @@ class Predicate:
     value: float | None = None  # eq
     lo: float | None = None
     hi: float | None = None
-    lo_strict: bool = False
-    hi_strict: bool = False
 
     def __post_init__(self):
         if self.op not in OPS:
@@ -43,26 +40,20 @@ class Predicate:
 
     def matches(self, originals: np.ndarray) -> np.ndarray:
         """Boolean mask over original values."""
-        if self.op == "empty":
-            return np.zeros(len(originals), dtype=bool)
         if self.op == "eq":
             return originals == self.value
         if self.op == "outside":
             return (originals < self.lo) | (originals > self.hi)
-        left = originals > self.lo if self.lo_strict else originals >= self.lo
-        right = originals < self.hi if self.hi_strict else originals <= self.hi
-        return left & right
+        return (originals >= self.lo) & (originals <= self.hi)
 
-    def intervals(self) -> list[tuple[float, float, bool, bool]]:
-        """(lo, hi, lo_strict, hi_strict) pieces whose union this predicate
-        matches; ``outside`` contributes two unbounded-side pieces."""
+    def intervals(self) -> list[tuple[float, float]]:
+        """(lo, hi) pieces whose union this predicate matches; ``outside``
+        contributes two pieces with an infinite outer end."""
         if self.op == "eq":
-            return [(float(self.value), float(self.value), False, False)]
+            return [(float(self.value), float(self.value))]
         if self.op == "range":
-            return [(self.lo, self.hi, self.lo_strict, self.hi_strict)]
-        if self.op == "outside":
-            return [(-np.inf, self.lo, False, True), (self.hi, np.inf, True, False)]
-        return []
+            return [(self.lo, self.hi)]
+        return [(-np.inf, self.lo), (self.hi, np.inf)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +77,9 @@ def serialize_query(q: Query) -> str:
         if p.op == "eq":
             toks.append(f"{p.column} eq {_fmt(p.value)}")
         elif p.op == "range":
-            b = ("(" if p.lo_strict else "[") + (")" if p.hi_strict else "]")
-            toks.append(f"{p.column} in{b} {_fmt(p.lo)} {_fmt(p.hi)}")
-        elif p.op == "outside":
-            toks.append(f"{p.column} outside {_fmt(p.lo)} {_fmt(p.hi)}")
+            toks.append(f"{p.column} in[] {_fmt(p.lo)} {_fmt(p.hi)}")
         else:
-            toks.append(f"{p.column} empty")
+            toks.append(f"{p.column} outside {_fmt(p.lo)} {_fmt(p.hi)}")
     parts.append(" ; ".join(toks))
     return " | ".join(parts)
 
@@ -100,4 +88,3 @@ def save_workload(queries: list[Query], path):
     with open(path, "w") as fh:
         for q in queries:
             fh.write(serialize_query(q) + "\n")
-

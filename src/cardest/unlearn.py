@@ -5,7 +5,8 @@ Two pruning stages followed by fine-tuning on the retained join:
 * domain pruning drops model support for values that no longer occur in the
   retained tables — categorical codes lose their embedding rows and output
   logits outright, numeric columns get a compaction remap so deleted
-  subranges vanish from the binned input space;
+  subranges vanish from the binned input space (queries reach that space
+  through ``workload.model_constraints``);
 * distribution-sensitivity pruning scores dense weights by the squared
   gradient of a column-shift-weighted loss over per-table "deleted join"
   relations (the join with one table swapped for its deleted rows) and
@@ -26,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import NumericRemap, build_numeric_remap, clamp_interval
+from .domains import build_numeric_remap
 from .errors import ConfigurationError, ValidationError
 from .model import (ArDensityModel, ModelConfig, _is_int, _is_number,
                     batch_weight_grads, encode_relation, init_model, train)
-from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
                          JoinRelation, attribute_specs, empirical_pmf,
                          semi_join_deletion)
@@ -356,39 +356,6 @@ def apply_domain_pruning(model: ArDensityModel, split: DatasetSplit,
     return report
 
 
-def clamp_query(query: Query, remaps: dict[str, NumericRemap]) -> Query:
-    """Rewrite a query against the pruned value space.
-
-    Numeric predicates on remapped columns get their endpoints moved inward
-    to the nearest retained boundary and remapped (a range wholly inside a
-    deleted gap becomes an ``empty`` predicate).  Everything else passes
-    through unchanged: predicates on pruned categorical values already match
-    no code the model can represent.
-    """
-    out = []
-    for p in query.predicates:
-        remap = remaps.get(p.column)
-        if remap is None or p.op not in ("range", "outside"):
-            out.append(p)
-            continue
-        pieces = []
-        for lo, hi, _, _ in p.intervals():
-            lo = max(lo, remap.lo)
-            hi = min(hi, remap.hi)
-            mapped = clamp_interval(remap, lo, hi)
-            if mapped is not None:
-                pieces.append(mapped)
-        if not pieces:
-            out.append(Predicate(p.column, "empty"))
-        elif len(pieces) == 1:
-            out.append(Predicate(p.column, "range", lo=pieces[0][0], hi=pieces[0][1]))
-        else:
-            # two disjoint remapped pieces from an "outside" predicate
-            out.append(Predicate(p.column, "outside", lo=pieces[0][1], hi=pieces[1][0],
-                                 lo_strict=False, hi_strict=False))
-    return query.with_predicates(out)
-
-
 # ---------------------------------------------------------------------------
 # fine-tuning and the method dispatcher
 
@@ -454,8 +421,9 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
         t0 = time.perf_counter()
         model = init_model(base_specs, model_cfg, seed=seed, restrict_codes=restrict)
         codes, valid = encode_relation(model, retained_rel)
-        trace = train(model, codes[valid], seed, epochs=model_cfg.epochs,
-                      step_hook=step_hook)
+        del retained_rel
+        codes = codes[valid]
+        trace = train(model, codes, seed, epochs=model_cfg.epochs, step_hook=step_hook)
         timings["train_seconds"] = time.perf_counter() - t0
         return MethodRun(method, model, timings, trace)
 
@@ -482,7 +450,9 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
 
     t2 = time.perf_counter()
     codes, valid = encode_relation(model, retained_rel)
-    trace = fine_tune(model, codes[valid], seed, epochs=cep_cfg.finetune_epochs,
+    del retained_rel
+    codes = codes[valid]
+    trace = fine_tune(model, codes, seed, epochs=cep_cfg.finetune_epochs,
                       step_hook=step_hook)
     timings["finetune_seconds"] = time.perf_counter() - t2
     return MethodRun(method, model, timings, trace, info)

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import clamp_interval
 from .errors import ValidationError
-from .model import (ArDensityModel, _is_int, estimate_selectivity, interval_bin_weights)
+from .model import (ArDensityModel, _is_int, _is_number, estimate_selectivity,
+                    interval_bin_weights)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, Join, SchemaGraph,
                          TableData, materialize_join)
-from .unlearn import clamp_query
 
 PERCENTILES = (50, 75, 95, 99)
 
@@ -41,8 +42,12 @@ class WorkloadConfig:
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= 1):
                 raise ValidationError(f"{name} must be an integer >= 1")
         for name in ("dim_scope_prob", "focus_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            if not (_is_number(getattr(self, name)) and 0.0 <= getattr(self, name) <= 1.0):
                 raise ValidationError(f"{name} must lie in [0, 1]")
+        if not (isinstance(self.focus_columns, tuple)
+                and all(isinstance(c, str) and all(c.partition(".")[::2])
+                        for c in self.focus_columns)):
+            raise ValidationError("focus_columns must be a list of table.column names")
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +118,11 @@ def gen_workload(db: SchemaGraph, n_queries: int, seed: int,
 
 
 def complement_query(q: Query, condition_columns: set[str]) -> Query | None:
-    """Invert every closed range predicate that touches a deletion-condition
+    """Invert every range predicate that touches a deletion-condition
     column; queries with nothing to invert yield None (no complement)."""
     out, inverted = [], False
     for p in q.predicates:
-        if p.op == "range" and p.column in condition_columns and \
-                not p.lo_strict and not p.hi_strict:
+        if p.op == "range" and p.column in condition_columns:
             out.append(Predicate(p.column, "outside", lo=p.lo, hi=p.hi))
             inverted = True
         else:
@@ -226,25 +230,30 @@ def model_constraints(model: ArDensityModel, q: Query) -> dict[str, np.ndarray]:
     the model's current domains.
 
     Categorical predicates test the original values still representable, so
-    pruned values get weight zero with no special casing.  Numeric ranges
-    are clamped/remapped into the model's compacted space when the column
-    carries a remap, then spread over bins by proportional overlap.
-    Multiple predicates on one column multiply.
+    pruned values get weight zero with no special casing.  Each closed
+    piece of a numeric predicate is cut to the column range; on a column
+    that carries a remap it is then moved inward to the nearest retained
+    boundary and mapped into the compacted space (``clamp_interval``), and
+    a piece with no retained point adds nothing.  An infinite outer end of
+    an ``outside`` piece stays unbounded rather than taking its image.  The
+    pieces are spread over bins by proportional overlap.  Multiple
+    predicates on one column multiply.
     """
-    remaps = {c.name: c.remap for c in model.columns
-              if c.kind != CATEGORICAL and c.remap is not None}
-    clamped = clamp_query(q, remaps)
     out: dict[str, np.ndarray] = {}
-    for p in clamped.predicates:
-        i = model.column_index(p.column)
-        col = model.columns[i]
+    for p in q.predicates:
+        col = model.columns[model.column_index(p.column)]
         if col.kind == CATEGORICAL:
             w = p.matches(col.values).astype(np.float64)
         else:
             w = np.zeros(col.bins)
-            for lo, hi, _, _ in p.intervals():
-                w += interval_bin_weights(max(lo, col.lo), min(hi, col.hi),
-                                          col.lo, col.hi, col.bins)
+            for lo, hi in p.intervals():
+                if col.remap is not None:
+                    mapped = clamp_interval(col.remap, max(lo, col.lo), min(hi, col.hi))
+                    if mapped is None:
+                        continue
+                    lo = lo if lo == -np.inf else mapped[0]
+                    hi = hi if hi == np.inf else mapped[1]
+                w += interval_bin_weights(lo, hi, col.lo, col.hi, col.bins)
             w = np.clip(w, 0.0, 1.0)
         out[p.column] = out[p.column] * w if p.column in out else w
     return out

@@ -15,12 +15,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import ConfigurationError
 from cardest.model import (ArDensityModel, ModelConfig, _log_softmax,
                            batch_nll_terms, forward, init_model, loss_and_grad)
-from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Join,
-                                SchemaGraph, TableData)
+from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
+                                DeletionTask, Join, SchemaGraph, TableData,
+                                apply_deletion)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,34 @@ def star_db():
                      hub="fact")
     db.validate()
     return db
+
+
+@st.composite
+def star_splits(draw):
+    """A tiny generated star schema and a random A or R deletion split."""
+    n_dims = draw(st.integers(1, 2))
+    db = gen_star_schema(DataGenConfig(
+        hub_rows=draw(st.integers(1, 200)),
+        dim_rows=tuple(draw(st.integers(1, 30)) for _ in range(n_dims)),
+        dim_cat_cards=(4,) * n_dims, profile=draw(st.sampled_from(["skewed", "uniform"])),
+        seed=draw(st.integers(0, 2**16))))
+    tables = draw(st.lists(st.sampled_from(db.tables), min_size=1, unique_by=lambda t: t.name))
+    dtype = draw(st.sampled_from("AR"))
+    conditions = []
+    for t in tables:
+        if dtype == "R":
+            conditions.append(Condition(t.name))
+            continue
+        spec = draw(st.sampled_from([c for c in t.columns
+                                     if c.name not in db.key_columns(t.name)]))
+        if spec.kind == CATEGORICAL:
+            value = draw(st.sampled_from(spec.dictionary.tolist()))
+            conditions.append(Condition(t.name, spec.name, value=value))
+        else:
+            lo, hi = sorted(draw(st.floats(spec.lo, spec.hi)) for _ in range(2))
+            conditions.append(Condition(t.name, spec.name, lo=lo, hi=hi))
+    task = DeletionTask(dtype, tuple(conditions), draw(st.floats(0.01, 1.0)))
+    return db, apply_deletion(db, task, seed=draw(st.integers(0, 2**16)))
 
 
 # ---------------------------------------------------------------------------

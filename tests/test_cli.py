@@ -191,11 +191,24 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("field,value", [
         ("n_queries", 0), ("max_predicates", 0), ("num_samples", 0), ("num_samples", 2.5),
-        ("dim_scope_prob", 1.5), ("focus_prob", -0.1)])
+        ("dim_scope_prob", 1.5), ("focus_prob", -0.1), ("focus_columns", ["amount"]),
+        ("focus_columns", "fact.amount")])
     def test_workload_value_out_of_range(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
         doc["workload"][field] = value
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, field)
+
+    @pytest.mark.parametrize("field,value", [
+        ("hub_rows", 1.5), ("hub_rows", 0), ("dim_rows", [30, 0]), ("hub_cat_cards", [0]),
+        ("dim_cat_cards", 5), ("numeric_range", [0.0]), ("numeric_range", [0.0, float("inf")]),
+        ("zipf_s", float("nan")), ("seed", -1), ("profile", "banana"),
+        ("unique_categoricals", "yes")])
+    def test_datagen_value_out_of_range(self, tmp_path, capsys, field, value):
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["datagen"][field] = value
         path.write_text(yaml.safe_dump(doc))
         self.check_rejected(path, capsys, field)
 

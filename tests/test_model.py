@@ -632,7 +632,8 @@ class TestCheckpoint:
         "no_config", "column_without_kind", "column_without_bins",
         "column_without_codes", "unknown_config_field", "mistyped_config_field",
         "undecodable_json", "no_columns", "duplicate_column_names", "repeated_code",
-        "numeric_lo_above_hi", "numeric_lo_nan", "numeric_hi_infinite"])
+        "numeric_lo_above_hi", "numeric_lo_nan", "numeric_hi_infinite",
+        "remap_range_not_the_columns"])
     def test_malformed_metadata_is_format_error(self, tmp_path, case):
         m = tiny_model(seed=29)
         p = tmp_path / "m.ckpt"
@@ -667,6 +668,9 @@ class TestCheckpoint:
                 meta["columns"][-1]["lo"] = float("nan")
             elif case == "numeric_hi_infinite":
                 meta["columns"][-1]["hi"] = float("inf")
+            elif case == "remap_range_not_the_columns":   # t.num spans [0, 1]
+                meta["columns"][-1]["remap"] = {"lo": 0.0, "hi": 3.0,
+                                                "subranges": [[0.0, 1.0], [2.0, 3.0]]}
             else:
                 return b"\xff{not json", payload
             return meta, payload

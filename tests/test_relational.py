@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
@@ -16,7 +15,7 @@ from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 materialize_join, save_dataset,
                                 semi_join_deletion)
 from conftest import (make_table, nested_loop_join, reference_read_csv,
-                      reference_save_csv)
+                      reference_save_csv, star_splits)
 
 
 def single_table_db(years):
@@ -221,34 +220,6 @@ def star_join_rows(tables, joins):
 def relation_rows(rel, names):
     assert sorted(s.name for s in rel.columns) == sorted(names)
     return sorted(zip(*[rel.column(n).astype(np.float64).tolist() for n in names]))
-
-
-@st.composite
-def star_splits(draw):
-    """A tiny generated star schema and a random A or R deletion split."""
-    n_dims = draw(st.integers(1, 2))
-    db = gen_star_schema(DataGenConfig(
-        hub_rows=draw(st.integers(1, 200)),
-        dim_rows=tuple(draw(st.integers(1, 30)) for _ in range(n_dims)),
-        dim_cat_cards=(4,) * n_dims, profile=draw(st.sampled_from(["skewed", "uniform"])),
-        seed=draw(st.integers(0, 2**16))))
-    tables = draw(st.lists(st.sampled_from(db.tables), min_size=1, unique_by=lambda t: t.name))
-    dtype = draw(st.sampled_from("AR"))
-    conditions = []
-    for t in tables:
-        if dtype == "R":
-            conditions.append(Condition(t.name))
-            continue
-        spec = draw(st.sampled_from([c for c in t.columns
-                                     if c.name not in db.key_columns(t.name)]))
-        if spec.kind == CATEGORICAL:
-            value = draw(st.sampled_from(spec.dictionary.tolist()))
-            conditions.append(Condition(t.name, spec.name, value=value))
-        else:
-            lo, hi = sorted(draw(st.floats(spec.lo, spec.hi)) for _ in range(2))
-            conditions.append(Condition(t.name, spec.name, lo=lo, hi=hi))
-    task = DeletionTask(dtype, tuple(conditions), draw(st.floats(0.01, 1.0)))
-    return db, apply_deletion(db, task, seed=draw(st.integers(0, 2**16)))
 
 
 class TestJoinPathProperties:

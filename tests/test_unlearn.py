@@ -4,25 +4,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cardest.domains import NumericRemap
 from cardest.errors import ConfigurationError, ValidationError
 from cardest.model import (batch_nll_terms, estimate_selectivity, forward,
                            load_checkpoint, loss_and_grad, save_checkpoint, train)
 from cardest.queries import Predicate, Query
-from cardest.relational import (Condition, DeletionTask, apply_deletion,
+from cardest.relational import (CATEGORICAL, Condition, DeletionTask, apply_deletion,
                                 materialize_join, semi_join_deletion)
 from cardest.unlearn import (CepConfig, accumulate_scores,
                              apply_domain_pruning, attribute_sensitivity,
-                             clamp_query, column_shift_weights,
-                             distribution_sensitivity_pruning,
+                             column_shift_weights, distribution_sensitivity_pruning,
                              domain_prune_categorical, effective_column_weights,
                              fine_tune, prune_step, release_pruning, run_method,
                              zero_scores)
 from cardest.workload import model_constraints
-from conftest import reference_loss_and_grad, tiny_model
+from conftest import reference_loss_and_grad, star_splits, tiny_model
 
 
 class TestAttributeSensitivity:
@@ -356,33 +354,40 @@ class TestDomainPruning:
         assert "fact.amount" in report["remaps"]
 
 
-class TestClampQuery:
-    REMAP = NumericRemap(0.0, 100.0, ((0.0, 40.0), (60.0, 100.0)))
+class TestDeletedDomainsEstimateZero:
+    """The exact zero of domain pruning comes from the constraint vector, so
+    it holds whatever the model's weights are."""
 
-    def test_range_inside_gap_becomes_empty(self):
-        q = Query(0, ("t",), (Predicate("t.x", "range", lo=50.0, hi=55.0),))
-        out = clamp_query(q, {"t.x": self.REMAP})
-        assert out.predicates[0].op == "empty"
-
-    def test_straddling_range_remapped(self):
-        q = Query(0, ("t",), (Predicate("t.x", "range", lo=30.0, hi=70.0),))
-        out = clamp_query(q, {"t.x": self.REMAP})
-        p = out.predicates[0]
-        assert (p.lo, p.hi) == (pytest.approx(37.5), pytest.approx(62.5))
-
-    def test_untouched_predicates_pass_through(self):
-        q = Query(0, ("t",), (Predicate("t.c", "eq", value=1.0),
-                              Predicate("t.y", "range", lo=1.0, hi=2.0)))
-        out = clamp_query(q, {})
-        assert out.predicates == q.predicates
-
-    def test_outside_predicate_clamped(self):
-        q = Query(0, ("t",), (Predicate("t.x", "outside", lo=20.0, hi=80.0),))
-        out = clamp_query(q, {"t.x": self.REMAP})
-        p = out.predicates[0]
-        assert p.op == "outside"
-        assert p.lo == pytest.approx(25.0)   # image of 20
-        assert p.hi == pytest.approx(75.0)   # image of 80
+    @given(db_split=star_splits(), seed=st.integers(0, 2**32 - 1),
+           num_samples=st.integers(1, 64), cut=st.tuples(st.floats(0.05, 0.95),
+                                                          st.floats(0.05, 0.95)))
+    @settings(max_examples=60, deadline=None)
+    def test_gap_ranges_and_vanished_values(self, db_split, seed, num_samples, cut):
+        db, split = db_split
+        assume(all(t.row_count for t in split.retained))
+        model = tiny_star_model(db)
+        apply_domain_pruning(model, split)
+        preds = []
+        for col in model.columns:
+            tname, cname = col.name.split(".", 1)
+            if col.kind == CATEGORICAL:
+                spec = split.original_table(tname).spec(cname)
+                before, after = (np.unique(t.column(cname).astype(np.int64)) for t in
+                                 (split.original_table(tname), split.retained_table(tname)))
+                preds += [Predicate(col.name, "eq", value=float(spec.dictionary[c]))
+                          for c in np.setdiff1d(before, after)]
+            elif col.remap is not None:
+                subs = col.remap.subranges
+                for (_, b), (a, _) in zip(subs, subs[1:]):
+                    lo, hi = (b + f * (a - b) for f in sorted(cut))
+                    if b < lo <= hi < a:
+                        preds.append(Predicate(col.name, "range", lo=lo, hi=hi))
+        assume(preds)
+        for p in preds:
+            q = Query(0, (db.hub,), (p,))
+            est = estimate_selectivity(model, model_constraints(model, q), num_samples,
+                                       np.random.default_rng(seed))
+            assert est == 0.0, (p.column, p.op, p.value, p.lo, p.hi)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

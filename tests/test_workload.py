@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cardest.domains import NumericRemap, remap_array
 from cardest.errors import ValidationError
+from cardest.model import interval_bin_weights
 from cardest.queries import Predicate, Query, save_workload, serialize_query
 from cardest.relational import CATEGORICAL, NUMERICAL, Join, SchemaGraph, materialize_join
 from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
@@ -99,14 +101,13 @@ class TestQuerySerialization:
             Query(0, ("fact", "dim1"), (Predicate("fact.amount", "range", lo=1, hi=9),)),
             Query(1, ("fact",), (Predicate("fact.color", "eq", value=8.0),
                                  Predicate("fact.amount", "outside", lo=2.0, hi=5.0))),
-            Query(2, ("fact",), (Predicate("fact.amount", "range", lo=0.0, hi=4.0,
-                                           lo_strict=True, hi_strict=False),)),
         ]
         save_workload(queries, tmp_path / "w.txt")
         assert (tmp_path / "w.txt").read_text().splitlines() == \
             [serialize_query(q) for q in queries]
-        assert serialize_query(queries[2]) == \
-            "q2 | scope=fact | fact.amount in(] 0.0 4.0"
+        assert serialize_query(queries[0]) == "q0 | scope=fact,dim1 | fact.amount in[] 1.0 9.0"
+        assert serialize_query(queries[1]) == \
+            "q1 | scope=fact | fact.color eq 8.0 ; fact.amount outside 2.0 5.0"
 
 
 class TestComplementQuery:
@@ -144,10 +145,9 @@ class TestComplementQuery:
     def test_oq_and_cq_counts_add_up(self, star_db, seed):
         cfg = WorkloadConfig(focus_columns=("fact.amount", "dim2.val"), focus_prob=1.0)
         for q in gen_workload(star_db, 8, seed, cfg):
-            closed = [p for p in q.predicates
-                      if p.op == "range" and not (p.lo_strict or p.hi_strict)]
-            assert closed  # the focus predicate
-            for p in closed:
+            ranges = [p for p in q.predicates if p.op == "range"]
+            assert ranges  # the focus predicate
+            for p in ranges:
                 if sum(o.column == p.column for o in q.predicates) != 1:
                     continue
                 cq = complement_query(q, {p.column})
@@ -291,6 +291,49 @@ class TestModelConstraints:
         q = Query(0, ("fact",), (Predicate("fact.color", "eq", value=8.0),))
         w = model_constraints(model, q)["fact.color"]
         np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
+
+
+class TestRemappedConstraints:
+    """A remap with the gap (40, 60) on ``fact.amount`` (range [0, 100], 8
+    bins): numeric pieces are cut to the retained subranges and mapped."""
+    REMAP = NumericRemap(0.0, 100.0, ((0.0, 40.0), (60.0, 100.0)))
+
+    def weights(self, db, *preds, remap=REMAP):
+        model = tiny_star_model(db)
+        model.columns[model.column_index("fact.amount")].remap = remap
+        return model_constraints(model, Query(0, ("fact", "dim2"), preds))
+
+    def test_range_inside_gap_gives_zero_weights(self, star_db):
+        w = self.weights(star_db, Predicate("fact.amount", "range", lo=50.0, hi=55.0))
+        np.testing.assert_array_equal(w["fact.amount"], np.zeros(8))
+
+    def test_straddling_range_remapped(self, star_db):
+        w = self.weights(star_db, Predicate("fact.amount", "range", lo=30.0, hi=70.0))
+        np.testing.assert_array_equal(w["fact.amount"],
+                                      interval_bin_weights(37.5, 62.5, 0.0, 100.0, 8))
+
+    def test_outside_predicate_clamped(self, star_db):
+        # 20 and 80 map to 25 and 75; the outer ends stay at the column ends
+        w = self.weights(star_db, Predicate("fact.amount", "outside", lo=20.0, hi=80.0))
+        np.testing.assert_array_equal(
+            w["fact.amount"], interval_bin_weights(0.0, 25.0, 0.0, 100.0, 8) +
+            interval_bin_weights(75.0, 100.0, 0.0, 100.0, 8))
+
+    def test_outside_with_one_side_deleted_ends_at_column_end(self, star_db):
+        # nothing retained below 2; the image of 100 here is 99.99999999999999
+        remap = NumericRemap(0.0, 100.0, ((5.0, 30.0), (77.7, 100.0)))
+        w = self.weights(star_db, Predicate("fact.amount", "outside", lo=2.0, hi=90.0),
+                         remap=remap)
+        lo = float(remap_array(remap, [90.0])[0])
+        np.testing.assert_array_equal(w["fact.amount"],
+                                      interval_bin_weights(lo, 100.0, 0.0, 100.0, 8))
+
+    def test_column_without_remap_unchanged(self, star_db):
+        w = self.weights(star_db, Predicate("fact.color", "eq", value=8.0),
+                         Predicate("dim2.val", "range", lo=1.0, hi=2.0))
+        np.testing.assert_array_equal(w["fact.color"], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(w["dim2.val"],
+                                      interval_bin_weights(1.0, 2.0, 0.0, 100.0, 8))
 
 
 class TestConvergenceTrace:
