@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,12 @@ from .model import (ModelConfig, encode_relation, init_model,
                     load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
 from .relational import (Condition, DatasetSplit, DeletionTask, SchemaGraph,
-                         apply_deletion, attribute_specs, load_dataset,
+                         apply_deletion, join_keys, load_dataset,
                          materialize_join, save_dataset)
 from .unlearn import METHODS, CepConfig, run_method
-from .workload import (PERCENTILES, WorkloadConfig, complement_query,
-                       convergence_trace, evaluate, gen_workload)
+from .workload import (PERCENTILES, WorkloadConfig, check_focus_columns,
+                       complement_query, convergence_trace, evaluate,
+                       gen_workload)
 
 
 @dataclass
@@ -193,13 +194,16 @@ def _fmt(v) -> str:
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> Path:
+    """Generate the dataset, or validate and copy an external one.  It is
+    the first stage that knows the schema, so it also checks the workload's
+    focus columns against it."""
     out = cfg.output_dir / "data"
     if cfg.dataset_dir is not None:
-        db = load_dataset(cfg.dataset_dir)  # validate external data, then copy
-        save_dataset(db, out)
+        db = load_dataset(cfg.dataset_dir)
     else:
         db = gen_star_schema(cfg.datagen)
-        save_dataset(db, out)
+    check_focus_columns(db, cfg.workload.focus_columns)
+    save_dataset(db, out)
     write_manifest(out, "gen-data", cfg, {"tables": db.table_names()})
     return out
 
@@ -215,8 +219,7 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     out = cfg.output_dir / "model"
     out.mkdir(parents=True, exist_ok=True)
     rel = materialize_join(db.tables, db.joins, cap=cfg.join_cap)
-    specs = attribute_specs(rel)
-    model = init_model(specs, cfg.model, seed=cfg.seeds["model"])
+    model = init_model(rel.columns, cfg.model, seed=cfg.seeds["model"])
     codes, valid = encode_relation(model, rel)
     t0 = time.perf_counter()
     trace = train(model, codes[valid], cfg.seeds["model"])
@@ -257,12 +260,10 @@ def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
 
 def cmd_unlearn(cfg: ExperimentConfig, method: str,
                 cep_overrides: dict | None = None) -> Path:
-    if method not in METHODS:
-        raise ValidationError(f"--method must be one of {METHODS}")
-    cep_cfg = cfg.cep
-    if cep_overrides:
-        cep_cfg = CepConfig(**{**asdict(cfg.cep), **cep_overrides})
-        cep_cfg.validate()
+    """``cep_overrides`` maps ``CepConfig`` field names to the values that
+    replace the config's; they are range-checked like the config's own."""
+    cep_cfg = replace(cfg.cep, **(cep_overrides or {}))
+    cep_cfg.validate()
     split = _load_split(cfg)
     original = None
     if method != "retrain":
@@ -281,7 +282,7 @@ def cmd_unlearn(cfg: ExperimentConfig, method: str,
                [["total_seconds", repr(total)]])
     _write_csv(out / "trace.csv", ["step", "loss"],
                [[i, _fmt(v)] for i, v in enumerate(run.loss_trace)])
-    write_manifest(out, f"unlearn-{method}", cfg, {"method": method})
+    write_manifest(out, f"unlearn-{method}", cfg, {"method": method, "cep": asdict(cep_cfg)})
     return out
 
 
@@ -289,9 +290,10 @@ def _workloads(cfg: ExperimentConfig, db: SchemaGraph):
     """OQ and CQ workloads; regenerated deterministically on each call and
     persisted next to the stage outputs for inspection."""
     wl_cfg = cfg.workload
-    if not wl_cfg.focus_columns:
-        focus = tuple(f"{t}.{c}" for t, c in cfg.task.condition_columns())
-        wl_cfg = WorkloadConfig(**{**asdict(wl_cfg), "focus_columns": focus})
+    if not wl_cfg.focus_columns:  # the deletion's condition columns that are attributes
+        keys = join_keys(db.joins)
+        wl_cfg = replace(wl_cfg, focus_columns=tuple(
+            f"{t}.{c}" for t, c in cfg.task.condition_columns() if (t, c) not in keys))
     oq = gen_workload(db, wl_cfg.n_queries, cfg.seeds["workload"], wl_cfg)
     cond_cols = {f"{t}.{c}" for t, c in cfg.task.condition_columns()}
     cq = [c for q in oq if (c := complement_query(q, cond_cols)) is not None]
@@ -305,19 +307,16 @@ def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> P
         raise ValidationError("--query-types must be oq, cq, or both")
     db = _load_db(cfg)
     split = _load_split(cfg)
+    # the scale constant is the join of the tables the model was trained on
     if method == "stale":
-        ckpt = cfg.output_dir / "model" / "original.ckpt"
-        _require(ckpt, "cardest train")
+        ckpt, hint, scale_tables = (cfg.output_dir / "model" / "original.ckpt",
+                                    "cardest train", db.tables)
     else:
-        ckpt = cfg.output_dir / f"unlearn-{method}" / "model.ckpt"
-        _require(ckpt, f"cardest unlearn --method {method}")
+        ckpt, hint, scale_tables = (cfg.output_dir / f"unlearn-{method}" / "model.ckpt",
+                                    f"cardest unlearn --method {method}", split.retained)
+    _require(ckpt, hint)
     model = load_checkpoint(ckpt)
-
-    # the scale constant matches the distribution the model represents
-    if method == "stale":
-        total_rows = materialize_join(db.tables, db.joins, cap=cfg.join_cap).cardinality
-    else:
-        total_rows = split.retained_join(cfg.join_cap).cardinality
+    total_rows = materialize_join(scale_tables, db.joins, cap=cfg.join_cap).cardinality
 
     oq, cq = _workloads(cfg, db)
     labeled = []
@@ -340,11 +339,11 @@ def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> P
                  r.excluded_reason or ""] for r in report.rows])
     rows = []
     for qtype, pcts in sorted(report.percentiles.items()):
+        mine = [r for r in report.rows if qtype in ("ALL", r.qtype)]
         rows.append([method, qtype] + [_fmt(pcts[p]) for p in PERCENTILES] +
-                    [len(report.included(None if qtype == "ALL" else qtype)),
-                     report.excluded.get("model-zero", 0),
-                     report.excluded.get("true-zero", 0),
-                     total_rows])
+                    [sum(r.qerr is not None for r in mine)] +
+                    [sum(r.excluded_reason == why for r in mine)
+                     for why in ("model-zero", "true-zero")] + [total_rows])
     _write_csv(out / "summary.csv",
                ["method", "qtype", "p50", "p75", "p95", "p99",
                 "included", "excluded_model_zero", "excluded_true_zero", "scale_rows"],
@@ -409,6 +408,11 @@ def cmd_report(cfg: ExperimentConfig) -> Path:
 # entry point
 
 
+# the exit code of an error is that of the first class here it is an instance of
+EXIT_CODES = ((StageOrderingError, 3), (ValidationError, 2), (ConfigurationError, 2),
+              (CardestError, 4))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cardest",
                                  description="star-schema cardinality estimation "
@@ -425,11 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("delete", "apply the deletion task")
     p = add("unlearn", "produce an unlearned/baseline model")
     p.add_argument("--method", required=True, choices=METHODS)
+    # each override is stored under its CepConfig field name, None when absent
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--ns", type=int, default=None, help="sampling iterations")
+    p.add_argument("--ns", dest="sampling_iterations", type=int, default=None,
+                   help="sampling iterations")
     p.add_argument("--finetune-epochs", type=int, default=None)
-    p.add_argument("--no-domain-prune", action="store_true")
-    p.add_argument("--no-sensitivity-prune", action="store_true")
+    p.add_argument("--no-domain-prune", dest="domain_prune", action="store_false",
+                   default=None)
+    p.add_argument("--no-sensitivity-prune", dest="sensitivity_prune",
+                   action="store_false", default=None)
     p = add("eval", "evaluate a checkpoint on OQ/CQ workloads")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--query-types", default="both", choices=("oq", "cq", "both"))
@@ -448,33 +456,18 @@ def main(argv=None) -> int:
         elif args.command == "delete":
             out = cmd_delete(cfg)
         elif args.command == "unlearn":
-            overrides = {}
-            if args.alpha is not None:
-                overrides["alpha"] = args.alpha
-            if args.ns is not None:
-                overrides["sampling_iterations"] = args.ns
-            if args.finetune_epochs is not None:
-                overrides["finetune_epochs"] = args.finetune_epochs
-            if args.no_domain_prune:
-                overrides["domain_prune"] = False
-            if args.no_sensitivity_prune:
-                overrides["sensitivity_prune"] = False
-            out = cmd_unlearn(cfg, args.method, overrides)
+            flags = {f.name: getattr(args, f.name, None) for f in fields(CepConfig)}
+            out = cmd_unlearn(cfg, args.method,
+                              {k: v for k, v in flags.items() if v is not None})
         elif args.command == "eval":
             out = cmd_eval(cfg, args.method, args.query_types)
         else:
             out = cmd_report(cfg)
         print(out)
         return 0
-    except StageOrderingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CardestError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -126,11 +126,7 @@ def gen_star_schema(cfg: DataGenConfig) -> SchemaGraph:
     hub_columns: list[ColumnSpec] = []
     hub_data: list[np.ndarray] = []
     for d, n_dim in enumerate(cfg.dim_rows, start=1):
-        if skewed:
-            fk = rng.choice(n_dim, size=cfg.hub_rows,
-                            p=_zipf_probs(n_dim, cfg.zipf_s)).astype(np.int64)
-        else:
-            fk = rng.integers(0, n_dim, size=cfg.hub_rows).astype(np.int64)
+        fk = _draw_categorical(rng, cfg.hub_rows, n_dim, skewed, cfg.zipf_s)
         hub_columns.append(ColumnSpec(f"dim{d}_id", CATEGORICAL,
                                       dictionary=np.arange(n_dim, dtype=np.int64)))
         hub_data.append(fk)

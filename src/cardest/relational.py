@@ -130,15 +130,6 @@ class SchemaGraph:
                 stack.append(m)
         return paths
 
-    def key_columns(self, table: str) -> set[str]:
-        keys = set()
-        for j in self.joins:
-            if j.child == table:
-                keys.add(j.fk)
-            if j.parent == table:
-                keys.add(j.pk)
-        return keys
-
     def validate(self):
         names = self.table_names()
         if len(set(names)) != len(names):
@@ -318,15 +309,13 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
 class JoinRelation:
     """Materialized join over a connected subtree of tables containing the root.
 
-    ``data`` holds one array per output column.  Output columns are the root
-    table's columns followed by the other tables' in their given order, with
-    each join's parent-side key dropped (it duplicates the child's foreign
-    key).
+    ``data`` holds one array per output column.  The columns are exactly the
+    model attributes: the root table's columns followed by the other
+    tables' in their given order, without any join key (``join_keys``).
     """
     columns: list[ColumnSpec]       # qualified "table.column" names
     data: list[np.ndarray]
     cardinality: int
-    joins: list[Join]
 
     def column(self, qualified: str) -> np.ndarray:
         for spec, col in zip(self.columns, self.data):
@@ -360,16 +349,11 @@ def _pk_lookup(parent: TableData, pk: str) -> np.ndarray:
     return lut
 
 
-def _output_columns(tables, joins):
-    """(qualified spec, table, column) triples with parent-side keys dropped."""
-    dropped = {(j.parent, j.pk) for j in joins}
-    out = []
-    for t in tables:
-        for spec in t.columns:
-            if (t.name, spec.name) in dropped:
-                continue
-            out.append((replace(spec, name=f"{t.name}.{spec.name}"), t.name, spec.name))
-    return out
+def join_keys(joins: list[Join]) -> set[tuple[str, str]]:
+    """The (table, column) pair of every join key, on both sides of each
+    join.  Keys only connect tables: no join relation, and so no model or
+    workload, has them as attributes."""
+    return {key for j in joins for key in ((j.child, j.fk), (j.parent, j.pk))}
 
 
 def materialize_join(tables: list[TableData], joins: list[Join],
@@ -377,9 +361,12 @@ def materialize_join(tables: list[TableData], joins: list[Join],
     """Exact inner join of a connected subtree (root table listed first).
 
     Missing parent rows eliminate child rows, so the same routine joins
-    retained or deleted table versions.  Raises SizeError when the root's
-    row count exceeds ``cap`` (the ``join_cap`` config key).
+    retained or deleted table versions.  The key columns of every join
+    passed are dropped, also where the scope leaves that join out.  Raises
+    SizeError when the root's row count exceeds ``cap`` (the ``join_cap``
+    config key).
     """
+    keys = join_keys(joins)
     joins = _scope_joins(tables, joins)
     root = _root_table(tables, joins)
     lookup = {t.name: t for t in tables}
@@ -408,13 +395,13 @@ def materialize_join(tables: list[TableData], joins: list[Join],
         if not progressed:
             raise ValidationError("join edges do not reach all scope tables from the root")
 
-    n = len(row_idx[root])
-    ordered = [lookup[root]] + [t for t in tables if t.name != root]
     cols, data = [], []
-    for spec, tname, cname in _output_columns(ordered, joins):
-        cols.append(spec)
-        data.append(lookup[tname].column(cname)[row_idx[tname]])
-    return JoinRelation(columns=cols, data=data, cardinality=n, joins=joins)
+    for t in [lookup[root]] + [t for t in tables if t.name != root]:
+        for spec, col in zip(t.columns, t.data):
+            if (t.name, spec.name) not in keys:
+                cols.append(replace(spec, name=f"{t.name}.{spec.name}"))
+                data.append(col[row_idx[t.name]])
+    return JoinRelation(columns=cols, data=data, cardinality=len(row_idx[root]))
 
 
 def semi_join_deletion(split: DatasetSplit, table_index: int,
@@ -428,16 +415,6 @@ def semi_join_deletion(split: DatasetSplit, table_index: int,
     tables = list(split.original)
     tables[table_index] = split.deleted[table_index]
     return materialize_join(tables, split.joins, cap=cap)
-
-
-def attribute_specs(rel: JoinRelation) -> list[ColumnSpec]:
-    """Join-relation columns that are model attributes: everything except
-    the join keys, which exist only to connect tables."""
-    keys = set()
-    for j in rel.joins:
-        keys.add(f"{j.child}.{j.fk}")
-        keys.add(f"{j.parent}.{j.pk}")
-    return [s for s in rel.columns if s.name not in keys]
 
 
 def empirical_pmf(values: np.ndarray, spec: ColumnSpec, bins: int = 64) -> np.ndarray:

@@ -32,8 +32,7 @@ from .errors import ConfigurationError, ValidationError
 from .model import (ArDensityModel, ModelConfig, _is_int, _is_number,
                     batch_weight_grads, encode_relation, init_model, train)
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
-                         JoinRelation, attribute_specs, empirical_pmf,
-                         semi_join_deletion)
+                         JoinRelation, empirical_pmf, semi_join_deletion)
 
 LOSS_MODES = ("per_conditional", "joint_aggregated")
 METHODS = ("stale", "retrain", "finetune", "cep")
@@ -411,15 +410,15 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
             raise ConfigurationError("retrain needs a model config")
         # domains rebuilt from the retained tables: vanished categorical
         # values get no code, mirroring a from-scratch dictionary build
-        base_specs = attribute_specs(retained_rel)
         restrict = {}
-        for s in base_specs:
+        for s in retained_rel.columns:
             if s.kind == CATEGORICAL:
                 tname, cname = s.name.split(".", 1)
                 vals = split.retained_table(tname).column(cname)
                 restrict[s.name] = np.unique(vals.astype(np.int64))
         t0 = time.perf_counter()
-        model = init_model(base_specs, model_cfg, seed=seed, restrict_codes=restrict)
+        model = init_model(retained_rel.columns, model_cfg, seed=seed,
+                           restrict_codes=restrict)
         codes, valid = encode_relation(model, retained_rel)
         del retained_rel
         codes = codes[valid]

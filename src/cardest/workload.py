@@ -11,19 +11,18 @@ existed", for every method including stale.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import clamp_interval
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .model import (ArDensityModel, _is_int, _is_number, estimate_selectivity,
                     interval_bin_weights)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, Join, SchemaGraph,
-                         TableData, materialize_join)
+                         TableData, join_keys, materialize_join)
 
 PERCENTILES = (50, 75, 95, 99)
 
@@ -74,6 +73,20 @@ def _make_predicate(rng, table: TableData, spec) -> Predicate:
     return Predicate(qual, "range", lo=lo, hi=hi)
 
 
+def check_focus_columns(db: SchemaGraph, focus_columns: tuple[str, ...]):
+    """Raise ConfigurationError unless every focus column names an attribute:
+    a column of one of the schema's tables that is not a join key."""
+    keys = join_keys(db.joins)
+    for qual in focus_columns:
+        tname, cname = qual.split(".", 1)
+        try:
+            db.table(tname).spec(cname)
+        except ConfigurationError as exc:  # an unknown table or column
+            raise ConfigurationError(f"focus column {qual!r}: {exc}") from exc
+        if (tname, cname) in keys:
+            raise ConfigurationError(f"focus column {qual!r} is a join key, not an attribute")
+
+
 def gen_workload(db: SchemaGraph, n_queries: int, seed: int,
                  cfg: WorkloadConfig) -> list[Query]:
     """Deterministic random workload over the schema's attribute columns.
@@ -83,11 +96,11 @@ def gen_workload(db: SchemaGraph, n_queries: int, seed: int,
     drawn table joins the scope only when every table on its path to the
     hub was drawn too; a focus column brings its table's path along.  On a
     star every path is the hub alone, so each drawn table joins."""
+    check_focus_columns(db, cfg.focus_columns)
     rng = np.random.default_rng(seed)
-    by_table = {}
-    for t in db.tables:
-        keys = db.key_columns(t.name)
-        by_table[t.name] = [s for s in t.columns if s.name not in keys]
+    keys = join_keys(db.joins)
+    by_table = {t.name: [s for s in t.columns if (t.name, s.name) not in keys]
+                for t in db.tables}
     dims = [t.name for t in db.tables if t.name != db.hub]
     order = db.table_names()
     paths = db.hub_paths()
@@ -203,9 +216,8 @@ class QErrorReport:
     excluded: dict[str, int]
     degenerate: bool
 
-    def included(self, qtype: str | None = None) -> list[float]:
-        return [r.qerr for r in self.rows
-                if r.qerr is not None and (qtype is None or r.qtype == qtype)]
+    def included(self) -> list[float]:
+        return [r.qerr for r in self.rows if r.qerr is not None]
 
 
 def summarize(rows: list[QueryResult]) -> QErrorReport:
@@ -262,7 +274,7 @@ def model_constraints(model: ArDensityModel, q: Query) -> dict[str, np.ndarray]:
 def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
              retained_tables: list[TableData], joins: list[Join],
              total_rows: int, seed: int, num_samples: int = 512,
-             cap: int = JOIN_CAP_DEFAULT, threads: int | None = None) -> QErrorReport:
+             cap: int = JOIN_CAP_DEFAULT, threads: int = 1) -> QErrorReport:
     """Estimate every query, score against retained-database ground truth,
     and summarize percentiles.
 
@@ -270,16 +282,10 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
     model represents: the original full-join cardinality for stale models,
     the retained one for retrain/finetune/cep.  Per-query RNG streams are
     derived from (seed, qtype, qid), so results are identical however the
-    evaluation is ordered or parallelized.  Each estimate carries its
-    progressive-sampling standard error, scaled by ``total_rows`` like the
-    estimate itself.
+    evaluation is ordered and on any number of ``threads``.  Each estimate
+    carries its progressive-sampling standard error, scaled by
+    ``total_rows`` like the estimate itself.
     """
-    if threads is None:
-        env = os.environ.get("CEP_THREADS", "1")
-        if not (env.isdigit() and int(env) >= 1):
-            raise ValidationError(f"CEP_THREADS must be an integer >= 1, got {env!r}")
-        threads = int(env)
-
     def one(item):
         k, (qtype, q) = item
         rng = np.random.default_rng(

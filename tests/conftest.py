@@ -23,7 +23,7 @@ from cardest.model import (ArDensityModel, ModelConfig, _log_softmax,
                            batch_nll_terms, forward, init_model, loss_and_grad)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, TableData,
-                                apply_deletion)
+                                apply_deletion, join_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def star_splits(draw):
             conditions.append(Condition(t.name))
             continue
         spec = draw(st.sampled_from([c for c in t.columns
-                                     if c.name not in db.key_columns(t.name)]))
+                                     if (t.name, c.name) not in join_keys(db.joins)]))
         if spec.kind == CATEGORICAL:
             value = draw(st.sampled_from(spec.dictionary.tolist()))
             conditions.append(Condition(t.name, spec.name, value=value))

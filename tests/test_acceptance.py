@@ -23,8 +23,7 @@ from cardest.model import (ModelConfig, encode_relation, estimate_selectivity,
                            init_model, loss_and_grad, train)
 from cardest.queries import Predicate, Query
 from cardest.relational import (Condition, DeletionTask, apply_deletion,
-                                attribute_specs, materialize_join,
-                                semi_join_deletion)
+                                materialize_join, semi_join_deletion)
 from cardest.unlearn import (CepConfig, accumulate_scores, column_shift_weights,
                              effective_column_weights, prune_step, run_method,
                              zero_scores)
@@ -115,7 +114,7 @@ def desk():
                                            seed=100 + s))
         rel = materialize_join(db.tables, db.joins)
         mc = ModelConfig(epochs=30)
-        original = init_model(attribute_specs(rel), mc, seed=200 + s)
+        original = init_model(rel.columns, mc, seed=200 + s)
         assert original.parameter_count() <= 200_000
         codes, _ = encode_relation(original, rel)
         train(original, codes, seed=200 + s)
@@ -220,7 +219,7 @@ def _small_join_model():
     rel = materialize_join(db.tables, db.joins)
     cfg = ModelConfig(embedding_dim=4, hidden_dim=16, residual_blocks=2,
                       dropout=0.0, numeric_bins=8, epochs=10)
-    model = init_model(attribute_specs(rel), cfg, seed=22)
+    model = init_model(rel.columns, cfg, seed=22)
     codes, _ = encode_relation(model, rel)
     train(model, codes, seed=23)
     return db, model

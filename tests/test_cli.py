@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from cardest.cli import load_config, main
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import ConfigurationError, ValidationError
 from cardest.relational import load_dataset, save_dataset
+from cardest.unlearn import CepConfig
 from conftest import rewrite_checkpoint
 
 
@@ -71,6 +74,16 @@ class TestStages:
         consolidated = (run_dir / "report" / "consolidated.md").read_text()
         assert "cep" in consolidated or "| stale |" in consolidated
         assert (run_dir / "report" / "convergence.csv").exists()
+
+    def test_task_on_join_key_reaches_eval(self, tmp_path):
+        # the key is no model column, so the workload does not focus on it
+        cfg = write_config(tmp_path, task={"name": "A-1-1.0", "conditions": [
+            {"table": "fact", "column": "dim1_id", "value": 3}]})
+        for stage in ("gen-data", "train", "delete"):
+            assert run(stage, cfg) == 0
+        assert main(["unlearn", "-c", str(cfg), "--method", "cep"]) == 0
+        assert main(["eval", "-c", str(cfg), "--method", "cep"]) == 0
+        assert "dim1_id" not in (tmp_path / "run" / "workload_oq.txt").read_text()
 
     def test_stage_ordering_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -200,6 +213,19 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(doc))
         self.check_rejected(path, capsys, field)
 
+    @pytest.mark.parametrize("focus,match", [
+        ("nope.amount", "unknown table 'nope'"), ("fact.nope", "unknown column 'nope'"),
+        ("fact.dim1_id", "'fact.dim1_id' is a join key")])
+    def test_focus_column_not_an_attribute_exits_2_at_gen_data(self, tmp_path, capsys,
+                                                               focus, match):
+        # well-formed, so it loads; gen-data is the first stage that knows the schema
+        path = write_config(tmp_path, workload={"focus_columns": [focus]})
+        load_config(path)
+        assert run("gen-data", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "data" / "schema.txt").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("hub_rows", 1.5), ("hub_rows", 0), ("dim_rows", [30, 0]), ("hub_cat_cards", [0]),
         ("dim_cat_cards", 5), ("numeric_range", [0.0]), ("numeric_range", [0.0, float("inf")]),
@@ -281,16 +307,30 @@ class TestDeterminismAndAblation:
     def test_alpha_and_ns_flags(self, tmp_path):
         cfg, run_dir = self.prep(tmp_path)
         assert main(["unlearn", "-c", str(cfg), "--method", "cep",
-                     "--alpha", "0.1", "--ns", "2"]) == 0
+                     "--alpha", "0.1", "--ns", "2", "--no-domain-prune"]) == 0
         assert (run_dir / "unlearn-cep" / "model.ckpt").exists()
+        # the manifest records the cep config that ran: the file's, overridden
+        doc = json.loads((run_dir / "unlearn-cep" / "manifest.json").read_text())
+        assert doc["cep"] == {**asdict(CepConfig()), "alpha": 0.1, "sampling_iterations": 2,
+                              "batch_size": 32, "finetune_epochs": 2, "domain_prune": False}
 
-    @pytest.mark.parametrize("threads", ["two", "0"])
-    def test_bad_cep_threads_exits_2(self, tmp_path, capsys, monkeypatch, threads):
-        cfg, _ = self.prep(tmp_path)
-        monkeypatch.setenv("CEP_THREADS", threads)
-        assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 2
-        err = capsys.readouterr().err
-        assert "CEP_THREADS" in err and "Traceback" not in err
+    def test_summary_exclusions_are_per_query_type(self, tmp_path):
+        cfg, run_dir = self.prep(tmp_path)
+        assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 0
+        with open(run_dir / "eval-stale" / "report.csv", newline="") as fh:
+            report = list(csv.DictReader(fh))
+        with open(run_dir / "eval-stale" / "summary.csv", newline="") as fh:
+            summary = {row["qtype"]: row for row in csv.DictReader(fh)}
+        assert set(summary) == {"ALL", "OQ", "CQ"}
+        for qtype, row in summary.items():
+            mine = [r for r in report if qtype in ("ALL", r["type"])]
+            for reason in ("model-zero", "true-zero"):
+                column = "excluded_" + reason.replace("-", "_")
+                assert int(row[column]) == sum(r["excluded_reason"] == reason for r in mine)
+        # the stale model keeps mass on the deleted rows: both query types
+        # hold true-zero queries, so no row repeats the total
+        assert 0 < int(summary["OQ"]["excluded_true_zero"]) < \
+            int(summary["ALL"]["excluded_true_zero"])
 
     def test_malformed_checkpoint_exits_4(self, tmp_path, capsys):
         cfg, run_dir = self.prep(tmp_path)

@@ -11,8 +11,8 @@ from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, apply_deletion,
-                                _read_csv, empirical_pmf, load_dataset,
-                                materialize_join, save_dataset,
+                                _read_csv, empirical_pmf, join_keys,
+                                load_dataset, materialize_join, save_dataset,
                                 semi_join_deletion)
 from conftest import (make_table, nested_loop_join, reference_read_csv,
                       reference_save_csv, star_splits)
@@ -131,9 +131,8 @@ class TestMaterializeJoin:
         rel = materialize_join(star_db.tables, star_db.joins)
         names = [s.name for s in rel.columns]
         assert names[0].startswith("fact.")
-        # parent pk columns are deduplicated away
-        assert "dim1.id" not in names and "dim2.id" not in names
-        assert "fact.d1" in names
+        # join keys, on both sides of each join, are not attributes
+        assert not {"dim1.id", "dim2.id", "fact.d1", "fact.d2"} & set(names)
 
 
 class TestSemiJoinDeletion:
@@ -196,10 +195,13 @@ def star_join_rows(tables, joins):
     """Brute-force star join, the hub listed first and every join from the
     hub to one dimension: for each hub row, a nested loop over each
     dimension's rows keeps those whose key equals the hub row's foreign key.
-    Returns the output column names (every column except the dimension
-    keys) and the sorted output rows."""
+    Returns the output column names (every column except the keys on both
+    sides of each join) and the sorted output rows."""
     hub, dims = tables[0], {t.name: t for t in tables[1:]}
-    names = [f"{hub.name}.{spec.name}" for spec in hub.columns]
+    fks = {j.fk for j in joins}
+    hub_cols = [(spec, col) for spec, col in zip(hub.columns, hub.data)
+                if spec.name not in fks]
+    names = [f"{hub.name}.{spec.name}" for spec, _ in hub_cols]
     for j in joins:
         names += [f"{j.parent}.{spec.name}" for spec in dims[j.parent].columns
                   if spec.name != j.pk]
@@ -213,7 +215,7 @@ def star_join_rows(tables, joins):
             matches = [[float(col[d]) for col in others]
                        for d in range(dim.row_count) if keys[d] == fk]
             combos = [c + m for c in combos for m in matches]
-        rows += [tuple([float(col[h]) for col in hub.data] + c) for c in combos]
+        rows += [tuple([float(col[h]) for _, col in hub_cols] + c) for c in combos]
     return names, sorted(rows)
 
 
@@ -326,11 +328,16 @@ class TestEmpiricalPmf:
             empirical_pmf(np.array([], dtype=np.int64), spec)
 
 
-def test_attribute_specs_exclude_keys(star_db):
-    from cardest.relational import attribute_specs
+def test_join_columns_are_the_attributes(star_db):
+    # every join relation holds the same non-key columns in table order,
+    # also a scope that leaves a join out
     rel = materialize_join(star_db.tables, star_db.joins)
-    names = {s.name for s in attribute_specs(rel)}
-    assert names == {"fact.color", "fact.amount", "dim1.grp", "dim2.val"}
+    assert [s.name for s in rel.columns] == ["fact.color", "fact.amount", "dim1.grp",
+                                             "dim2.val"]
+    hub_only = materialize_join(star_db.tables[:1], star_db.joins)
+    assert [s.name for s in hub_only.columns] == ["fact.color", "fact.amount"]
+    assert join_keys(star_db.joins) == {("fact", "d1"), ("dim1", "id"), ("fact", "d2"),
+                                        ("dim2", "id")}
 
 
 def test_join_graph_must_reach_every_table(star_db):

@@ -196,11 +196,10 @@ class TestAccumulateScores:
 
 def tiny_star_model(db, seed=0, prunable=True):
     from cardest.model import ModelConfig, init_model
-    from cardest.relational import attribute_specs
     rel = materialize_join(db.tables, db.joins)
     cfg = ModelConfig(embedding_dim=2, hidden_dim=8, residual_blocks=1,
                       dropout=0.0, numeric_bins=8)
-    return init_model(attribute_specs(rel), cfg, seed=seed)
+    return init_model(rel.columns, cfg, seed=seed)
 
 
 class TestPruneStep:
@@ -467,9 +466,7 @@ class TestFineTuneAndRunMethod:
         # model is loaded from a checkpoint, as ``cardest unlearn`` loads it,
         # so its theta and keep share one buffer
         from cardest.model import ModelConfig, init_model
-        from cardest.relational import attribute_specs
-        save_checkpoint(init_model(attribute_specs(materialize_join(star_db.tables,
-                                                                    star_db.joins)),
+        save_checkpoint(init_model(materialize_join(star_db.tables, star_db.joins).columns,
                                    ModelConfig(dropout=0.0), seed=0), tmp_path / "m.ckpt")
         model = load_checkpoint(tmp_path / "m.ckpt")
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),
@@ -540,7 +537,6 @@ class TestScoreDeterminismAndRegrowth:
         # score accumulation runs with dropout off, so a dropout-enabled
         # config yields the same scores as a dropout-free one
         from cardest.model import ModelConfig, init_model
-        from cardest.relational import attribute_specs
         rel = materialize_join(star_db.tables, star_db.joins)
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), 0.8)
         split = apply_deletion(star_db, task, seed=1)
@@ -549,7 +545,7 @@ class TestScoreDeterminismAndRegrowth:
         for dropout in (0.0, 0.5):
             cfg = ModelConfig(embedding_dim=2, hidden_dim=8, residual_blocks=1,
                               dropout=dropout, numeric_bins=8)
-            m = init_model(attribute_specs(rel), cfg, seed=3)
+            m = init_model(rel.columns, cfg, seed=3)
             sc = accumulate_scores(m, rel_k, np.ones(m.ncols), 3, 4,
                                    np.random.default_rng(5))
             results.append(sc)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cardest.domains import NumericRemap, remap_array
-from cardest.errors import ValidationError
+from cardest.errors import ConfigurationError, ValidationError
 from cardest.model import interval_bin_weights
 from cardest.queries import Predicate, Query, save_workload, serialize_query
 from cardest.relational import CATEGORICAL, NUMERICAL, Join, SchemaGraph, materialize_join
@@ -67,6 +67,15 @@ class TestGenWorkload:
         hits = sum(any(p.column == "fact.amount" for p in q.predicates)
                    for q in queries)
         assert hits == 20
+
+    @pytest.mark.parametrize("focus,match", [
+        ("nope.amount", "unknown table"), ("fact.nope", "unknown column"),
+        ("fact.d1", "join key"), ("dim1.id", "join key")])
+    def test_focus_column_must_be_an_attribute(self, star_db, focus, match):
+        # checked before any query is drawn, however rarely focus is used
+        cfg = WorkloadConfig(focus_columns=("fact.amount", focus), focus_prob=0.0)
+        with pytest.raises(ConfigurationError, match=f"focus column '{focus}'.*{match}"):
+            gen_workload(star_db, 5, seed=3, cfg=cfg)
 
     def test_depth_two_tree_scopes_are_connected(self):
         # fact -> dim1 -> sub1: sub1 joins a scope only through dim1, so a
@@ -354,16 +363,6 @@ class TestConvergenceTrace:
 
 
 class TestEnvAndErrors:
-    def test_cep_threads_env(self, star_db, monkeypatch):
-        model = tiny_star_model(star_db)
-        queries = gen_workload(star_db, 4, seed=4, cfg=WorkloadConfig())
-        labeled = [("OQ", q) for q in queries]
-        rel = materialize_join(star_db.tables, star_db.joins)
-        monkeypatch.setenv("CEP_THREADS", "3")
-        rep = evaluate(model, labeled, star_db.tables, star_db.joins,
-                       rel.cardinality, seed=2, num_samples=16)
-        assert len(rep.rows) == 4
-
     def test_true_cardinality_cap(self, star_db):
         q = Query(0, ("fact", "dim1"), ())
         from cardest.errors import SizeError
