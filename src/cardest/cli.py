@@ -219,10 +219,13 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     out = cfg.output_dir / "model"
     out.mkdir(parents=True, exist_ok=True)
     rel = materialize_join(db.tables, db.joins, cap=cfg.join_cap)
+    join_rows = rel.cardinality
     model = init_model(rel.columns, cfg.model, seed=cfg.seeds["model"])
     codes, valid = encode_relation(model, rel)
+    codes = codes[valid]
+    del db, rel, valid   # freed before training, which sets the stage's peak
     t0 = time.perf_counter()
-    trace = train(model, codes[valid], cfg.seeds["model"])
+    trace = train(model, codes, cfg.seeds["model"])
     train_seconds = time.perf_counter() - t0
     save_checkpoint(model, out / "original.ckpt")
     _write_csv(out / "train_trace.csv", ["step", "loss"],
@@ -230,7 +233,7 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     _write_csv(out / "timing.csv", ["stage", "seconds"],
                [["train_seconds", repr(train_seconds)]])
     write_manifest(out, "train", cfg, {"parameters": model.parameter_count(),
-                                       "join_rows": rel.cardinality})
+                                       "join_rows": join_rows})
     return out
 
 
@@ -372,15 +375,16 @@ def cmd_report(cfg: ExperimentConfig) -> Path:
                 summary_rows.append(row)
                 lines.append("| {method} | {qtype} | {p50} | {p75} | {p95} | {p99} |"
                              " {included} |".format(**row))
-    lines += ["", "# Timings", "", "| method | stage | seconds |", "|---|---|---|"]
+    (out / "consolidated.md").write_text("\n".join(lines) + "\n")
+    # wall-clock times go to a timing file of their own, so that every other
+    # report file is byte-identical between reruns
+    timings = []
     for method in METHODS:
         timing = cfg.output_dir / f"unlearn-{method}" / "timing.csv"
-        if not timing.exists():
-            continue
-        with open(timing, newline="") as fh:
-            for row in csv.DictReader(fh):
-                lines.append(f"| {method} | {row['stage']} | {row['seconds']} |")
-    (out / "consolidated.md").write_text("\n".join(lines) + "\n")
+        if timing.exists():
+            with open(timing, newline="") as fh:
+                timings += [[method, r["stage"], r["seconds"]] for r in csv.DictReader(fh)]
+    _write_csv(out / "timings.csv", ["method", "stage", "seconds"], timings)
     if summary_rows:
         _write_csv(out / "summary_all.csv", list(summary_rows[0].keys()),
                    [list(r.values()) for r in summary_rows])

@@ -25,45 +25,46 @@ costs about one forward pass in total and gives ``forward``'s numbers up to
 the order of floating-point sums.  The sampler reads ``params`` in place,
 through slices, and keeps its per-path state in one workspace per call.
 
-Training runs ``loss_and_grad`` and then ``AdamState.step`` once per batch.
-``train`` keeps one workspace dict for its whole run and passes it to every
-``loss_and_grad`` call, which writes into it the forward activations, the
-dropout masks, the backward deltas and the ``theta``-sized gradient.  So a
-step holds one gradient, not the last step's as well, and reuses the same
-arrays instead of mapping fresh pages; the gradient a call returns lives in
-that workspace and is overwritten by the next call.  Sensitivity scoring
-runs ``batch_weight_grads``, which needs the dense weight gradients only,
-for several batches stacked into one forward pass whose arrays live in a
-workspace the caller keeps across calls in the same way.  Both carry the
-gradient down the network through the same backward pass, which hands each
-dense layer's activations and output gradient to the caller.  ``forward``
-caches only what that pass reads: the gathered inputs, and per residual
-block the block input after its ReLU (``a``) and the inner layer's output
-after ReLU and dropout (``d``), with the dropout mask; the residual stream
-is one array updated in place, and ends as the final ReLU's output.  The
-backward pass takes every ReLU mask from those outputs, which is exact (see
-``_backward``).  Every part of the gradient is written on every call, in
-place: ``out=`` matrix products and sums, and one ``np.bincount`` for the
-embedding rows, whose input slots ``forward`` gathers with one index into
-the embedding tail.  Each column's log-softmax is computed once per step
-and serves both the loss and the probabilities.  Adam updates ``m``, ``v``
-and ``theta`` chunk by chunk through two chunk-sized work vectors it
-allocates once, so a step allocates nothing the size of ``theta``.  Each of
-these does the same floating-point operations in the same order as the
-plain expressions, so trained weights and loss traces are byte-identical to
-what those give.
+Training fuses the gradient and the update, as LOMO (Lv et al., 2023)
+does, since a gradient is dead once Adam has read it: ``train`` passes
+``loss_and_grad`` Adam's slice update, and the backward pass hands it each
+run of dense-layer gradients as soon as the delta has passed those
+weights, then the bias and embedding tail.  So a step holds ``theta``,
+``m``, ``v``, the one-byte ``keep`` and gradient buffers of one layer's
+size, and a non-finite loss, checked before the backward pass, leaves
+``theta`` as it was.  ``train`` keeps one workspace dict for its whole
+run, so every step reuses the same arrays instead of mapping fresh pages.
+Sensitivity scoring runs ``batch_weight_grads``, which needs the dense
+weight gradients only, for several batches stacked into one forward pass
+whose arrays live in a workspace the caller keeps in the same way.  Both
+carry the gradient down the network through the same backward pass, which
+hands each dense layer's activations and output gradient to the caller.
+``forward`` caches only what that pass reads: the gathered inputs, and
+per residual block the block input after its ReLU (``a``) and the inner
+layer's output after ReLU and dropout (``d``); the residual stream is one
+array updated in place, and ends as the final ReLU's output.  The backward
+pass takes every ReLU and dropout mask from those outputs, which is exact
+(see ``_backward``).  Every part of the gradient is written on every call,
+in place: ``out=`` matrix products and sums, and one ``np.bincount`` for
+the embedding rows, whose input slots ``forward`` gathers with one index
+into the embedding tail.  Each column's log-softmax is computed once per
+step and serves both the loss and the probabilities.  Adam updates ``m``,
+``v`` and ``theta`` chunk by chunk through two chunk-sized work vectors it
+allocates once.  Each of these does the same floating-point operations in
+the same order as the plain expressions, so trained weights and loss
+traces are byte-identical to what those give.
 
 Everything is float64 and driven by explicit numpy Generators; training,
 scoring, and inference are deterministic given seeds.  All parameters live
 in one vector ``theta``: the dense weights in ``weight_keys()`` order, then
 their biases, then one embedding table per column; ``params`` and
-``embeddings`` are views into it.  One keep-mask ``keep`` (1 = trainable)
-covers the dense-weight prefix and is the product of the MADE connectivity
-and the unlearning prune mask.  Every position where ``keep`` is 0 holds
-exactly 0 and gets a zero gradient, and the optimizer re-zeroes it after
-each step, so the network reads the weights as they are, with no mask
-product on the way.  Checkpoints are outside input to that invariant and
-are checked for it when loaded.
+``embeddings`` are views into it.  One bool keep-mask ``keep`` (True =
+trainable) covers the dense-weight prefix and is the product of the MADE
+connectivity and the unlearning prune mask.  Every position where ``keep``
+is False holds exactly 0 and gets a zero gradient, and the optimizer
+re-zeroes it after each update, so the network reads the weights as they
+are, with no mask product on the way.  Checkpoints are outside input to
+that invariant and are checked for it when loaded.
 """
 from __future__ import annotations
 
@@ -86,9 +87,9 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 3
-# elements per Adam chunk: the six chunk-sized float64 arrays a step streams
-# take 1.5 MB, inside a 2 MB L2
+CHECKPOINT_VERSION = 4
+# elements per Adam chunk: the six chunk-sized float64 arrays an update
+# streams take 1.5 MB, inside a 2 MB L2
 ADAM_CHUNK = 32_768
 
 
@@ -177,7 +178,7 @@ class ArDensityModel:
     columns: list[ModelColumn]
     order: np.ndarray          # positions -> column index
     theta: np.ndarray          # every parameter, in _parameter_shapes() order
-    keep: np.ndarray           # dense-weight prefix of theta: connectivity x prune
+    keep: np.ndarray           # bool, dense-weight prefix of theta: connectivity x prune
     params: dict[str, np.ndarray] = field(init=False)   # weight and bias views
     embeddings: list[np.ndarray] = field(init=False)    # per column: (domain, emb) view
 
@@ -208,20 +209,23 @@ class ArDensityModel:
         keys.append("w_out")
         return keys
 
-    def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a vector in ``theta`` layout, keyed by parameter name.  A
-        vector as long as ``keep`` yields the dense weights only."""
-        views, off = {}, 0
+    def unflatten(self, vec: np.ndarray, start: int = 0) -> dict[str, np.ndarray]:
+        """Views of a vector in ``theta`` layout from element ``start`` on,
+        keyed by parameter name.  A vector as long as ``keep`` yields the
+        dense weights only; one that starts at ``keep.size`` and runs to the
+        end of ``theta``, the biases and embeddings."""
+        views, off = {}, -start
         for key, shape in _parameter_shapes(self.cfg, self.columns).items():
             if off == vec.size:
                 break
             n = math.prod(shape)
-            views[key] = vec[off:off + n].reshape(shape)
+            if off >= 0:
+                views[key] = vec[off:off + n].reshape(shape)
             off += n
         return views
 
     def connectivity(self) -> np.ndarray:
-        """MADE connectivity over the dense-weight prefix of ``theta`` (1 =
+        """MADE connectivity over the dense-weight prefix of ``theta`` (True =
         connected), rebuilt from the column order and domain sizes."""
         in_deg, hid_deg = _degrees(self.ncols, self.cfg.embedding_dim,
                                    self.cfg.hidden_dim)
@@ -229,8 +233,7 @@ class ArDensityModel:
         hid = (hid_deg[None, :] >= hid_deg[:, None]).ravel()
         return np.concatenate([(hid_deg[None, :] >= in_deg[:, None]).ravel()]
                               + [hid] * (2 * self.cfg.residual_blocks)
-                              + [(out_deg[None, :] > hid_deg[:, None]).ravel()]
-                              ).astype(np.float64)
+                              + [(out_deg[None, :] > hid_deg[:, None]).ravel()])
 
     def logit_offsets(self) -> np.ndarray:
         sizes = [c.domain_size for c in self.columns]
@@ -253,7 +256,7 @@ class ArDensityModel:
     def eligible_weight_count(self) -> int:
         """Dense weight positions allowed by the connectivity mask; this is
         the pool the prune budget is computed over."""
-        return int(self.connectivity().sum())
+        return int(np.count_nonzero(self.connectivity()))
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -331,7 +334,7 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
                      else range(len(columns)), dtype=np.int64)
     size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
     model = ArDensityModel(cfg=cfg, columns=columns, order=order,
-                           theta=np.zeros(size), keep=np.empty(0))
+                           theta=np.zeros(size), keep=np.empty(0, dtype=bool))
     rng = np.random.default_rng(seed)
     for k in model.weight_keys()[:-1]:
         w = model.params[k]
@@ -365,12 +368,14 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     activations, dropout masks and logits are written into arrays the
     ``work`` dict keeps (a fresh dict when none is given), so calls on
     batches of one size reuse the same memory; the returned arrays are then
-    overwritten by the next such call.
+    overwritten by the next such call.  Every block draws its dropout mask
+    into the same array.
 
     The cache holds what ``_backward`` reads and nothing else: the gathered
     embedding rows (``A0``, with their ``rows``), each residual block's
-    ``a`` = relu(h) and ``d`` = relu(z) * dmask (``dmask`` None without
-    dropout), and ``hf``, the final relu(h).  The residual stream ``h`` is
+    ``a`` = relu(h) and ``d`` = relu(z) * dmask, the dropout mask's non-zero
+    value 1 / (1 - dropout) (``dropout_scale``, None without dropout), and
+    ``hf``, the final relu(h).  The residual stream ``h`` is
     one array: ``h += u`` gives the bits ``u + h`` would, and a block's
     ``h`` and ``z`` are not needed once ``a`` and ``d`` exist.
     """
@@ -389,8 +394,8 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     A0 = table[rows].reshape(B, -1)
 
     keep = 1.0 - model.cfg.dropout
-    use_dropout = training and model.cfg.dropout > 0.0
-    cache = {"rows": rows, "A0": A0, "blocks": []}
+    scale = 1.0 / keep if training and model.cfg.dropout > 0.0 else None
+    cache = {"rows": rows, "A0": A0, "blocks": [], "dropout_scale": scale}
 
     h = np.matmul(A0, P["w_in"], out=_buffer(work, "h", hid))
     h += P["b_in"]
@@ -400,15 +405,14 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
         d = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"d{r}", hid))
         d += P[f"b1_{r}"]
         np.maximum(d, 0.0, out=d)
-        dmask = None
-        if use_dropout:
-            dmask = rng.random(out=_buffer(work, f"m{r}", hid))
-            np.multiply(dmask < keep, 1.0 / keep, out=dmask)
+        if scale is not None:
+            dmask = rng.random(out=_buffer(work, "dmask", hid))
+            np.multiply(dmask < keep, scale, out=dmask)
             d *= dmask
         np.matmul(d, P[f"w2_{r}"], out=u)
         u += P[f"b2_{r}"]
         h += u
-        cache["blocks"].append({"a": a, "d": d, "dmask": dmask})
+        cache["blocks"].append({"a": a, "d": d})
     hf = np.maximum(h, 0.0, out=h)
     cache["hf"] = hf
     logits = np.matmul(hf, P["w_out"], out=_buffer(work, "logits", (B, offs[-1])))
@@ -478,11 +482,14 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
 
     Each ReLU mask is read off that ReLU's cached output: relu(x) > 0
     exactly where x > 0, so ``hf > 0`` and ``a > 0`` are the masks of the
-    pre-activations.  ``d > 0`` is too wherever the dropout mask is
-    non-zero, since it scales by 1 / keep >= 1; where the dropout mask is
-    0, ``dz`` has already been multiplied by it, and either mask leaves the
-    same signed zero."""
+    pre-activations.  ``d > 0`` holds exactly where both the ReLU and the
+    dropout mask pass, and the mask is ``dropout_scale`` there, so
+    ``(dz * [d > 0]) * dropout_scale`` gives the bits of
+    ``(dz * dmask) * [z > 0]``, signed zeros, infinities and NaNs included;
+    only a ``dz * dropout_scale`` that overflows where the ReLU blocks would
+    give 0 here and NaN there."""
     P = model.params
+    scale = cache["dropout_scale"]
     hf = cache["hf"]
     sink("w_out", hf, dlogits)
     dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hf.shape))
@@ -491,9 +498,9 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
         blk = cache["blocks"][r]
         sink(f"w2_{r}", blk["d"], dh)
         dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hf.shape))
-        if blk["dmask"] is not None:
-            dz *= blk["dmask"]
         dz *= blk["d"] > 0.0
+        if scale is not None:
+            dz *= scale
         sink(f"w1_{r}", blk["a"], dz)
         da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hf.shape))
         da *= blk["a"] > 0.0
@@ -505,20 +512,28 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
 def loss_and_grad(model: ArDensityModel, X: np.ndarray,
                   column_weights: np.ndarray | None = None,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  work: dict | None = None):
+                  work: dict | None = None, update=None):
     """Weighted NLL and its exact gradient, averaged over the batch.
 
     The loss is mean_batch sum_i w_i * (-log p(col_i | earlier columns)).
-    The gradient is a vector in ``theta`` layout, exactly zero wherever
-    ``keep`` is 0.  It lives in ``work``, with the forward activations, the
-    dropout masks and the backward deltas: a caller that passes the same
-    ``work`` to every call, as ``train`` does, gets the same arrays back,
-    and the returned gradient is overwritten by the next call.  Without
-    ``work`` each call gets a fresh dict, so its gradient is its own.
+    The gradient goes to ``update(lo, g)`` in pieces: ``g`` is the
+    gradient of ``theta[lo:lo + g.size]``, zero wherever ``keep`` is False,
+    in an array the next piece overwrites.  The dense weights come as runs
+    of adjacent layers no larger than the largest one, each once the
+    backward pass has carried the delta through its weights, so ``update``
+    may change them; then the tail of biases and embeddings.  The call then
+    returns ``(loss, None)``; a non-finite loss returns before the backward
+    pass, with nothing handed over.  Without ``update`` the pieces are
+    copied into one gradient vector, which is returned.
+
+    Every array lives in ``work``: a caller that passes the same ``work``
+    to every call, as ``train`` does, gets the same arrays back, and a
+    returned gradient is overwritten by the next call.  Without ``work``
+    each call gets a fresh dict, so its gradient is its own.
 
     Every part of the gradient is written on every call, in place: each
     weight block by ``np.matmul(..., out=)``, each bias by
-    ``np.sum(..., out=)``, and the embedding tail by one ``np.bincount``
+    ``np.sum(..., out=)``, and the embedding rows by one ``np.bincount``
     over the flat cell index of every (row, input slot, component).  The
     log-softmax of each column is computed once and serves both the loss
     and ``exp(ls)``, and the ReLU and dropout backward steps multiply in
@@ -534,25 +549,56 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     logits, cache = forward(model, X, training=training, rng=rng, work=work)
     terms, ls = batch_nll_terms(model, X, logits)
     loss = float((terms * w).sum(axis=1).mean())
+    grad = None
+    if update is None:
+        grad = _buffer(work, "grad", model.theta.shape)
+
+        def update(lo, g):
+            grad[lo:lo + g.size] = g
+    elif not math.isfinite(loss):
+        return loss, None
     dlogits = _output_delta(model, X, ls, w / B)
 
-    grad = _buffer(work, "grad", model.theta.shape)
-    G = model.unflatten(grad)
+    keep = model.keep
+    keys = model.weight_keys()
+    sizes = [model.params[k].size for k in keys]
+    starts = dict(zip(keys, np.cumsum([0] + sizes[:-1]).tolist()))
+    layer = _buffer(work, "layer_grad", (max(sizes),))
+    tail = _buffer(work, "tail_grad", (model.theta.size - keep.size,))
+    T = model.unflatten(tail, start=keep.size)
+    # The dense layers lead theta and the backward pass visits them last to
+    # first, so each layer's gradient lies just below the one before.
+    # ``layer`` holds such a run, theta[held[0]:held[1]], at its end, and
+    # hands it over when the next layer would not fit; by then the backward
+    # pass has carried the delta through every weight in the run.
+    held = [keep.size, keep.size]
+
+    def hand_over():
+        lo, hi = held
+        update(lo, layer[layer.size - (hi - lo):])
+        held[1] = lo
 
     def write(key, act, delta):
-        np.matmul(act.T, delta, out=G[key])
-        np.sum(delta, axis=0, out=G["b" + key[1:]])
+        lo = starts[key]
+        if held[1] - lo > layer.size:
+            hand_over()
+        held[0] = lo
+        g = layer[layer.size - (held[1] - lo):][:act.shape[1] * delta.shape[1]]
+        np.matmul(act.T, delta, out=g.reshape(act.shape[1], delta.shape[1]))
+        g *= keep[lo:lo + g.size]
+        np.sum(delta, axis=0, out=T["b" + key[1:]])
 
     dh = _backward(model, cache, dlogits, write, work)
     dA0 = dh @ model.params["w_in"].T
+    hand_over()
     # cell (row, slot p, component j) is element j of the slot's embedding
-    # row, counted from the start of the embedding tail
+    # row, counted from the start of the embedding tables
     emb = model.cfg.embedding_dim
     cells = (cache["rows"] * emb)[:, :, None] + np.arange(emb)
-    tail = sum(e.size for e in model.embeddings)
-    grad[grad.size - tail:] = np.bincount(cells.ravel(), weights=dA0.ravel(),
-                                          minlength=tail)
-    grad[:model.keep.size] *= model.keep
+    tables = sum(e.size for e in model.embeddings)
+    tail[tail.size - tables:] = np.bincount(cells.ravel(), weights=dA0.ravel(),
+                                            minlength=tables)
+    update(keep.size, tail)
     return loss, grad
 
 
@@ -597,16 +643,19 @@ class AdamState:
     """Adam (Kingma & Ba, 2015) on ``theta``, updated in place.
 
     Besides the moments ``m`` and ``v`` it keeps two chunk-sized work
-    vectors, so a step allocates nothing the size of ``theta``.  The step
-    walks ``theta`` in chunks of ``ADAM_CHUNK`` elements, so the six arrays
-    it streams (``theta``, the gradient, both moments and both work vectors)
-    stay in L2 while a chunk passes through the whole update.  On each chunk
-    it applies ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    vectors, so an update allocates nothing the size of ``theta``.
+    ``update`` applies step ``t`` to one slice of ``theta``, so a step may
+    arrive in pieces, as ``train`` hands them over; ``step`` advances ``t``
+    and updates all of ``theta``.  An update walks its slice in chunks of
+    ``ADAM_CHUNK`` elements, so the six arrays it streams (``theta``, the
+    gradient, both moments and both work vectors) stay in L2 while a chunk
+    passes through the whole update.  On each chunk it applies
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``theta -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` through ``out=`` ufuncs
     with the same operands in the same order, then re-zeroes the chunk's
     masked positions.  Every element sees the operations of the plain
-    expressions in their order, so ``theta`` is byte-identical to what they
-    give.
+    expressions in their order, however the step is cut into slices, so
+    ``theta`` is byte-identical to what they give.
     """
 
     def __init__(self, model: ArDensityModel):
@@ -616,15 +665,19 @@ class AdamState:
         self.work = np.empty((2, min(ADAM_CHUNK, model.theta.size)))
 
     def step(self, model: ArDensityModel, grad: np.ndarray):
-        cfg = model.cfg
         self.t += 1
+        self.update(model, 0, grad)
+
+    def update(self, model: ArDensityModel, lo: int, grad: np.ndarray):
+        cfg = model.cfg
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
         theta, keep = model.theta, model.keep
-        for lo in range(0, theta.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, theta.size)
-            num, den = self.work[:, :hi - lo]
-            m, v, g, th = self.m[lo:hi], self.v[lo:hi], grad[lo:hi], theta[lo:hi]
+        end = lo + grad.size
+        for a in range(lo, end, ADAM_CHUNK):
+            b = min(a + ADAM_CHUNK, end)
+            num, den = self.work[:, :b - a]
+            m, v, g, th = self.m[a:b], self.v[a:b], grad[a - lo:b - lo], theta[a:b]
             m *= cfg.beta1
             m += np.multiply(g, 1.0 - cfg.beta1, out=num)
             v *= cfg.beta2
@@ -637,9 +690,13 @@ class AdamState:
             den += cfg.eps
             num /= den
             th -= num
-            # keep masked weight positions at exactly 0
-            if lo < keep.size:
-                th[:keep.size - lo] *= keep[lo:hi]
+            # keep masked weight positions at exactly 0, multiplying by the
+            # mask as floats in ``den``: a bool operand would make numpy
+            # allocate a cast buffer
+            if a < keep.size:
+                mask = den[:min(b, keep.size) - a]
+                np.copyto(mask, keep[a:b])
+                th[:mask.size] *= mask
 
 
 def train(model: ArDensityModel, data: np.ndarray, seed: int,
@@ -650,13 +707,12 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     Shuffles rows each epoch and walks them in batches (so one epoch sees
     every row exactly once).  Dropout is active; all randomness comes from
     a generator seeded with ``seed``.  Raises TrainingError with the step
-    index if the loss turns non-finite.
+    index if the loss turns non-finite, before that step changes ``theta``.
 
-    One workspace serves every step: ``loss_and_grad`` writes the step's
-    activations, dropout masks, deltas and gradient into it, so the
-    gradient ``AdamState.step`` reads is overwritten by the next step's
-    call and only one is ever alive.  A batch of another size (the last,
-    short batch of an epoch) reallocates the batch-sized arrays.
+    ``loss_and_grad`` hands ``AdamState.update`` each step's gradient in
+    pieces, so no gradient the size of ``theta`` exists, and one workspace
+    serves every step.  A batch of another size (the last, short batch of
+    an epoch) reallocates the batch-sized arrays.
     """
     if data.shape[0] == 0:
         raise EmptyRelationError("cannot train on an empty relation")
@@ -664,6 +720,10 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     batch_size = model.cfg.batch_size if batch_size is None else batch_size
     rng = np.random.default_rng(seed)
     adam = AdamState(model)
+
+    def update(lo, g):
+        adam.update(model, lo, g)
+
     work: dict = {}
     trace: list[float] = []
     step = 0
@@ -671,10 +731,11 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
         perm = rng.permutation(data.shape[0])
         for start in range(0, len(perm), batch_size):
             batch = data[perm[start:start + batch_size]]
-            loss, grad = loss_and_grad(model, batch, training=True, rng=rng, work=work)
-            if not np.isfinite(loss):
+            adam.t += 1
+            loss, _ = loss_and_grad(model, batch, training=True, rng=rng, work=work,
+                                    update=update)
+            if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
-            adam.step(model, grad)
             trace.append(loss)
             step += 1
             if step_hook is not None:
@@ -899,15 +960,16 @@ def _column_from_meta(meta: dict) -> ModelColumn:
 
 
 def save_checkpoint(model: ArDensityModel, path: str | Path):
-    """Binary checkpoint: magic, version, JSON metadata, then ``theta`` and
-    ``keep`` as little-endian float64 in their in-memory order, and a
-    trailing 8-byte SHA-256 prefix over everything before it."""
+    """Binary checkpoint: magic, version, JSON metadata, then ``theta`` as
+    little-endian float64 and ``keep`` as one byte (0 or 1) per entry, both
+    in their in-memory order, and a trailing 8-byte SHA-256 prefix over
+    everything before it."""
     meta = {"config": asdict(model.cfg), "order": [int(v) for v in model.order],
             "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
-             meta_bytes] + [np.ascontiguousarray(v, dtype="<f8")
-                            for v in (model.theta, model.keep)]
+             meta_bytes, np.ascontiguousarray(model.theta, dtype="<f8"),
+             np.ascontiguousarray(model.keep).view(np.uint8)]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:  # hashed and written in place, never joined
@@ -950,15 +1012,16 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     # keep covers the dense weights (the "w" keys), the prefix of theta
     n_keep = sum(math.prod(s) for k, s in shapes.items() if k.startswith("w"))
     off = 12 + meta_len
-    if off + 8 * (n_theta + n_keep) != len(body):
+    if off + 8 * n_theta + n_keep != len(body):
         raise FormatError(f"{path}: array bytes do not match the metadata")
-    data = np.frombuffer(body, dtype="<f8", offset=off).astype(np.float64)
-    theta, keep = np.split(data, [n_theta])
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta, keep=keep)
-    if not np.isin(model.keep, (0.0, 1.0)).all():
+    theta = np.frombuffer(body, dtype="<f8", count=n_theta, offset=off).astype(np.float64)
+    keep = np.frombuffer(body, dtype=np.uint8, offset=off + 8 * n_theta)
+    if (keep > 1).any():
         raise FormatError(f"{path}: keep-mask entries must be 0 or 1")
-    if (model.keep > model.connectivity()).any():
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta,
+                           keep=keep.astype(bool))
+    if (model.keep & ~model.connectivity()).any():
         raise FormatError(f"{path}: keep-mask is 1 where no connection exists")
-    if (model.theta[:model.keep.size][model.keep == 0.0] != 0.0).any():
+    if (model.theta[:model.keep.size][~model.keep] != 0.0).any():
         raise FormatError(f"{path}: non-zero weight at a masked position")
     return model

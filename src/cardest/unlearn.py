@@ -12,7 +12,8 @@ Two pruning stages followed by fine-tuning on the retained join:
   relations (the join with one table swapped for its deleted rows) and
   zeroes the highest-scoring weights, spreading the total budget evenly
   over the affected tables.  Only trainable dense weights can be pruned,
-  so scores cover the dense weights only and are zero where ``keep`` is.
+  so scores cover the dense weights only and are zero where ``keep`` is
+  False.
 
 During the fine-tune that follows, the zeroed weights may regrow by
 default (pruning acts as a targeted reset, which measurably beats
@@ -146,7 +147,7 @@ class SensitivityScores:
 
 
 def zero_scores(model: ArDensityModel) -> SensitivityScores:
-    return SensitivityScores(values=np.zeros_like(model.keep))
+    return SensitivityScores(values=np.zeros(model.keep.shape))
 
 
 def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
@@ -157,7 +158,7 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     sampling iterations of one deleted-join relation.
 
     Scores cover the dense weights only, the only ones ``prune_step`` can
-    prune, and are exactly 0 where ``keep`` is 0.  Each iteration draws
+    prune, and are exactly 0 where ``keep`` is False.  Each iteration draws
     its batch in turn; ``SCORE_STACK`` batches share one forward pass, and
     every batch's squared gradient is added in iteration order, so the
     scores equal those of one ``loss_and_grad`` call per iteration.
@@ -187,7 +188,7 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
         stack = min(SCORE_STACK, n_iterations - first)
         idx = np.concatenate([rng.choice(n, size=take, replace=False) for _ in range(stack)])
         batch_weight_grads(model, codes[idx], weights, take, add_square, work)
-    # keep is 0 or 1: this zeroes the masked positions and leaves the rest
+    # multiplying by the bool keep zeroes the masked positions and leaves the rest
     scores.values *= model.keep
     scores.tuples_used = n
     return scores
@@ -202,7 +203,13 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
     """Zero the floor(alpha_k * pool_size) not-yet-pruned dense weights with
     the highest scores (ties broken by lower flat index over the canonical
     weight-key order, which is the index into ``theta``).  Mutates the
-    model's weights and keep-mask."""
+    model's weights and keep-mask.
+
+    The chosen positions are those a stable sort of the negated scores puts
+    first, found without sorting: a partition of the negated eligible
+    scores gives the ``take``-th highest score, ranked as that sort ranks
+    them, every eligible score above it is chosen, and of the eligible
+    scores equal to it the ones at the lowest indices fill the rest."""
     if not 0.0 <= alpha_k < 1.0:
         raise ValidationError("alpha_k must lie in [0, 1)")
     if pool_size is None:
@@ -211,13 +218,23 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
     if target == 0:
         return {"pruned": 0, "saturated": False}
 
-    eligible = np.flatnonzero(model.keep)
-    saturated = target > eligible.size
-    take = min(target, eligible.size)
-    # stable sort on negated scores: ties resolve to the lower flat index
-    chosen = eligible[np.argsort(-scores.values[eligible], kind="stable")[:take]]
-    model.keep[chosen] = 0.0
-    model.theta[chosen] = 0.0
+    keep, values = model.keep, scores.values
+    n_eligible = int(np.count_nonzero(keep))
+    saturated = target > n_eligible
+    take = min(target, n_eligible)
+    chosen = keep.copy()
+    if take < n_eligible:
+        ranked = values[keep]
+        np.negative(ranked, out=ranked)
+        ranked.partition(take - 1)
+        threshold = -ranked[take - 1]
+        del ranked  # freed before the masks are built
+        np.greater(values, threshold, out=chosen)
+        chosen &= keep
+        ties = np.flatnonzero((values == threshold) & keep)
+        chosen[ties[:take - np.count_nonzero(chosen)]] = True
+    keep[chosen] = False
+    model.theta[:keep.size][chosen] = 0.0
     return {"pruned": int(take), "saturated": bool(saturated)}
 
 
@@ -269,10 +286,8 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
 def release_pruning(model: ArDensityModel):
     """Lift pruning: the keep-mask returns to the connectivity mask, so the
     pruned weights stay at their current (zeroed) values but become
-    trainable again.  The mask is written into ``keep`` in place: a loaded
-    checkpoint's ``keep`` shares one buffer with ``theta``, so a new array
-    would leave the old mask alive beside it."""
-    model.keep[...] = model.connectivity()
+    trainable again."""
+    model.keep = model.connectivity()
 
 
 # ---------------------------------------------------------------------------

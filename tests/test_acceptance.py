@@ -481,10 +481,11 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
             assert cli_main(args + ["-c", str(cfg_path)]) == 0
         return ((out / "eval-cep" / "summary.csv").read_bytes(),
                 (out / "unlearn-cep" / "model.ckpt").read_bytes(),
-                (out / "report" / "summary_all.csv").read_bytes())
+                (out / "report" / "summary_all.csv").read_bytes(),
+                (out / "report" / "consolidated.md").read_bytes())
 
     first = pipeline()
     second = pipeline()
     ok = all(a == b for a, b in zip(first, second))
     crit(11, "full pipeline rerun is byte-identical",
-         ok, "summary.csv, model.ckpt, report tables")
+         ok, "summary.csv, model.ckpt, report tables, consolidated.md")

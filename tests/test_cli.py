@@ -73,6 +73,11 @@ class TestStages:
         assert run("report", cfg) == 0
         consolidated = (run_dir / "report" / "consolidated.md").read_text()
         assert "cep" in consolidated or "| stale |" in consolidated
+        # wall-clock times live only in the timing file
+        assert "seconds" not in consolidated
+        timings = (run_dir / "report" / "timings.csv").read_text().splitlines()
+        assert timings[0] == "method,stage,seconds"
+        assert {ln.split(",")[0] for ln in timings[1:]} == {"cep", "finetune", "stale"}
         assert (run_dir / "report" / "convergence.csv").exists()
 
     def test_task_on_join_key_reaches_eval(self, tmp_path):
@@ -335,9 +340,9 @@ class TestDeterminismAndAblation:
     def test_malformed_checkpoint_exits_4(self, tmp_path, capsys):
         cfg, run_dir = self.prep(tmp_path)
 
-        def drop_config(meta, payload):
+        def drop_config(meta, theta, keep):
             del meta["config"]
-            return meta, payload
+            return meta, theta, keep
 
         rewrite_checkpoint(run_dir / "model" / "original.ckpt", drop_config)
         assert main(["unlearn", "-c", str(cfg), "--method", "stale"]) == 4

@@ -256,9 +256,28 @@ class TestTrain:
     def test_divergence_raises(self):
         m = tiny_model(seed=10)
         m.params["b_out"][:] = np.inf
+        before = m.theta.tobytes()
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
             train(m, np.zeros((4, m.ncols), dtype=np.int64), seed=0, epochs=1)
         assert exc.value.step == 0
+        assert m.theta.tobytes() == before
+
+    def test_divergence_leaves_theta_as_the_last_finite_step_left_it(self):
+        # the loss is checked before the backward pass, which updates theta
+        # layer by layer: the failing step changes nothing
+        m = tiny_model(seed=10)
+        seen = []
+
+        def diverge_after_two(step, model):
+            if step == 2:
+                model.params["b_out"][:] = np.inf
+                seen.append(model.theta.tobytes())
+
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError) as exc:
+            train(m, np.zeros((16, m.ncols), dtype=np.int64), seed=0, epochs=1,
+                  batch_size=4, step_hook=diverge_after_two)
+        assert exc.value.step == 2
+        assert m.theta.tobytes() == seen[0]
 
     def test_mask_persists_through_training(self):
         m = tiny_model(seed=11)
@@ -346,6 +365,50 @@ class TestInPlaceStep:
             ref_adam.step(ref, ref_grad)
             np.testing.assert_array_equal(m.theta, ref.theta)
         assert m.checksum() == ref.checksum()
+
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_train_matches_loss_and_grad_and_adam_for_20_steps(self, case):
+        # train hands Adam each layer's gradient during the backward pass;
+        # the reference takes loss_and_grad's full gradient, then one Adam
+        # step.  train takes no column weights, so "weighted" runs unweighted
+        m, batch, _, _ = step_case(case)
+        ref = m.copy()
+        data = np.concatenate([batch(step) for step in range(20)])
+        n = data.shape[0] // 20
+        trace = train(m, data, seed=5, epochs=1, batch_size=n)
+
+        rng = np.random.default_rng(5)
+        adam = AdamState(ref)
+        perm = rng.permutation(data.shape[0])
+        ref_trace = []
+        for start in range(0, data.shape[0], n):
+            loss, grad = loss_and_grad(ref, data[perm[start:start + n]], training=True,
+                                       rng=rng)
+            adam.step(ref, grad)
+            ref_trace.append(loss)
+        assert len(trace) == 20 and trace == ref_trace
+        assert m.theta.tobytes() == ref.theta.tobytes()
+        assert m.checksum() == ref.checksum()
+
+    def test_train_step_allocates_no_theta_sized_array(self):
+        m = tiny_model(seed=34, doms=(40, 30), bins=32, embedding_dim=8, hidden_dim=256,
+                       blocks=2, dropout=0.1)
+        rng = np.random.default_rng(0)
+        data = np.stack([rng.integers(0, c.domain_size, 64) for c in m.columns], axis=1)
+        peaks = []
+
+        def measure_second_step(step, model):
+            if step == 1:
+                tracemalloc.start()
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        try:
+            train(m, data, seed=0, epochs=1, batch_size=32, step_hook=measure_second_step)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < m.theta.nbytes // 4
 
     def test_adam_step_allocates_no_theta_sized_array(self):
         m = tiny_model(seed=34, doms=(40, 30), bins=32, embedding_dim=8, hidden_dim=64,
@@ -571,18 +634,22 @@ class TestCheckpoint:
         assert loaded.checksum() == m.checksum()
 
     # Each case below is digest-valid, so only the content check can fire.
-    # The payload is theta, then keep: keep entry j sits at theta.size + j.
+    # The payload is theta as float64, then keep as one byte per entry.
 
     def test_array_layout_must_match_metadata(self, tmp_path):
         m = tiny_model(seed=26)
         p = tmp_path / "m.ckpt"
-        save_checkpoint(m, p)
-        rewrite_checkpoint(p, lambda meta, payload: (meta, payload))
-        assert load_checkpoint(p).checksum() == m.checksum()
-
-        rewrite_checkpoint(p, lambda meta, payload: (meta, np.append(payload, 0.0)))
-        with pytest.raises(FormatError, match="array bytes"):
-            load_checkpoint(p)
+        for edit in (lambda meta, theta, keep: (meta, theta, np.append(keep, 0)),
+                     lambda meta, theta, keep: (meta, np.append(theta, 0.0), keep),
+                     # the version 3 layout: keep as eight bytes per entry
+                     lambda meta, theta, keep: (meta, theta,
+                                                keep.astype("<f8").view(np.uint8))):
+            save_checkpoint(m, p)
+            rewrite_checkpoint(p, lambda meta, theta, keep: (meta, theta, keep))
+            assert load_checkpoint(p).checksum() == m.checksum()
+            rewrite_checkpoint(p, edit)
+            with pytest.raises(FormatError, match="array bytes"):
+                load_checkpoint(p)
 
     def test_keep_entries_must_be_0_or_1(self, tmp_path):
         m = tiny_model(seed=27)
@@ -590,11 +657,11 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         connected = int(np.flatnonzero(m.keep)[0])
 
-        def half_keep(meta, payload):
-            payload[m.theta.size + connected] = 0.5
-            return meta, payload
+        def keep_byte_2(meta, theta, keep):
+            keep[connected] = 2
+            return meta, theta, keep
 
-        rewrite_checkpoint(p, half_keep)
+        rewrite_checkpoint(p, keep_byte_2)
         with pytest.raises(FormatError, match="0 or 1"):
             load_checkpoint(p)
 
@@ -602,11 +669,11 @@ class TestCheckpoint:
         m = tiny_model(seed=30)
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
-        unconnected = int(np.flatnonzero(m.connectivity() == 0)[0])
+        unconnected = int(np.flatnonzero(~m.connectivity())[0])
 
-        def keep_unconnected(meta, payload):
-            payload[m.theta.size + unconnected] = 1.0
-            return meta, payload
+        def keep_unconnected(meta, theta, keep):
+            keep[unconnected] = 1
+            return meta, theta, keep
 
         rewrite_checkpoint(p, keep_unconnected)
         with pytest.raises(FormatError, match="no connection"):
@@ -620,9 +687,9 @@ class TestCheckpoint:
         offsets = m.unflatten(np.arange(m.theta.size))["w_out"]
         unconnected = int(offsets[m.unflatten(m.connectivity())["w_out"] == 0][0])
 
-        def masked_weight(meta, payload):
-            payload[unconnected] = 0.25
-            return meta, payload
+        def masked_weight(meta, theta, keep):
+            theta[unconnected] = 0.25
+            return meta, theta, keep
 
         rewrite_checkpoint(p, masked_weight)
         with pytest.raises(FormatError, match="masked position"):
@@ -639,7 +706,7 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
 
-        def edit(meta, payload):
+        def edit(meta, theta, keep):
             if case == "no_config":
                 del meta["config"]
             elif case == "column_without_kind":
@@ -655,9 +722,9 @@ class TestCheckpoint:
             elif case == "no_columns":   # with a payload of the right size
                 meta["columns"], meta["order"] = [], []
                 shapes = _parameter_shapes(m.cfg, [])
-                payload = np.zeros(sum(np.prod(s) for s in shapes.values())
-                                   + sum(np.prod(s) for k, s in shapes.items()
-                                         if k.startswith("w")))
+                theta = np.zeros(sum(np.prod(s) for s in shapes.values()))
+                keep = np.zeros(sum(np.prod(s) for k, s in shapes.items() if k.startswith("w")),
+                                dtype=np.uint8)
             elif case == "duplicate_column_names":
                 meta["columns"][1]["name"] = meta["columns"][0]["name"]
             elif case == "repeated_code":
@@ -672,8 +739,8 @@ class TestCheckpoint:
                 meta["columns"][-1]["remap"] = {"lo": 0.0, "hi": 3.0,
                                                 "subranges": [[0.0, 1.0], [2.0, 3.0]]}
             else:
-                return b"\xff{not json", payload
-            return meta, payload
+                return b"\xff{not json", theta, keep
+            return meta, theta, keep
 
         rewrite_checkpoint(p, edit)
         with pytest.raises(FormatError, match="malformed checkpoint metadata"):
@@ -681,12 +748,12 @@ class TestCheckpoint:
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    # version 1 stored hidden units and input rows in another order, and
-    # version 2 per-key arrays and prune masks: only the version tells a
-    # file's layout, so every other version is rejected
+    # version 1 stored hidden units and input rows in another order, version
+    # 2 per-key arrays and prune masks, and version 3 keep as float64: only
+    # the version tells a file's layout, so every other version is rejected
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", version)
