@@ -27,7 +27,7 @@ from . import __version__
 from .datagen import DataGenConfig, gen_star_schema
 from .errors import (CardestError, ConfigurationError, StageOrderingError,
                      ValidationError)
-from .model import (ModelConfig, encode_relation, init_model,
+from .model import (ModelConfig, _is_int, encode_relation, init_model,
                     load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
 from .relational import (Condition, DatasetSplit, DeletionTask, SchemaGraph,
@@ -113,11 +113,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("output_dir", "seeds", "task"):
         if key not in raw:
             raise ConfigurationError(f"config is missing {key!r}")
-    try:
-        seeds = {k: int(v) for k, v in raw["seeds"].items()}
-        join_cap = int(raw.get("join_cap", 5_000_000))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"seeds and join_cap must be integers: {exc}") from exc
+    seeds, join_cap = raw["seeds"], raw.get("join_cap", 5_000_000)
+    if not isinstance(seeds, dict):
+        raise ConfigurationError("seeds must be a mapping")
+    for k, v in seeds.items():
+        if not (_is_int(v) and v >= 0):
+            raise ConfigurationError(f"seeds.{k} must be an integer >= 0, not {v!r}")
+    if not (_is_int(join_cap) and join_cap >= 1):
+        raise ConfigurationError(f"join_cap must be an integer >= 1, not {join_cap!r}")
     for k in ("data", "model", "workload", "eval"):
         if k not in seeds:
             raise ConfigurationError(f"seeds must include {k!r}")

@@ -27,8 +27,8 @@ through slices, and keeps its per-path state in one workspace per call.
 
 Training fuses the gradient and the update, as LOMO (Lv et al., 2023)
 does, since a gradient is dead once Adam has read it: ``train`` passes
-``loss_and_grad`` Adam's slice update, and the backward pass hands it each
-run of dense-layer gradients as soon as the delta has passed those
+``loss_and_grad`` ``AdamState.step``, and the backward pass hands it each
+dense layer's gradient as soon as the delta has passed that layer's
 weights, then the bias and embedding tail.  So a step holds ``theta``,
 ``m``, ``v``, the one-byte ``keep`` and gradient buffers of one layer's
 size, and a non-finite loss, checked before the backward pass, leaves
@@ -473,11 +473,13 @@ def _output_delta(model: ArDensityModel, X: np.ndarray, ls: np.ndarray,
 
 def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
               work: dict) -> np.ndarray:
-    """Carry the logit gradient down the network and return the gradient at
-    the input layer's output.  For each dense layer, output layer first,
-    ``sink(key, A, D)`` receives the layer's input activations ``A`` and
-    the gradient ``D`` at its output: the weight gradient is ``A.T @ D`` and
-    the bias gradient is ``D``'s column sum.  ``D`` changes after the call
+    """Carry the logit gradient down the network and return ``dh``, the
+    gradient at the input layer's output.  For each dense layer above the
+    input layer, output layer first, ``sink(key, A, D)`` receives the
+    layer's input activations ``A`` and the gradient ``D`` at its output:
+    the weight gradient is ``A.T @ D`` and the bias gradient is ``D``'s
+    column sum.  The call comes once ``D`` has been carried through the
+    layer's weights, so the sink may change them; ``D`` changes after it
     returns.  ``work`` holds the gradient arrays as in ``forward``.
 
     Each ReLU mask is read off that ReLU's cached output: relu(x) > 0
@@ -491,45 +493,41 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
     P = model.params
     scale = cache["dropout_scale"]
     hf = cache["hf"]
-    sink("w_out", hf, dlogits)
     dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hf.shape))
+    sink("w_out", hf, dlogits)
     dh *= hf > 0.0
     for r in reversed(range(model.cfg.residual_blocks)):
         blk = cache["blocks"][r]
-        sink(f"w2_{r}", blk["d"], dh)
         dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hf.shape))
+        sink(f"w2_{r}", blk["d"], dh)
         dz *= blk["d"] > 0.0
         if scale is not None:
             dz *= scale
-        sink(f"w1_{r}", blk["a"], dz)
         da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hf.shape))
+        sink(f"w1_{r}", blk["a"], dz)
         da *= blk["a"] > 0.0
         dh += da
-    sink("w_in", cache["A0"], dh)
     return dh
 
 
-def loss_and_grad(model: ArDensityModel, X: np.ndarray,
+def loss_and_grad(model: ArDensityModel, X: np.ndarray, update,
                   column_weights: np.ndarray | None = None,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  work: dict | None = None, update=None):
-    """Weighted NLL and its exact gradient, averaged over the batch.
+                  work: dict | None = None) -> float:
+    """Weighted NLL, averaged over the batch, whose exact gradient goes to
+    ``update(lo, g)`` in pieces; returns the loss.
 
     The loss is mean_batch sum_i w_i * (-log p(col_i | earlier columns)).
-    The gradient goes to ``update(lo, g)`` in pieces: ``g`` is the
-    gradient of ``theta[lo:lo + g.size]``, zero wherever ``keep`` is False,
-    in an array the next piece overwrites.  The dense weights come as runs
-    of adjacent layers no larger than the largest one, each once the
-    backward pass has carried the delta through its weights, so ``update``
-    may change them; then the tail of biases and embeddings.  The call then
-    returns ``(loss, None)``; a non-finite loss returns before the backward
-    pass, with nothing handed over.  Without ``update`` the pieces are
-    copied into one gradient vector, which is returned.
+    ``g`` is the gradient of ``theta[lo:lo + g.size]``, zero wherever
+    ``keep`` is False, in an array the next piece overwrites.  Each dense
+    layer comes once the backward pass has carried the delta through its
+    weights, so ``update`` may change them, output layer first; then the
+    tail of biases and embeddings.  A non-finite loss returns before the
+    backward pass, with nothing handed over.
 
     Every array lives in ``work``: a caller that passes the same ``work``
-    to every call, as ``train`` does, gets the same arrays back, and a
-    returned gradient is overwritten by the next call.  Without ``work``
-    each call gets a fresh dict, so its gradient is its own.
+    to every call, as ``train`` does, gets the same arrays back.  Without
+    ``work`` each call gets a fresh dict.
 
     Every part of the gradient is written on every call, in place: each
     weight block by ``np.matmul(..., out=)``, each bias by
@@ -549,14 +547,8 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     logits, cache = forward(model, X, training=training, rng=rng, work=work)
     terms, ls = batch_nll_terms(model, X, logits)
     loss = float((terms * w).sum(axis=1).mean())
-    grad = None
-    if update is None:
-        grad = _buffer(work, "grad", model.theta.shape)
-
-        def update(lo, g):
-            grad[lo:lo + g.size] = g
-    elif not math.isfinite(loss):
-        return loss, None
+    if not math.isfinite(loss):
+        return loss
     dlogits = _output_delta(model, X, ls, w / B)
 
     keep = model.keep
@@ -566,31 +558,18 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     layer = _buffer(work, "layer_grad", (max(sizes),))
     tail = _buffer(work, "tail_grad", (model.theta.size - keep.size,))
     T = model.unflatten(tail, start=keep.size)
-    # The dense layers lead theta and the backward pass visits them last to
-    # first, so each layer's gradient lies just below the one before.
-    # ``layer`` holds such a run, theta[held[0]:held[1]], at its end, and
-    # hands it over when the next layer would not fit; by then the backward
-    # pass has carried the delta through every weight in the run.
-    held = [keep.size, keep.size]
-
-    def hand_over():
-        lo, hi = held
-        update(lo, layer[layer.size - (hi - lo):])
-        held[1] = lo
 
     def write(key, act, delta):
         lo = starts[key]
-        if held[1] - lo > layer.size:
-            hand_over()
-        held[0] = lo
-        g = layer[layer.size - (held[1] - lo):][:act.shape[1] * delta.shape[1]]
+        g = layer[:act.shape[1] * delta.shape[1]]
         np.matmul(act.T, delta, out=g.reshape(act.shape[1], delta.shape[1]))
         g *= keep[lo:lo + g.size]
         np.sum(delta, axis=0, out=T["b" + key[1:]])
+        update(lo, g)
 
     dh = _backward(model, cache, dlogits, write, work)
     dA0 = dh @ model.params["w_in"].T
-    hand_over()
+    write("w_in", cache["A0"], dh)
     # cell (row, slot p, component j) is element j of the slot's embedding
     # row, counted from the start of the embedding tables
     emb = model.cfg.embedding_dim
@@ -599,7 +578,7 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray,
     tail[tail.size - tables:] = np.bincount(cells.ravel(), weights=dA0.ravel(),
                                             minlength=tables)
     update(keep.size, tail)
-    return loss, grad
+    return loss
 
 
 def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.ndarray,
@@ -632,7 +611,8 @@ def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.
         for lo in range(0, X.shape[0], batch_rows):
             sink(key, np.matmul(act[lo:lo + batch_rows].T, delta[lo:lo + batch_rows], out=g))
 
-    _backward(model, cache, dlogits, per_batch, work)
+    dh = _backward(model, cache, dlogits, per_batch, work)
+    per_batch("w_in", cache["A0"], dh)
 
 
 # ---------------------------------------------------------------------------
@@ -644,35 +624,33 @@ class AdamState:
 
     Besides the moments ``m`` and ``v`` it keeps two chunk-sized work
     vectors, so an update allocates nothing the size of ``theta``.
-    ``update`` applies step ``t`` to one slice of ``theta``, so a step may
-    arrive in pieces, as ``train`` hands them over; ``step`` advances ``t``
-    and updates all of ``theta``.  An update walks its slice in chunks of
-    ``ADAM_CHUNK`` elements, so the six arrays it streams (``theta``, the
-    gradient, both moments and both work vectors) stay in L2 while a chunk
-    passes through the whole update.  On each chunk it applies
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``step(lo, grad)`` applies step ``t`` to ``theta[lo:lo + grad.size]``
+    of the model it was built for, so a step arrives in pieces, as
+    ``loss_and_grad`` hands them over; the caller advances ``t`` once per
+    step.  A piece is walked in chunks of ``ADAM_CHUNK`` elements, so the
+    six arrays it streams (``theta``, the gradient, both moments and both
+    work vectors) stay in L2 while a chunk passes through the whole update.
+    On each chunk it applies ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g`` and
     ``theta -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` through ``out=`` ufuncs
     with the same operands in the same order, then re-zeroes the chunk's
     masked positions.  Every element sees the operations of the plain
-    expressions in their order, however the step is cut into slices, so
+    expressions in their order, however the step is cut into pieces, so
     ``theta`` is byte-identical to what they give.
     """
 
     def __init__(self, model: ArDensityModel):
+        self.model = model
         self.t = 0
         self.m = np.zeros_like(model.theta)
         self.v = np.zeros_like(model.theta)
         self.work = np.empty((2, min(ADAM_CHUNK, model.theta.size)))
 
-    def step(self, model: ArDensityModel, grad: np.ndarray):
-        self.t += 1
-        self.update(model, 0, grad)
-
-    def update(self, model: ArDensityModel, lo: int, grad: np.ndarray):
-        cfg = model.cfg
+    def step(self, lo: int, grad: np.ndarray):
+        cfg = self.model.cfg
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        theta, keep = model.theta, model.keep
+        theta, keep = self.model.theta, self.model.keep
         end = lo + grad.size
         for a in range(lo, end, ADAM_CHUNK):
             b = min(a + ADAM_CHUNK, end)
@@ -709,10 +687,10 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     a generator seeded with ``seed``.  Raises TrainingError with the step
     index if the loss turns non-finite, before that step changes ``theta``.
 
-    ``loss_and_grad`` hands ``AdamState.update`` each step's gradient in
-    pieces, so no gradient the size of ``theta`` exists, and one workspace
-    serves every step.  A batch of another size (the last, short batch of
-    an epoch) reallocates the batch-sized arrays.
+    ``loss_and_grad`` hands ``AdamState.step`` each step's gradient one
+    layer at a time, so no gradient the size of ``theta`` exists, and one
+    workspace serves every step.  A batch of another size (the last, short
+    batch of an epoch) reallocates the batch-sized arrays.
     """
     if data.shape[0] == 0:
         raise EmptyRelationError("cannot train on an empty relation")
@@ -720,10 +698,6 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
     batch_size = model.cfg.batch_size if batch_size is None else batch_size
     rng = np.random.default_rng(seed)
     adam = AdamState(model)
-
-    def update(lo, g):
-        adam.update(model, lo, g)
-
     work: dict = {}
     trace: list[float] = []
     step = 0
@@ -732,8 +706,7 @@ def train(model: ArDensityModel, data: np.ndarray, seed: int,
         for start in range(0, len(perm), batch_size):
             batch = data[perm[start:start + batch_size]]
             adam.t += 1
-            loss, _ = loss_and_grad(model, batch, training=True, rng=rng, work=work,
-                                    update=update)
+            loss = loss_and_grad(model, batch, adam.step, training=True, rng=rng, work=work)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
             trace.append(loss)
@@ -1015,6 +988,8 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     if off + 8 * n_theta + n_keep != len(body):
         raise FormatError(f"{path}: array bytes do not match the metadata")
     theta = np.frombuffer(body, dtype="<f8", count=n_theta, offset=off).astype(np.float64)
+    if not np.isfinite(theta).all():
+        raise FormatError(f"{path}: theta holds NaN or infinity")
     keep = np.frombuffer(body, dtype=np.uint8, offset=off + 8 * n_theta)
     if (keep > 1).any():
         raise FormatError(f"{path}: keep-mask entries must be 0 or 1")

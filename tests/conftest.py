@@ -154,8 +154,7 @@ def fd_gradient(model: ArDensityModel, X: np.ndarray, weights=None, h=1e-5):
     exactly 0 by invariant and read 0 here."""
 
     def loss_at():
-        loss, _ = loss_and_grad(model, X, weights)
-        return loss
+        return loss_and_grad(model, X, lambda lo, g: None, weights)
 
     theta = model.theta
     trainable = np.ones(theta.size, dtype=bool)
@@ -170,6 +169,18 @@ def fd_gradient(model: ArDensityModel, X: np.ndarray, weights=None, h=1e-5):
         theta[idx] = old
         grad[idx] = (up - down) / (2 * h)
     return grad
+
+
+def full_gradient(model: ArDensityModel, X: np.ndarray, column_weights=None, **kw):
+    """``loss_and_grad``'s loss and its gradient as one ``theta``-sized
+    vector, collected from the pieces it hands to ``update``.  A position no
+    piece covers stays NaN."""
+    grad = np.full_like(model.theta, np.nan)
+
+    def collect(lo, g):
+        grad[lo:lo + g.size] = g
+
+    return loss_and_grad(model, X, collect, column_weights, **kw), grad
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor=1e-6) -> float:

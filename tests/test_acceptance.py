@@ -20,7 +20,7 @@ from cardest.cli import main as cli_main
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.domains import NumericRemap, remap_array
 from cardest.model import (ModelConfig, encode_relation, estimate_selectivity,
-                           init_model, loss_and_grad, train)
+                           init_model, train)
 from cardest.queries import Predicate, Query
 from cardest.relational import (Condition, DeletionTask, apply_deletion,
                                 materialize_join, semi_join_deletion)
@@ -29,7 +29,8 @@ from cardest.unlearn import (CepConfig, accumulate_scores, column_shift_weights,
                              zero_scores)
 from cardest.workload import (WorkloadConfig, complement_query, evaluate,
                               gen_workload, model_constraints)
-from conftest import enumerate_probabilities, fd_gradient, max_relative_error
+from conftest import (enumerate_probabilities, fd_gradient, full_gradient,
+                      max_relative_error)
 
 pytestmark = pytest.mark.slow
 
@@ -181,7 +182,7 @@ def test_criterion_1_gradient_correctness():
                         shift,
                         effective_column_weights(shift, "joint_aggregated",
                                                  model.ncols)):
-            analytic = loss_and_grad(model, X, weights)[1]
+            analytic = full_gradient(model, X, weights)[1]
             numeric = fd_gradient(model, X, weights, h=1e-5)
             worst = max(worst, max_relative_error(analytic, numeric))
             masked_zero &= bool((analytic[:model.keep.size][model.keep == 0] == 0).all())

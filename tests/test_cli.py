@@ -14,10 +14,13 @@ from cardest.unlearn import CepConfig
 from conftest import rewrite_checkpoint
 
 
+SEEDS = {"data": 1, "model": 2, "workload": 3, "eval": 4}
+
+
 def write_config(tmp_path: Path, **overrides) -> Path:
     cfg = {
         "output_dir": str(tmp_path / "run"),
-        "seeds": {"data": 1, "model": 2, "workload": 3, "eval": 4},
+        "seeds": dict(SEEDS),
         "datagen": {"hub_rows": 400, "dim_rows": [30, 20], "seed": 1,
                     "hub_cat_cards": [6, 4], "dim_cat_cards": [5, 4],
                     "numeric_range": [0.0, 100.0]},
@@ -159,6 +162,20 @@ class TestConfigErrors:
     def test_dataset_without_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset={"path": "data"})
         self.check_rejected(path, capsys, "dataset.*dir")
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"seeds": {**SEEDS, "model": -2}}, "seeds.model"),
+        ({"seeds": {**SEEDS, "workload": -1}}, "seeds.workload"),
+        ({"seeds": {**SEEDS, "eval": 1.5}}, "seeds.eval"),
+        ({"seeds": {**SEEDS, "data": True}}, "seeds.data"),
+        ({"seeds": {**SEEDS, "model": "3"}}, "seeds.model"),
+        ({"seeds": [1, 2, 3, 4]}, "seeds must be a mapping"),
+        ({"join_cap": 0}, "join_cap"), ({"join_cap": 2.5}, "join_cap"),
+        ({"join_cap": False}, "join_cap")])
+    def test_bad_seeds_or_join_cap(self, tmp_path, capsys, overrides, match):
+        # default_rng rejects a negative seed only at the stage that draws
+        # with it, after the stages before it have run
+        self.check_rejected(write_config(tmp_path, **overrides), capsys, match)
 
     @pytest.mark.parametrize("name,old,new,match", [
         ("schema.txt", "column status categorical", "column status",

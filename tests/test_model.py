@@ -15,8 +15,8 @@ from cardest.model import (ADAM_CHUNK, AdamState, ModelConfig, _degrees, _log_so
                            save_checkpoint, train)
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
-from conftest import (ReferenceAdam, enumerate_probabilities,
-                      fd_gradient, max_relative_error, reference_estimate_selectivity,
+from conftest import (ReferenceAdam, enumerate_probabilities, fd_gradient,
+                      full_gradient, max_relative_error, reference_estimate_selectivity,
                       reference_loss_and_grad, rewrite_checkpoint, tiny_model)
 
 
@@ -155,7 +155,7 @@ class TestNll:
         m = tiny_model(seed=0, doms=(4, 4), bins=4)
         X = np.array([[1, 2, 3], [0, 3, 1]])
         np.testing.assert_allclose(nll_terms(m, X), np.log(4.0), atol=1e-12)
-        assert loss_and_grad(m, X)[0] == pytest.approx(3 * np.log(4.0), abs=1e-12)
+        assert full_gradient(m, X)[0] == pytest.approx(3 * np.log(4.0), abs=1e-12)
 
     def test_deterministic_column_term_zero(self):
         cfg = ModelConfig(embedding_dim=2, hidden_dim=4, residual_blocks=1)
@@ -163,7 +163,7 @@ class TestNll:
         X = np.array([[0, 1]])
         assert nll_terms(m, X)[0, 0] == pytest.approx(0.0, abs=1e-12)
         # all weight on the one-value column: the loss and its gradient vanish
-        loss, grad = loss_and_grad(m, X, np.array([1.0, 0.0]))
+        loss, grad = full_gradient(m, X, np.array([1.0, 0.0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.abs(grad).max() == pytest.approx(0.0, abs=1e-12)
 
@@ -185,24 +185,24 @@ class TestGradients:
     def test_unit_weights_match_plain_nll(self):
         m = tiny_model(seed=4)
         X = self.batch(m)
-        np.testing.assert_array_equal(loss_and_grad(m, X)[1],
-                                      loss_and_grad(m, X, np.ones(m.ncols))[1])
+        np.testing.assert_array_equal(full_gradient(m, X)[1],
+                                      full_gradient(m, X, np.ones(m.ncols))[1])
 
     def test_zero_weights_zero_gradient(self):
         m = tiny_model(seed=4)
         X = self.batch(m)
-        assert (loss_and_grad(m, X, np.zeros(m.ncols))[1] == 0).all()
+        assert (full_gradient(m, X, np.zeros(m.ncols))[1] == 0).all()
 
     def test_negative_weight_rejected(self):
         m = tiny_model(seed=4)
         with pytest.raises(ValidationError):
-            loss_and_grad(m, self.batch(m), np.array([1.0, -1.0, 1.0]))
+            full_gradient(m, self.batch(m), np.array([1.0, -1.0, 1.0]))
 
     def test_finite_difference_oracle(self):
         m = tiny_model(seed=5, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4)
         assert m.parameter_count() <= 500
         X = self.batch(m, n=8)
-        analytic = loss_and_grad(m, X)[1]
+        analytic = full_gradient(m, X)[1]
         assert max_relative_error(analytic, fd_gradient(m, X)) < 1e-4
         assert (analytic[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
@@ -213,7 +213,7 @@ class TestGradients:
         m.theta[:m.keep.size] *= m.keep
         X = self.batch(m, n=8, seed=1)
         w = np.array([0.5, 2.0])
-        analytic = loss_and_grad(m, X, w)[1]
+        analytic = full_gradient(m, X, w)[1]
         assert max_relative_error(analytic, fd_gradient(m, X, w)) < 1e-4
         assert (analytic[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
@@ -342,6 +342,9 @@ def step_case(case):
 class TestInPlaceStep:
     @pytest.mark.parametrize("case", STEP_CASES)
     def test_matches_reference_for_20_steps(self, case):
+        # each piece of the gradient goes to Adam as loss_and_grad hands it
+        # over, and is copied on the way; the reference takes the whole
+        # gradient first, then one Adam step
         m, batch, weights, training = step_case(case)
         ref = m.copy()
         adam, ref_adam = AdamState(m), ReferenceAdam(ref)
@@ -350,19 +353,25 @@ class TestInPlaceStep:
         # as NaN: a gradient block or activation a step fails to write would
         # survive the keep-multiply and break the bitwise comparison
         work: dict = {}
-        stale = loss_and_grad(m, batch(0), weights, work=work)[1]
+        loss_and_grad(m, batch(0), lambda lo, g: None, weights, work=work)
         for a in work.values():
             a.fill(np.nan)
         for step in range(20):
             X = batch(step)
-            loss, grad = loss_and_grad(m, X, weights, training=training, rng=rng, work=work)
-            assert grad is stale
+            grad = np.full_like(m.theta, np.nan)
+
+            def update(lo, g):
+                grad[lo:lo + g.size] = g
+                adam.step(lo, g)
+
+            adam.t += 1
+            loss = loss_and_grad(m, X, update, weights, training=training, rng=rng,
+                                 work=work)
             ref_loss, ref_grad = reference_loss_and_grad(ref, X, weights,
                                                          training=training, rng=ref_rng)
+            ref_adam.step(ref, ref_grad)
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
-            adam.step(m, grad)
-            ref_adam.step(ref, ref_grad)
             np.testing.assert_array_equal(m.theta, ref.theta)
         assert m.checksum() == ref.checksum()
 
@@ -382,13 +391,36 @@ class TestInPlaceStep:
         perm = rng.permutation(data.shape[0])
         ref_trace = []
         for start in range(0, data.shape[0], n):
-            loss, grad = loss_and_grad(ref, data[perm[start:start + n]], training=True,
+            loss, grad = full_gradient(ref, data[perm[start:start + n]], training=True,
                                        rng=rng)
-            adam.step(ref, grad)
+            adam.t += 1
+            adam.step(0, grad)
             ref_trace.append(loss)
         assert len(trace) == 20 and trace == ref_trace
         assert m.theta.tobytes() == ref.theta.tobytes()
         assert m.checksum() == ref.checksum()
+
+    def test_train_updates_through_adam_state_step(self, monkeypatch):
+        # one AdamState.step per dense layer and one for the bias and
+        # embedding tail, in each train step; the benchmark's tracer counts
+        # Adam through this method
+        m = tiny_model(seed=37, doms=(4, 3), hidden_dim=10, blocks=2, dropout=0.2)
+        ref = m.copy()
+        rng = np.random.default_rng(1)
+        data = np.stack([rng.integers(0, c.domain_size, 40) for c in m.columns], axis=1)
+        ref_trace = train(ref, data, seed=2, epochs=2, batch_size=16)
+        calls = []
+        step = AdamState.step
+
+        def counted(self, lo, grad):
+            calls.append(lo)
+            step(self, lo, grad)
+
+        monkeypatch.setattr(AdamState, "step", counted)
+        trace = train(m, data, seed=2, epochs=2, batch_size=16)
+        assert trace == ref_trace and len(trace) == 6
+        assert len(calls) == len(trace) * (2 * m.cfg.residual_blocks + 3)
+        assert m.theta.tobytes() == ref.theta.tobytes()
 
     def test_train_step_allocates_no_theta_sized_array(self):
         m = tiny_model(seed=34, doms=(40, 30), bins=32, embedding_dim=8, hidden_dim=256,
@@ -414,28 +446,19 @@ class TestInPlaceStep:
         m = tiny_model(seed=34, doms=(40, 30), bins=32, embedding_dim=8, hidden_dim=64,
                        blocks=2)
         X = np.stack([np.arange(32) % c.domain_size for c in m.columns], axis=1)
-        grad = loss_and_grad(m, X)[1]
+        grad = full_gradient(m, X)[1]
         adam = AdamState(m)
-        adam.step(m, grad)  # warm-up
+        adam.t = 1
+        adam.step(0, grad)  # warm-up
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            adam.step(m, grad)
+            adam.t += 1
+            adam.step(0, grad)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < m.theta.nbytes // 4
-
-    def test_gradients_are_independent_vectors(self):
-        m = tiny_model(seed=35)
-        X = np.zeros((4, m.ncols), dtype=np.int64)
-        g1, g2 = loss_and_grad(m, X)[1], loss_and_grad(m, X)[1]
-        assert not np.shares_memory(g1, g2)
-        assert not np.shares_memory(g1, m.theta)
-        np.testing.assert_array_equal(g1, g2)
-        # with one workspace the next call overwrites the returned gradient
-        work: dict = {}
-        assert loss_and_grad(m, X, work=work)[1] is loss_and_grad(m, X, work=work)[1]
 
 
 REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",
@@ -693,6 +716,23 @@ class TestCheckpoint:
 
         rewrite_checkpoint(p, masked_weight)
         with pytest.raises(FormatError, match="masked position"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["connected_weight", "embedding"])
+    def test_non_finite_theta_rejected(self, tmp_path, where, value):
+        # a NaN at a connected weight makes every estimate on the model NaN
+        m = tiny_model(seed=28)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(m, p)
+        idx = int(np.flatnonzero(m.keep)[0]) if where == "connected_weight" else -1
+
+        def poison(meta, theta, keep):
+            theta[idx] = value
+            return meta, theta, keep
+
+        rewrite_checkpoint(p, poison)
+        with pytest.raises(FormatError, match="NaN or infinity"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("case", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cardest.errors import ConfigurationError, ValidationError
 from cardest.model import (batch_nll_terms, estimate_selectivity, forward,
-                           load_checkpoint, loss_and_grad, save_checkpoint, train)
+                           load_checkpoint, save_checkpoint, train)
 from cardest.queries import Predicate, Query
 from cardest.relational import (CATEGORICAL, Condition, DeletionTask, apply_deletion,
                                 materialize_join, semi_join_deletion)
@@ -20,7 +20,7 @@ from cardest.unlearn import (CepConfig, accumulate_scores,
                              fine_tune, prune_step, release_pruning, run_method,
                              zero_scores)
 from cardest.workload import model_constraints
-from conftest import reference_loss_and_grad, star_splits, tiny_model
+from conftest import full_gradient, reference_loss_and_grad, star_splits, tiny_model
 
 
 class TestAttributeSensitivity:
@@ -52,7 +52,7 @@ def row_terms(m, row):
 
 def weighted_loss(m, row, shift, loss_mode):
     w = effective_column_weights(shift, loss_mode, m.ncols)
-    return loss_and_grad(m, np.asarray(row)[None, :], w)[0]
+    return full_gradient(m, np.asarray(row)[None, :], w)[0]
 
 
 class TestWeightedLosses:
@@ -96,8 +96,8 @@ class TestWeightedLosses:
         w_cond = effective_column_weights(shift, "per_conditional", d)
         w_joint = effective_column_weights(shift, "joint_aggregated", d)
         np.testing.assert_allclose(w_joint, w_cond * d)
-        g_cond = loss_and_grad(m, row[None, :], w_cond)[1]
-        g_joint = loss_and_grad(m, row[None, :], w_joint)[1]
+        g_cond = full_gradient(m, row[None, :], w_cond)[1]
+        g_joint = full_gradient(m, row[None, :], w_joint)[1]
         np.testing.assert_allclose(g_joint, g_cond * d, rtol=1e-12, atol=1e-15)
 
 
@@ -122,7 +122,7 @@ class TestAccumulateScores:
         manual = np.zeros_like(model.theta)
         for _ in range(3):
             idx = rng.choice(codes.shape[0], size=4, replace=False)
-            g = loss_and_grad(model, codes[idx], shift)[1]
+            g = full_gradient(model, codes[idx], shift)[1]
             manual += g * g
         # scores cover the dense weights, the only ones prune_step reads
         np.testing.assert_array_equal(scores.values, manual[:model.keep.size])
@@ -171,7 +171,7 @@ class TestAccumulateScores:
         def total(schedule):
             acc = zero_scores(model)
             for b in schedule:
-                g = loss_and_grad(model, b, shift)[1][:model.keep.size]
+                g = full_gradient(model, b, shift)[1][:model.keep.size]
                 acc.values += g * g
             return acc.values
 
@@ -455,11 +455,11 @@ class TestFineTuneAndRunMethod:
     def test_fine_tune_improves_retained_nll(self, star_db):
         model = self.trained_original(star_db)
         split = self.make_split(star_db)
-        from cardest.model import encode_relation, loss_and_grad
+        from cardest.model import encode_relation
         codes, valid = encode_relation(model, split.retained_join())
-        before, _ = loss_and_grad(model, codes[valid])
+        before, _ = full_gradient(model, codes[valid])
         fine_tune(model, codes[valid], seed=4, epochs=10)
-        after, _ = loss_and_grad(model, codes[valid])
+        after, _ = full_gradient(model, codes[valid])
         assert after <= before
 
     def test_stale_returns_original(self, star_db):
