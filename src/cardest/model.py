@@ -59,12 +59,13 @@ scoring, and inference are deterministic given seeds.  All parameters live
 in one vector ``theta``: the dense weights in ``weight_keys()`` order, then
 their biases, then one embedding table per column; ``params`` and
 ``embeddings`` are views into it.  One bool keep-mask ``keep`` (True =
-trainable) covers the dense-weight prefix and is the product of the MADE
-connectivity and the unlearning prune mask.  Every position where ``keep``
-is False holds exactly 0 and gets a zero gradient, and the optimizer
-re-zeroes it after each update, so the network reads the weights as they
-are, with no mask product on the way.  Checkpoints are outside input to
-that invariant and are checked for it when loaded.
+trainable) covers the dense-weight prefix; ``bind`` sets it to the MADE
+connectivity, and only sensitivity pruning narrows it, between its
+per-table steps.  Every position where ``keep`` is False holds exactly 0
+and gets a zero gradient, and the optimizer re-zeroes it after each
+update, so the network reads the weights as they are, with no mask
+product on the way.  Checkpoints are outside input to that invariant and
+are checked for it when loaded.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # elements per Adam chunk: the six chunk-sized float64 arrays an update
 # streams take 1.5 MB, inside a 2 MB L2
 ADAM_CHUNK = 32_768
@@ -132,6 +133,10 @@ class ModelConfig:
             raise ValidationError("epochs must be >= 0")
         if not 0.0 < self.lr < math.inf:
             raise ValidationError("lr must be a finite number > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValidationError("beta1 and beta2 must lie in [0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise ValidationError("eps must be a finite number > 0")
 
 
 def _is_int(v) -> bool:
@@ -178,7 +183,7 @@ class ArDensityModel:
     columns: list[ModelColumn]
     order: np.ndarray          # positions -> column index
     theta: np.ndarray          # every parameter, in _parameter_shapes() order
-    keep: np.ndarray           # bool, dense-weight prefix of theta: connectivity x prune
+    keep: np.ndarray = field(init=False)    # bool, dense-weight prefix: trainable
     params: dict[str, np.ndarray] = field(init=False)   # weight and bias views
     embeddings: list[np.ndarray] = field(init=False)    # per column: (domain, emb) view
 
@@ -186,11 +191,12 @@ class ArDensityModel:
         self.bind()
 
     def bind(self):
-        """Point ``params`` and ``embeddings`` into ``theta``; call again
-        whenever ``theta`` is replaced."""
+        """Point ``params`` and ``embeddings`` into ``theta`` and set ``keep``
+        to the connectivity; call again whenever ``theta`` is replaced."""
         views = self.unflatten(self.theta)
         self.embeddings = [views.pop(f"emb:{i}") for i in range(self.ncols)]
         self.params = views
+        self.keep = self.connectivity()
 
     @property
     def ncols(self) -> int:
@@ -247,8 +253,7 @@ class ArDensityModel:
 
     def copy(self) -> "ArDensityModel":
         return ArDensityModel(cfg=self.cfg, columns=copy.deepcopy(self.columns),
-                              order=self.order.copy(), theta=self.theta.copy(),
-                              keep=self.keep.copy())
+                              order=self.order.copy(), theta=self.theta.copy())
 
     def parameter_count(self) -> int:
         return self.theta.size
@@ -333,8 +338,7 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
     order = np.array(cfg.column_order if cfg.column_order is not None
                      else range(len(columns)), dtype=np.int64)
     size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
-                           theta=np.zeros(size), keep=np.empty(0, dtype=bool))
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=np.zeros(size))
     rng = np.random.default_rng(seed)
     for k in model.weight_keys()[:-1]:
         w = model.params[k]
@@ -342,7 +346,6 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
         w[...] = rng.uniform(-s, s, size=w.shape)
     for e in model.embeddings:
         e[...] = rng.normal(0.0, 1.0 / np.sqrt(cfg.embedding_dim), size=e.shape)
-    model.keep = model.connectivity()
     model.theta[:model.keep.size] *= model.keep
     return model
 
@@ -934,15 +937,14 @@ def _column_from_meta(meta: dict) -> ModelColumn:
 
 def save_checkpoint(model: ArDensityModel, path: str | Path):
     """Binary checkpoint: magic, version, JSON metadata, then ``theta`` as
-    little-endian float64 and ``keep`` as one byte (0 or 1) per entry, both
-    in their in-memory order, and a trailing 8-byte SHA-256 prefix over
-    everything before it."""
+    little-endian float64 in its in-memory order, and a trailing 8-byte
+    SHA-256 prefix over everything before it.  ``keep`` is the connectivity
+    the metadata gives, so it is not stored."""
     meta = {"config": asdict(model.cfg), "order": [int(v) for v in model.order],
             "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
-             meta_bytes, np.ascontiguousarray(model.theta, dtype="<f8"),
-             np.ascontiguousarray(model.keep).view(np.uint8)]
+             meta_bytes, np.ascontiguousarray(model.theta, dtype="<f8")]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:  # hashed and written in place, never joined
@@ -980,23 +982,14 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
             raise ValueError("order is not a permutation of the columns")
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
-    shapes = _parameter_shapes(cfg, columns)
-    n_theta = sum(math.prod(s) for s in shapes.values())
-    # keep covers the dense weights (the "w" keys), the prefix of theta
-    n_keep = sum(math.prod(s) for k, s in shapes.items() if k.startswith("w"))
+    n_theta = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
     off = 12 + meta_len
-    if off + 8 * n_theta + n_keep != len(body):
+    if off + 8 * n_theta != len(body):
         raise FormatError(f"{path}: array bytes do not match the metadata")
-    theta = np.frombuffer(body, dtype="<f8", count=n_theta, offset=off).astype(np.float64)
+    theta = np.frombuffer(body, dtype="<f8", offset=off).astype(np.float64)
     if not np.isfinite(theta).all():
         raise FormatError(f"{path}: theta holds NaN or infinity")
-    keep = np.frombuffer(body, dtype=np.uint8, offset=off + 8 * n_theta)
-    if (keep > 1).any():
-        raise FormatError(f"{path}: keep-mask entries must be 0 or 1")
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta,
-                           keep=keep.astype(bool))
-    if (model.keep & ~model.connectivity()).any():
-        raise FormatError(f"{path}: keep-mask is 1 where no connection exists")
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta)
     if (model.theta[:model.keep.size][~model.keep] != 0.0).any():
         raise FormatError(f"{path}: non-zero weight at a masked position")
     return model

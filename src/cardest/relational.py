@@ -9,8 +9,10 @@ the full outer join and never exceeds the hub's row count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +171,7 @@ class Condition:
     """
     table: str
     column: str | None = None
-    value: object = None
+    value: float | None = None
     lo: float | None = None
     hi: float | None = None
 
@@ -194,6 +196,14 @@ class DeletionTask:
                 if c.value is None and (c.lo is None or c.hi is None):
                     raise ValidationError(
                         f"A-task condition on {c.table}.{c.column} needs a value or range")
+            for key in ("value", "lo", "hi"):
+                v = getattr(c, key)
+                if v is not None and (isinstance(v, bool) or not isinstance(v, Real)
+                                      or math.isnan(v)):
+                    raise ValidationError(f"condition on {c.table}: {key} must be a number, "
+                                          f"not {v!r}")
+            if c.lo is not None and c.hi is not None and c.lo > c.hi:
+                raise ValidationError(f"condition on {c.table}: lo {c.lo} exceeds hi {c.hi}")
 
     @property
     def scope(self) -> int:

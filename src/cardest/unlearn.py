@@ -15,11 +15,10 @@ Two pruning stages followed by fine-tuning on the retained join:
   so scores cover the dense weights only and are zero where ``keep`` is
   False.
 
-During the fine-tune that follows, the zeroed weights may regrow by
-default (pruning acts as a targeted reset, which measurably beats
-permanent sparsity at this model scale); ``CepConfig.freeze_pruned`` keeps
-them hard-zero instead.  Baselines (stale / retrain / fine-tune) run
-through the same entry point so their timings and traces are comparable.
+Pruning is a targeted reset: the zeroed weights stay trainable and may
+regrow from retained data during the fine-tune that follows.  Baselines
+(stale / retrain / fine-tune) run through the same entry point so their
+timings and traces are comparable.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from .model import (ArDensityModel, ModelConfig, _is_int, _is_number,
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, DatasetSplit,
                          JoinRelation, empirical_pmf, semi_join_deletion)
 
-LOSS_MODES = ("per_conditional", "joint_aggregated")
 METHODS = ("stale", "retrain", "finetune", "cep")
 # sampling iterations scored per forward pass: stacks of 4 ran no faster
 # than stacks of 2 and took more memory
@@ -47,15 +45,10 @@ class CepConfig:
     alpha: float = 0.5
     sampling_iterations: int = 50
     batch_size: int = 128
-    loss_mode: str = "per_conditional"
     domain_prune: bool = True
     sensitivity_prune: bool = True
     finetune_epochs: int = 12
     gap_threshold: float | None = None   # fraction of the column range; None -> 1/bins
-    # keep pruned weights hard-zero through fine-tuning; by default they are
-    # zeroed at prune time but may regrow (at this model scale permanent
-    # sparsity measurably degrades tail accuracy while a targeted reset helps)
-    freeze_pruned: bool = False
 
     def validate(self):
         """Types and ranges of every field, as ``ModelConfig.validate``
@@ -64,10 +57,8 @@ class CepConfig:
                                         self.finetune_epochs)):
             raise ValidationError("sampling_iterations, batch_size and finetune_epochs "
                                   "must be integers")
-        if not all(isinstance(v, bool) for v in (self.domain_prune, self.sensitivity_prune,
-                                                 self.freeze_pruned)):
-            raise ValidationError("domain_prune, sensitivity_prune and freeze_pruned "
-                                  "must be true or false")
+        if not all(isinstance(v, bool) for v in (self.domain_prune, self.sensitivity_prune)):
+            raise ValidationError("domain_prune and sensitivity_prune must be true or false")
         if not (_is_number(self.alpha) and 0.0 <= self.alpha < 1.0):
             raise ValidationError("alpha must lie in [0, 1)")
         if self.sampling_iterations < 1:
@@ -79,8 +70,6 @@ class CepConfig:
         if self.gap_threshold is not None and not (
                 _is_number(self.gap_threshold) and 0.0 < self.gap_threshold <= 1.0):
             raise ValidationError("gap_threshold must be null or lie in (0, 1]")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValidationError(f"unknown loss mode {self.loss_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +112,6 @@ def column_shift_weights(model: ArDensityModel, full_rel: JoinRelation,
     return out
 
 
-def effective_column_weights(shift: np.ndarray, loss_mode: str, ncols: int) -> np.ndarray:
-    """Per-conditional mode weighs each conditional term by its own column
-    shift; joint mode multiplies the whole joint NLL by the summed shifts,
-    which is the same as giving every term that sum."""
-    shift = np.asarray(shift, dtype=np.float64)
-    if loss_mode == "per_conditional":
-        return shift
-    if loss_mode == "joint_aggregated":
-        return np.full(ncols, shift.sum())
-    raise ValidationError(f"unknown loss mode {loss_mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # sensitivity scores
 
@@ -152,10 +129,10 @@ def zero_scores(model: ArDensityModel) -> SensitivityScores:
 
 def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
                       shift: np.ndarray, n_iterations: int, batch_size: int,
-                      rng: np.random.Generator,
-                      loss_mode: str = "per_conditional") -> SensitivityScores:
+                      rng: np.random.Generator) -> SensitivityScores:
     """Squared batch-mean gradients of the shift-weighted loss, summed over
-    sampling iterations of one deleted-join relation.
+    sampling iterations of one deleted-join relation.  Each conditional term
+    is weighed by its own column's ``shift``.
 
     Scores cover the dense weights only, the only ones ``prune_step`` can
     prune, and are exactly 0 where ``keep`` is False.  Each iteration draws
@@ -175,7 +152,6 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     codes = codes[valid]
     if codes.shape[0] == 0:
         return scores
-    weights = effective_column_weights(shift, loss_mode, model.ncols)
     n = codes.shape[0]
     take = min(batch_size, n)
     acc = model.unflatten(scores.values)
@@ -187,7 +163,7 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
     for first in range(0, n_iterations, SCORE_STACK):
         stack = min(SCORE_STACK, n_iterations - first)
         idx = np.concatenate([rng.choice(n, size=take, replace=False) for _ in range(stack)])
-        batch_weight_grads(model, codes[idx], weights, take, add_square, work)
+        batch_weight_grads(model, codes[idx], shift, take, add_square, work)
     # multiplying by the bool keep zeroes the masked positions and leaves the rest
     scores.values *= model.keep
     scores.tuples_used = n
@@ -248,7 +224,9 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
     split's retained join) once, then for each table with deletions
     accumulates scores over the deleted join and prunes a per-table share
     alpha/K of the weight pool, so the total pruned fraction is alpha up to
-    integer rounding.
+    integer rounding.  Between the tables ``keep`` also masks what earlier
+    tables pruned; at the end it is the connectivity again, so the pruned
+    weights stay zero but are trainable.
     """
     cfg.validate()
     tables_k = split.tables_with_deletions()
@@ -266,7 +244,7 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
     for tname in tables_k:
         rel_k = semi_join_deletion(split, name_to_index[tname], cap=cap)
         scores = accumulate_scores(model, rel_k, shift, cfg.sampling_iterations,
-                                   cfg.batch_size, rng, cfg.loss_mode)
+                                   cfg.batch_size, rng)
         entry = {"table": tname, "join_rows": rel_k.cardinality,
                  "tuples_used": scores.tuples_used,
                  "tuples_skipped": scores.tuples_skipped,
@@ -280,14 +258,8 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
             info["total_pruned"] += res["pruned"]
         info["tables"].append(entry)
         del rel_k, scores  # freed before the next table's join is built and scored
-    return info
-
-
-def release_pruning(model: ArDensityModel):
-    """Lift pruning: the keep-mask returns to the connectivity mask, so the
-    pruned weights stay at their current (zeroed) values but become
-    trainable again."""
     model.keep = model.connectivity()
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +291,7 @@ def domain_prune_categorical(model: ArDensityModel, column: str,
     keep_pos, drop_pos = np.nonzero(retained)[0], np.nonzero(~retained)[0]
     code_map = {int(old): new for new, old in enumerate(keep_pos)}
 
-    # re-pack theta and keep without the dropped embedding rows and logits
+    # re-pack theta without the dropped embedding rows and logits
     sel = np.ones(model.theta.size, dtype=bool)
     views = model.unflatten(sel)
     lo = int(model.logit_offsets()[i])
@@ -327,7 +299,6 @@ def domain_prune_categorical(model: ArDensityModel, column: str,
     views["b_out"][lo + drop_pos] = False
     views[f"emb:{i}"][drop_pos] = False
     model.theta = model.theta[sel]
-    model.keep = model.keep[sel[:model.keep.size]]
     col.codes = col.codes[keep_pos]
     col.values = col.values[keep_pos]
     model.bind()
@@ -377,7 +348,7 @@ def apply_domain_pruning(model: ArDensityModel, split: DatasetSplit,
 def fine_tune(model: ArDensityModel, data: np.ndarray, seed,
               epochs: int, step_hook=None) -> list[float]:
     """Continue training on retained-join rows (in place): fresh optimizer
-    moments, pruned weight positions stay exactly zero."""
+    moments; positions where ``keep`` is False stay exactly zero."""
     return train(model, data, seed, epochs=epochs, step_hook=step_hook)
 
 
@@ -454,10 +425,6 @@ def run_method(method: str, split: DatasetSplit, original: ArDensityModel | None
                 np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
             info["sensitivity"] = distribution_sensitivity_pruning(
                 model, split, retained_rel, cep_cfg, prune_rng, cap=cap)
-            if not cep_cfg.freeze_pruned:
-                # pruning acted as a targeted reset: the zeroed weights may
-                # relearn from retained data during fine-tuning
-                release_pruning(model)
         timings["sensitivity_prune_seconds"] = time.perf_counter() - t1
         timings["prune_seconds"] = timings["domain_prune_seconds"] + \
             timings["sensitivity_prune_seconds"]

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import ConfigurationError
 from cardest.model import (ArDensityModel, ModelConfig, _log_softmax,
-                           batch_nll_terms, forward, init_model, load_checkpoint,
-                           loss_and_grad)
+                           batch_nll_terms, forward, init_model, loss_and_grad)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, TableData,
                                 apply_deletion, join_keys)
@@ -363,22 +362,18 @@ class ReferenceAdam:
 
 
 def rewrite_checkpoint(path, edit):
-    """Rewrite a checkpoint through ``edit(meta, theta, keep)``, which may
-    change the metadata dict, the float64 ``theta`` and the uint8 ``keep``
-    bytes, then give it a fresh digest.  ``edit`` may return the metadata as
-    raw bytes instead."""
-    n_theta = load_checkpoint(path).theta.size
+    """Rewrite a checkpoint through ``edit(meta, theta)``, which may change
+    the metadata dict and the float64 ``theta``, then give it a fresh
+    digest.  ``edit`` may return the metadata as raw bytes instead."""
     raw = path.read_bytes()
     meta_len, = struct.unpack("<I", raw[8:12])
     meta = json.loads(raw[12:12 + meta_len])
-    payload = raw[12 + meta_len:-8]
-    theta = np.frombuffer(payload, dtype="<f8", count=n_theta).copy()
-    keep = np.frombuffer(payload, dtype=np.uint8, offset=8 * n_theta).copy()
-    meta, theta, keep = edit(meta, theta, keep)
+    theta = np.frombuffer(raw[12 + meta_len:-8], dtype="<f8").copy()
+    meta, theta = edit(meta, theta)
     meta_bytes = meta if isinstance(meta, bytes) else \
         json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
-        np.asarray(theta, dtype="<f8").tobytes() + np.asarray(keep, dtype=np.uint8).tobytes()
+        np.asarray(theta, dtype="<f8").tobytes()
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
 
 

@@ -137,7 +137,8 @@ class TestConfigErrors:
         self.check_rejected(path, capsys, "not valid YAML")
 
     @pytest.mark.parametrize("field,value", [
-        ("batch_size", 0), ("epochs", -1), ("lr", 0.0), ("lr", "1e-3")])
+        ("batch_size", 0), ("epochs", -1), ("lr", 0.0), ("lr", "1e-3"),
+        ("beta1", 1.0), ("beta1", -3.0), ("beta2", 1.5), ("eps", -1.0), ("eps", 0.0)])
     def test_model_value_out_of_range(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
@@ -154,7 +155,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("condition,match", [
         ({"column": "amount", "lo": 30.0, "hi": 60.0}, "naming a table"),
         ({"table": "fact", "lo": 30.0, "hi": 60.0}, "needs a column"),
-        ("fact.amount", "naming a table")])
+        ("fact.amount", "naming a table"),
+        ({"table": "fact", "column": "amount", "lo": "a", "hi": 800.0}, "lo must be a number"),
+        ({"table": "fact", "column": "status", "value": [1, 2]}, "value must be a number"),
+        ({"table": "fact", "column": "amount", "lo": 900.0, "hi": 100.0}, "lo 900.0 exceeds"),
+        ({"table": "fact", "column": "status", "value": "x"}, "value must be a number")])
     def test_malformed_task_condition(self, tmp_path, capsys, condition, match):
         path = write_config(tmp_path, task={"name": "A-1-1.0", "conditions": [condition]})
         self.check_rejected(path, capsys, match)
@@ -270,6 +275,16 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(doc))
         self.check_rejected(path, capsys, field)
 
+    @pytest.mark.parametrize("field,value", [("freeze_pruned", True),
+                                             ("loss_mode", "joint_aggregated")])
+    def test_removed_cep_key(self, tmp_path, capsys, field, value):
+        # a config that still sets a removed option is named, not run without it
+        path = write_config(tmp_path)
+        doc = yaml.safe_load(path.read_text())
+        doc["cep"][field] = value
+        path.write_text(yaml.safe_dump(doc))
+        self.check_rejected(path, capsys, f"cep.*unknown key '{field}'")
+
     @pytest.mark.parametrize("flag", [["--finetune-epochs", "-1"], ["--alpha", "1.5"],
                                       ["--ns", "0"]])
     def test_bad_unlearn_override_exits_2(self, tmp_path, capsys, flag):
@@ -357,9 +372,9 @@ class TestDeterminismAndAblation:
     def test_malformed_checkpoint_exits_4(self, tmp_path, capsys):
         cfg, run_dir = self.prep(tmp_path)
 
-        def drop_config(meta, theta, keep):
+        def drop_config(meta, theta):
             del meta["config"]
-            return meta, theta, keep
+            return meta, theta
 
         rewrite_checkpoint(run_dir / "model" / "original.ckpt", drop_config)
         assert main(["unlearn", "-c", str(cfg), "--method", "stale"]) == 4

@@ -347,6 +347,7 @@ class TestInPlaceStep:
         # gradient first, then one Adam step
         m, batch, weights, training = step_case(case)
         ref = m.copy()
+        ref.keep[:] = m.keep  # a copy's keep is the connectivity
         adam, ref_adam = AdamState(m), ReferenceAdam(ref)
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         # one workspace for every step, as train keeps it, whose arrays start
@@ -382,6 +383,7 @@ class TestInPlaceStep:
         # step.  train takes no column weights, so "weighted" runs unweighted
         m, batch, _, _ = step_case(case)
         ref = m.copy()
+        ref.keep[:] = m.keep
         data = np.concatenate([batch(step) for step in range(20)])
         n = data.shape[0] // 20
         trace = train(m, data, seed=5, epochs=1, batch_size=n)
@@ -657,50 +659,19 @@ class TestCheckpoint:
         assert loaded.checksum() == m.checksum()
 
     # Each case below is digest-valid, so only the content check can fire.
-    # The payload is theta as float64, then keep as one byte per entry.
+    # The payload is theta as float64.
 
     def test_array_layout_must_match_metadata(self, tmp_path):
         m = tiny_model(seed=26)
         p = tmp_path / "m.ckpt"
-        for edit in (lambda meta, theta, keep: (meta, theta, np.append(keep, 0)),
-                     lambda meta, theta, keep: (meta, np.append(theta, 0.0), keep),
-                     # the version 3 layout: keep as eight bytes per entry
-                     lambda meta, theta, keep: (meta, theta,
-                                                keep.astype("<f8").view(np.uint8))):
+        for edit in (lambda meta, theta: (meta, np.append(theta, 0.0)),
+                     lambda meta, theta: (meta, theta[:-1])):
             save_checkpoint(m, p)
-            rewrite_checkpoint(p, lambda meta, theta, keep: (meta, theta, keep))
+            rewrite_checkpoint(p, lambda meta, theta: (meta, theta))
             assert load_checkpoint(p).checksum() == m.checksum()
             rewrite_checkpoint(p, edit)
             with pytest.raises(FormatError, match="array bytes"):
                 load_checkpoint(p)
-
-    def test_keep_entries_must_be_0_or_1(self, tmp_path):
-        m = tiny_model(seed=27)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(m, p)
-        connected = int(np.flatnonzero(m.keep)[0])
-
-        def keep_byte_2(meta, theta, keep):
-            keep[connected] = 2
-            return meta, theta, keep
-
-        rewrite_checkpoint(p, keep_byte_2)
-        with pytest.raises(FormatError, match="0 or 1"):
-            load_checkpoint(p)
-
-    def test_keep_is_0_where_no_connection(self, tmp_path):
-        m = tiny_model(seed=30)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(m, p)
-        unconnected = int(np.flatnonzero(~m.connectivity())[0])
-
-        def keep_unconnected(meta, theta, keep):
-            keep[unconnected] = 1
-            return meta, theta, keep
-
-        rewrite_checkpoint(p, keep_unconnected)
-        with pytest.raises(FormatError, match="no connection"):
-            load_checkpoint(p)
 
     def test_masked_weight_must_be_zero(self, tmp_path):
         m = tiny_model(seed=28)
@@ -710,9 +681,9 @@ class TestCheckpoint:
         offsets = m.unflatten(np.arange(m.theta.size))["w_out"]
         unconnected = int(offsets[m.unflatten(m.connectivity())["w_out"] == 0][0])
 
-        def masked_weight(meta, theta, keep):
+        def masked_weight(meta, theta):
             theta[unconnected] = 0.25
-            return meta, theta, keep
+            return meta, theta
 
         rewrite_checkpoint(p, masked_weight)
         with pytest.raises(FormatError, match="masked position"):
@@ -727,9 +698,9 @@ class TestCheckpoint:
         save_checkpoint(m, p)
         idx = int(np.flatnonzero(m.keep)[0]) if where == "connected_weight" else -1
 
-        def poison(meta, theta, keep):
+        def poison(meta, theta):
             theta[idx] = value
-            return meta, theta, keep
+            return meta, theta
 
         rewrite_checkpoint(p, poison)
         with pytest.raises(FormatError, match="NaN or infinity"):
@@ -746,7 +717,7 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(m, p)
 
-        def edit(meta, theta, keep):
+        def edit(meta, theta):
             if case == "no_config":
                 del meta["config"]
             elif case == "column_without_kind":
@@ -763,8 +734,6 @@ class TestCheckpoint:
                 meta["columns"], meta["order"] = [], []
                 shapes = _parameter_shapes(m.cfg, [])
                 theta = np.zeros(sum(np.prod(s) for s in shapes.values()))
-                keep = np.zeros(sum(np.prod(s) for k, s in shapes.items() if k.startswith("w")),
-                                dtype=np.uint8)
             elif case == "duplicate_column_names":
                 meta["columns"][1]["name"] = meta["columns"][0]["name"]
             elif case == "repeated_code":
@@ -779,8 +748,8 @@ class TestCheckpoint:
                 meta["columns"][-1]["remap"] = {"lo": 0.0, "hi": 3.0,
                                                 "subranges": [[0.0, 1.0], [2.0, 3.0]]}
             else:
-                return b"\xff{not json", theta, keep
-            return meta, theta, keep
+                return b"\xff{not json", theta
+            return meta, theta
 
         rewrite_checkpoint(p, edit)
         with pytest.raises(FormatError, match="malformed checkpoint metadata"):
@@ -789,11 +758,12 @@ class TestCheckpoint:
 
 def test_checkpoint_version_mismatch(tmp_path):
     # version 1 stored hidden units and input rows in another order, version
-    # 2 per-key arrays and prune masks, and version 3 keep as float64: only
-    # the version tells a file's layout, so every other version is rejected
+    # 2 per-key arrays and prune masks, version 3 keep as float64 and version
+    # 4 keep as one byte per entry: only the version tells a file's layout,
+    # so every other version is rejected
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", version)
