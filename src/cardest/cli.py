@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -27,12 +28,12 @@ from . import __version__
 from .datagen import DataGenConfig, gen_star_schema
 from .errors import (CardestError, ConfigurationError, StageOrderingError,
                      ValidationError)
-from .model import (ModelConfig, _is_int, encode_relation, init_model,
-                    load_checkpoint, save_checkpoint, train)
+from .model import (ArDensityModel, ModelConfig, _is_int, encode_relation,
+                    init_model, load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
 from .relational import (Condition, DatasetSplit, DeletionTask, SchemaGraph,
-                         apply_deletion, join_keys, load_dataset,
-                         materialize_join, save_dataset)
+                         apply_deletion, condition_mask, join_keys,
+                         load_dataset, materialize_join, save_dataset)
 from .unlearn import METHODS, CepConfig, run_method
 from .workload import (PERCENTILES, WorkloadConfig, check_focus_columns,
                        complement_query, convergence_trace, evaluate,
@@ -176,6 +177,21 @@ def write_manifest(directory: Path, command: str, cfg: ExperimentConfig,
         json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+# the environment variables that set the BLAS and OpenMP thread counts
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _compute_environment(model: ArDensityModel) -> dict:
+    """What a training stage's numbers depend on besides its inputs: the
+    model's dtype, the BLAS numpy was built with, the host's CPU count, and
+    the thread variables (null where unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"dtype": model.theta.dtype.name,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "nproc": os.cpu_count(),
+            "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
+
+
 def _require(path: Path, hint: str):
     if not path.exists():
         raise StageOrderingError(f"missing {path}; run `{hint}` first")
@@ -236,13 +252,20 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     _write_csv(out / "timing.csv", ["stage", "seconds"],
                [["train_seconds", repr(train_seconds)]])
     write_manifest(out, "train", cfg, {"parameters": model.parameter_count(),
-                                       "join_rows": join_rows})
+                                       "join_rows": join_rows,
+                                       "compute": _compute_environment(model)})
     return out
 
 
 def cmd_delete(cfg: ExperimentConfig) -> Path:
+    """Split the dataset by the task.  A condition that matches no row is
+    a configuration error: it would delete nothing, yet every later stage
+    would run as though it had."""
     db = _load_db(cfg)
     split = apply_deletion(db, cfg.task, seed=cfg.seeds["data"])
+    for c in cfg.task.conditions:
+        if not condition_mask(db.table(c.table), c).any():
+            raise ConfigurationError(f"deletion condition {c} matches no row")
     out = cfg.output_dir / "split"
     save_dataset(SchemaGraph(split.retained, split.joins, split.hub), out / "retained")
     save_dataset(SchemaGraph(split.deleted, split.joins, split.hub), out / "deleted")
@@ -288,7 +311,8 @@ def cmd_unlearn(cfg: ExperimentConfig, method: str,
                [["total_seconds", repr(total)]])
     _write_csv(out / "trace.csv", ["step", "loss"],
                [[i, _fmt(v)] for i, v in enumerate(run.loss_trace)])
-    write_manifest(out, f"unlearn-{method}", cfg, {"method": method, "cep": asdict(cep_cfg)})
+    write_manifest(out, f"unlearn-{method}", cfg, {"method": method, "cep": asdict(cep_cfg),
+                                                   "compute": _compute_environment(run.model)})
     return out
 
 

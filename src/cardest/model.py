@@ -54,14 +54,19 @@ allocates once.  Each of these does the same floating-point operations in
 the same order as the plain expressions, so trained weights and loss
 traces are byte-identical to what those give.
 
-Everything is float64 and driven by explicit numpy Generators; training,
-scoring, and inference are deterministic given seeds.  All parameters live
-in one vector ``theta``: the dense weights in ``weight_keys()`` order, then
-their biases, then one embedding table per column; ``params`` and
-``embeddings`` are views into it.  One bool keep-mask ``keep`` (True =
-trainable) covers the dense-weight prefix; ``bind`` sets it to the MADE
-connectivity, and only sensitivity pruning narrows it, between its
-per-table steps.  Every position where ``keep`` is False holds exactly 0
+The compute dtype is ``theta``'s: ``init_model`` takes it as an argument
+(float32 unless told otherwise, float64 also works), and every activation,
+gradient, Adam moment, sampler workspace and sensitivity score is allocated
+in it, so no operation upcasts a product to float64.  The one wider step is
+the embedding-row sum, which ``np.bincount`` accumulates in float64 before
+it is rounded into the gradient once.  Everything is driven by explicit
+numpy Generators; training, scoring, and inference are deterministic given
+seeds.  All parameters live in one vector ``theta``: the dense weights in
+``weight_keys()`` order, then their biases, then one embedding table per
+column; ``params`` and ``embeddings`` are views into it.  One bool
+keep-mask ``keep`` (True = trainable) covers the dense-weight prefix;
+``bind`` sets it to the MADE connectivity, and only sensitivity pruning
+narrows it, between its per-table steps.  Every position where ``keep`` is False holds exactly 0
 and gets a zero gradient, and the optimizer re-zeroes it after each
 update, so the network reads the weights as they are, with no mask
 product on the way.  Checkpoints are outside input to that invariant and
@@ -88,9 +93,11 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 5
-# elements per Adam chunk: the six chunk-sized float64 arrays an update
-# streams take 1.5 MB, inside a 2 MB L2
+CHECKPOINT_VERSION = 6
+# the dtypes a model computes in, by numpy name
+DTYPES = ("float32", "float64")
+# elements per Adam chunk: the six chunk-sized arrays an update streams take
+# 1.5 MB in float64 and 0.75 MB in float32, inside a 2 MB L2
 ADAM_CHUNK = 32_768
 
 
@@ -321,11 +328,14 @@ def _parameter_shapes(cfg: ModelConfig, columns: list[ModelColumn]
 
 
 def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
-               restrict_codes: dict[str, np.ndarray] | None = None) -> ArDensityModel:
-    """Fresh model over the given (qualified) column specs.
+               restrict_codes: dict[str, np.ndarray] | None = None,
+               dtype=np.float32) -> ArDensityModel:
+    """Fresh model over the given (qualified) column specs, computing in
+    ``dtype``, float32 or float64 (``DTYPES``).
 
     Hidden layers get Glorot-uniform weights under the connectivity mask;
     the output layer starts at zero so every conditional begins uniform.
+    The initial values are drawn in float64 and rounded to ``dtype``.
     ``restrict_codes`` limits a categorical column's domain to the given
     table codes (used when training from scratch on retained data).
     """
@@ -338,7 +348,8 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
     order = np.array(cfg.column_order if cfg.column_order is not None
                      else range(len(columns)), dtype=np.int64)
     size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=np.zeros(size))
+    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
+                           theta=np.zeros(size, dtype=dtype))
     rng = np.random.default_rng(seed)
     for k in model.weight_keys()[:-1]:
         w = model.params[k]
@@ -354,11 +365,11 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
 # forward / backward
 
 
-def _buffer(work: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _buffer(work: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     """The array ``work`` keeps under ``name``, allocated anew only when
-    ``name`` is missing or holds another shape."""
-    if name not in work or work[name].shape != shape:
-        work[name] = np.empty(shape)
+    ``name`` is missing or holds another shape or dtype."""
+    if name not in work or work[name].shape != shape or work[name].dtype != dtype:
+        work[name] = np.empty(shape, dtype=dtype)
     return work[name]
 
 
@@ -368,16 +379,17 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
 
     ``X`` is (batch, ncols) int codes in current domains.  Dropout is only
     applied when ``training`` is set, drawing masks from ``rng``.  The
-    activations, dropout masks and logits are written into arrays the
-    ``work`` dict keeps (a fresh dict when none is given), so calls on
-    batches of one size reuse the same memory; the returned arrays are then
-    overwritten by the next such call.  Every block draws its dropout mask
-    into the same array.
+    activations, dropout masks and logits are written into arrays of
+    ``theta``'s dtype that the ``work`` dict keeps (a fresh dict when none
+    is given), so calls on batches of one size reuse the same memory; the
+    returned arrays are then overwritten by the next such call.  Every
+    block draws its dropout mask into the same array.
 
     The cache holds what ``_backward`` reads and nothing else: the gathered
     embedding rows (``A0``, with their ``rows``), each residual block's
     ``a`` = relu(h) and ``d`` = relu(z) * dmask, the dropout mask's non-zero
-    value 1 / (1 - dropout) (``dropout_scale``, None without dropout), and
+    value 1 / (1 - dropout), both rounded to ``theta``'s dtype
+    (``dropout_scale``, None without dropout), and
     ``hf``, the final relu(h).  The residual stream ``h`` is
     one array: ``h += u`` gives the bits ``u + h`` would, and a block's
     ``h`` and ``z`` are not needed once ``a`` and ``d`` exist.
@@ -388,6 +400,7 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     hid = (B, model.cfg.hidden_dim)
     emb = model.cfg.embedding_dim
     P = model.params
+    dt = model.theta.dtype
     # the embedding tables sit back to back at the end of theta, in column
     # order like the logit blocks, so column i's table starts at row offs[i];
     # input slot p reads row X[:, order[p]] of column order[p]'s table
@@ -396,20 +409,20 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     rows = X[:, model.order] + offs[model.order]
     A0 = table[rows].reshape(B, -1)
 
-    keep = 1.0 - model.cfg.dropout
-    scale = 1.0 / keep if training and model.cfg.dropout > 0.0 else None
+    keep = dt.type(1.0 - model.cfg.dropout)
+    scale = 1 / keep if training and model.cfg.dropout > 0.0 else None
     cache = {"rows": rows, "A0": A0, "blocks": [], "dropout_scale": scale}
 
-    h = np.matmul(A0, P["w_in"], out=_buffer(work, "h", hid))
+    h = np.matmul(A0, P["w_in"], out=_buffer(work, "h", hid, dt))
     h += P["b_in"]
-    u = _buffer(work, "u", hid)
+    u = _buffer(work, "u", hid, dt)
     for r in range(model.cfg.residual_blocks):
-        a = np.maximum(h, 0.0, out=_buffer(work, f"a{r}", hid))
-        d = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"d{r}", hid))
+        a = np.maximum(h, 0.0, out=_buffer(work, f"a{r}", hid, dt))
+        d = np.matmul(a, P[f"w1_{r}"], out=_buffer(work, f"d{r}", hid, dt))
         d += P[f"b1_{r}"]
         np.maximum(d, 0.0, out=d)
         if scale is not None:
-            dmask = rng.random(out=_buffer(work, "dmask", hid))
+            dmask = rng.random(dtype=dt, out=_buffer(work, "dmask", hid, dt))
             np.multiply(dmask < keep, scale, out=dmask)
             d *= dmask
         np.matmul(d, P[f"w2_{r}"], out=u)
@@ -418,7 +431,7 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
         cache["blocks"].append({"a": a, "d": d})
     hf = np.maximum(h, 0.0, out=h)
     cache["hf"] = hf
-    logits = np.matmul(hf, P["w_out"], out=_buffer(work, "logits", (B, offs[-1])))
+    logits = np.matmul(hf, P["w_out"], out=_buffer(work, "logits", (B, offs[-1]), dt))
     logits += P["b_out"]
     return logits, cache
 
@@ -444,7 +457,7 @@ def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray
     sizes = np.diff(offs)
     ls = logits - np.repeat(np.maximum.reduceat(logits, offs[:-1], axis=1), sizes, axis=1)
     e = np.exp(ls)
-    lse = np.empty((X.shape[0], model.ncols))
+    lse = np.empty((X.shape[0], model.ncols), dtype=logits.dtype)
     for i in range(model.ncols):
         e[:, offs[i]:offs[i + 1]].sum(axis=1, out=lse[:, i])
     ls -= np.repeat(np.log(lse, out=lse), sizes, axis=1)
@@ -452,9 +465,10 @@ def batch_nll_terms(model: ArDensityModel, X: np.ndarray, logits: np.ndarray
 
 
 def _column_weights(model: ArDensityModel, column_weights) -> np.ndarray:
+    """The per-column loss weights in ``theta``'s dtype, all 1 by default."""
     if column_weights is None:
-        return np.ones(model.ncols)
-    w = np.asarray(column_weights, dtype=np.float64)
+        return np.ones(model.ncols, dtype=model.theta.dtype)
+    w = np.asarray(column_weights, dtype=model.theta.dtype)
     if w.shape != (model.ncols,):
         raise ValidationError("column_weights length must equal the column count")
     if (w < 0).any():
@@ -496,17 +510,17 @@ def _backward(model: ArDensityModel, cache: dict, dlogits: np.ndarray, sink,
     P = model.params
     scale = cache["dropout_scale"]
     hf = cache["hf"]
-    dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hf.shape))
+    dh = np.matmul(dlogits, P["w_out"].T, out=_buffer(work, "dh", hf.shape, hf.dtype))
     sink("w_out", hf, dlogits)
     dh *= hf > 0.0
     for r in reversed(range(model.cfg.residual_blocks)):
         blk = cache["blocks"][r]
-        dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hf.shape))
+        dz = np.matmul(dh, P[f"w2_{r}"].T, out=_buffer(work, "dz", hf.shape, hf.dtype))
         sink(f"w2_{r}", blk["d"], dh)
         dz *= blk["d"] > 0.0
         if scale is not None:
             dz *= scale
-        da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hf.shape))
+        da = np.matmul(dz, P[f"w1_{r}"].T, out=_buffer(work, "da", hf.shape, hf.dtype))
         sink(f"w1_{r}", blk["a"], dz)
         da *= blk["a"] > 0.0
         dh += da
@@ -539,9 +553,10 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray, update,
     log-softmax of each column is computed once and serves both the loss
     and ``exp(ls)``, and the ReLU and dropout backward steps multiply in
     place.  Each of these does the same floating-point operations in the
-    same order as the plain expressions (``bincount``, like ``np.add.at``,
-    adds a cell's rows in row order starting from 0.0), so the loss and the
-    gradient are byte-identical to them.
+    same order as the plain expressions (``bincount``, like ``np.add.at``
+    on a float64 array, adds a cell's rows in row order starting from 0.0,
+    in float64 whatever ``theta``'s dtype; the sums are then rounded to
+    it), so the loss and the gradient are byte-identical to them.
     """
     if work is None:
         work = {}
@@ -558,8 +573,8 @@ def loss_and_grad(model: ArDensityModel, X: np.ndarray, update,
     keys = model.weight_keys()
     sizes = [model.params[k].size for k in keys]
     starts = dict(zip(keys, np.cumsum([0] + sizes[:-1]).tolist()))
-    layer = _buffer(work, "layer_grad", (max(sizes),))
-    tail = _buffer(work, "tail_grad", (model.theta.size - keep.size,))
+    layer = _buffer(work, "layer_grad", (max(sizes),), model.theta.dtype)
+    tail = _buffer(work, "tail_grad", (model.theta.size - keep.size,), model.theta.dtype)
     T = model.unflatten(tail, start=keep.size)
 
     def write(key, act, delta):
@@ -606,8 +621,8 @@ def batch_weight_grads(model: ArDensityModel, X: np.ndarray, column_weights: np.
     dlogits = _output_delta(model, X, batch_nll_terms(model, X, logits)[1], w / batch_rows)
     # one gradient array the size of the largest dense layer serves every
     # layer in turn
-    buf = _buffer(work, "layer_grad",
-                  (max(model.params[k].size for k in model.weight_keys()),))
+    buf = _buffer(work, "layer_grad", (max(model.params[k].size for k in model.weight_keys()),),
+                  model.theta.dtype)
 
     def per_batch(key, act, delta):
         g = buf[:act.shape[1] * delta.shape[1]].reshape(act.shape[1], delta.shape[1])
@@ -626,7 +641,8 @@ class AdamState:
     """Adam (Kingma & Ba, 2015) on ``theta``, updated in place.
 
     Besides the moments ``m`` and ``v`` it keeps two chunk-sized work
-    vectors, so an update allocates nothing the size of ``theta``.
+    vectors, all in ``theta``'s dtype, so an update allocates nothing the
+    size of ``theta``.
     ``step(lo, grad)`` applies step ``t`` to ``theta[lo:lo + grad.size]``
     of the model it was built for, so a step arrives in pieces, as
     ``loss_and_grad`` hands them over; the caller advances ``t`` once per
@@ -647,7 +663,8 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(model.theta)
         self.v = np.zeros_like(model.theta)
-        self.work = np.empty((2, min(ADAM_CHUNK, model.theta.size)))
+        self.work = np.empty((2, min(ADAM_CHUNK, model.theta.size)),
+                             dtype=model.theta.dtype)
 
     def step(self, lo: int, grad: np.ndarray):
         cfg = self.model.cfg
@@ -788,8 +805,10 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     The weights are read in place as ``params[key][:k[p], new]``, transposed
     views that BLAS takes without a copy.  The per-path state is stored
     transposed, units x paths, so each step's new units are contiguous rows
-    that matrix products write into directly.  All of it sits in one
-    workspace sized to the units of degree <= the last constrained position:
+    that matrix products write into directly.  The state, the constraint
+    vectors, the path weights and the uniform draws take ``theta``'s dtype.
+    All of it sits in one workspace sized to the units of degree <= the last
+    constrained position:
     a single allocation per call, which the allocator hands back from the
     heap on the next call instead of mapping fresh pages, each of which
     would cost a page fault when first written.
@@ -806,11 +825,12 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     if rng is None:
         rng = np.random.default_rng(0)
 
+    dt = model.theta.dtype
     by_pos = {}
     pos = model.positions
     for name, wv in constraints.items():
         i = model.column_index(name)
-        wv = np.asarray(wv, dtype=np.float64)
+        wv = np.asarray(wv, dtype=dt)
         if wv.shape != (model.columns[i].domain_size,):
             raise ValidationError(f"constraint on {name!r} has wrong length")
         by_pos[int(pos[i])] = (i, wv)
@@ -824,10 +844,10 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     # per-path state, units x paths: relu(h) entering each residual block
     # (acts[R] feeds w_out) and relu(z) inside each block; the sampled
     # columns' embeddings in position order
-    work = np.empty((2 * R + 1, int(k[last_pos]), n))
+    work = np.empty((2 * R + 1, int(k[last_pos]), n), dtype=dt)
     acts, mids = work[:R + 1], work[R + 1:]
-    A0 = np.empty((emb * last_pos, n))
-    weight = np.ones(n)
+    A0 = np.empty((emb * last_pos, n), dtype=dt)
+    weight = np.ones(n, dtype=dt)
     offs = model.logit_offsets()
     for p in range(last_pos + 1):
         i = int(model.order[p])
@@ -858,7 +878,7 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             # it by an ulp and let the draw land past the last allowed code
             totals = cdf[:, -1]
             alive = totals > 0.0
-            u = rng.random(n) * np.where(alive, totals, 1.0)
+            u = rng.random(n, dtype=dt) * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
             A0[emb * p:emb * (p + 1)] = model.embeddings[i][np.where(alive, nxt, 0)].T
             weight = np.where(alive, weight, 0.0)
@@ -936,15 +956,18 @@ def _column_from_meta(meta: dict) -> ModelColumn:
 
 
 def save_checkpoint(model: ArDensityModel, path: str | Path):
-    """Binary checkpoint: magic, version, JSON metadata, then ``theta`` as
-    little-endian float64 in its in-memory order, and a trailing 8-byte
-    SHA-256 prefix over everything before it.  ``keep`` is the connectivity
-    the metadata gives, so it is not stored."""
-    meta = {"config": asdict(model.cfg), "order": [int(v) for v in model.order],
+    """Binary checkpoint: magic, version, JSON metadata (which names
+    ``theta``'s dtype), then ``theta`` little-endian in that dtype and its
+    in-memory order, and a trailing 8-byte SHA-256 prefix over everything
+    before it.  ``keep`` is the connectivity the metadata gives, so it is
+    not stored."""
+    dt = model.theta.dtype
+    meta = {"config": asdict(model.cfg), "dtype": dt.name,
+            "order": [int(v) for v in model.order],
             "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
-             meta_bytes, np.ascontiguousarray(model.theta, dtype="<f8")]
+             meta_bytes, np.ascontiguousarray(model.theta, dtype=dt.newbyteorder("<"))]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in parts:  # hashed and written in place, never joined
@@ -980,13 +1003,16 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
         order = np.array(meta["order"], dtype=np.int64)
         if sorted(order) != list(range(len(columns))):
             raise ValueError("order is not a permutation of the columns")
+        if meta["dtype"] not in DTYPES:
+            raise ValueError(f"dtype {meta['dtype']!r} is not one of {DTYPES}")
+        dt = np.dtype(meta["dtype"])
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from exc
     n_theta = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
     off = 12 + meta_len
-    if off + 8 * n_theta != len(body):
+    if off + dt.itemsize * n_theta != len(body):
         raise FormatError(f"{path}: array bytes do not match the metadata")
-    theta = np.frombuffer(body, dtype="<f8", offset=off).astype(np.float64)
+    theta = np.frombuffer(body, dtype=dt.newbyteorder("<"), offset=off).astype(dt)
     if not np.isfinite(theta).all():
         raise FormatError(f"{path}: theta holds NaN or infinity")
     model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta)

@@ -118,13 +118,13 @@ def column_shift_weights(model: ArDensityModel, full_rel: JoinRelation,
 
 @dataclass(eq=False)
 class SensitivityScores:
-    values: np.ndarray    # over the dense-weight prefix of theta, like keep
+    values: np.ndarray    # over the dense-weight prefix of theta, like keep, in its dtype
     tuples_used: int = 0
     tuples_skipped: int = 0
 
 
 def zero_scores(model: ArDensityModel) -> SensitivityScores:
-    return SensitivityScores(values=np.zeros(model.keep.shape))
+    return SensitivityScores(values=np.zeros(model.keep.shape, dtype=model.theta.dtype))
 
 
 def accumulate_scores(model: ArDensityModel, rel: JoinRelation,

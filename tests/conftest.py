@@ -133,8 +133,9 @@ def nested_loop_join(tables, joins):
 
 
 def tiny_model(seed=0, doms=(3, 4), bins=4, embedding_dim=2, hidden_dim=8,
-               blocks=1, order=None, dropout=0.0):
-    """Small model over len(doms) categorical columns plus one numeric."""
+               blocks=1, order=None, dropout=0.0, dtype=np.float32):
+    """Small model over len(doms) categorical columns plus one numeric, in
+    ``dtype`` (``init_model``'s default unless given)."""
     specs = []
     for i, d in enumerate(doms):
         specs.append(ColumnSpec(f"t.c{i}", CATEGORICAL,
@@ -143,14 +144,32 @@ def tiny_model(seed=0, doms=(3, 4), bins=4, embedding_dim=2, hidden_dim=8,
     cfg = ModelConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim,
                       residual_blocks=blocks, dropout=dropout, numeric_bins=bins,
                       column_order=order)
-    return init_model(specs, cfg, seed=seed)
+    return init_model(specs, cfg, seed=seed, dtype=dtype)
+
+
+def over_dtypes(cases, ids=None):
+    """``pytest.param``s that run each case on both model dtypes: on float64
+    under the case's own id, then on float32 under that id plus
+    ``-float32``.  A tuple case spreads over several arguments; the dtype is
+    the last argument."""
+    ids = list(cases) if ids is None else ids
+    return [pytest.param(*(c if isinstance(c, tuple) else (c,)), dt, id=i + suffix)
+            for dt, suffix in ((np.float64, ""), (np.float32, "-float32"))
+            for c, i in zip(cases, ids)]
+
+
+def with_dtype(model: ArDensityModel, dtype) -> ArDensityModel:
+    """A copy of ``model`` whose ``theta`` is cast to ``dtype``."""
+    return ArDensityModel(cfg=model.cfg, columns=model.columns, order=model.order,
+                          theta=model.theta.astype(dtype))
 
 
 def fd_gradient(model: ArDensityModel, X: np.ndarray, weights=None, h=1e-5):
     """Central-difference gradient of the weighted mean NLL over a batch, in
-    ``theta`` layout.  Only trainable positions are perturbed (dense weights
-    whose keep-mask is 1, every bias and embedding); the masked ones hold
-    exactly 0 by invariant and read 0 here."""
+    ``theta`` layout; ``h`` suits a float64 model.  Only trainable positions
+    are perturbed (dense weights whose keep-mask is 1, every bias and
+    embedding); the masked ones hold exactly 0 by invariant and read 0
+    here."""
 
     def loss_at():
         return loss_and_grad(model, X, lambda lo, g: None, weights)
@@ -203,23 +222,25 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
     """Progressive sampling with one full ``forward`` pass per position.
 
     The direct form of ``estimate_selectivity``, which evaluates the network
-    degree-incrementally instead; both draw from ``rng`` in the same order.
+    degree-incrementally instead; both draw from ``rng`` in the same order
+    and compute in ``theta``'s dtype.
     This draw scales ``u`` by ``probs.sum``, which can exceed the cumsum's
     last entry by an ulp; that changes a path only when ``u`` lands within
     that ulp of the end of the cdf.
     """
     if not constraints:
         return (1.0, 0.0) if with_error else 1.0
+    dt = model.theta.dtype
     by_pos = {}
     pos = model.positions
     for name, wv in constraints.items():
         i = model.column_index(name)
-        by_pos[int(pos[i])] = (i, np.asarray(wv, dtype=np.float64))
+        by_pos[int(pos[i])] = (i, np.asarray(wv, dtype=dt))
     last_pos = max(by_pos)
 
     n = num_samples
     X = np.zeros((n, model.ncols), dtype=np.int64)
-    weight = np.ones(n)
+    weight = np.ones(n, dtype=dt)
     offs = model.logit_offsets()
     for p in range(last_pos + 1):
         i = int(model.order[p])
@@ -235,7 +256,7 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
             totals = probs.sum(axis=1)
             alive = totals > 0.0
             cdf = np.cumsum(probs, axis=1)
-            u = rng.random(n) * np.where(alive, totals, 1.0)
+            u = rng.random(n, dtype=dt) * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
             X[:, i] = np.where(alive, nxt, 0)
             weight = np.where(alive, weight, 0.0)
@@ -246,11 +267,13 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
 
 
 def reference_forward(model: ArDensityModel, X: np.ndarray, training=False, rng=None):
-    """``forward`` as plain expressions, one fresh array per operation."""
+    """``forward`` as plain expressions, one fresh array per operation, in
+    ``theta``'s dtype."""
     B = X.shape[0]
     emb = model.cfg.embedding_dim
     P = model.params
-    A0 = np.empty((B, emb * model.ncols))
+    dt = model.theta.dtype
+    A0 = np.empty((B, emb * model.ncols), dtype=dt)
     for p, i in enumerate(model.order):
         A0[:, p * emb:(p + 1) * emb] = model.embeddings[i][X[:, i]]
 
@@ -265,7 +288,7 @@ def reference_forward(model: ArDensityModel, X: np.ndarray, training=False, rng=
         z = a @ P[f"w1_{r}"] + P[f"b1_{r}"]
         c = np.maximum(z, 0.0)
         if use_dropout:
-            dmask = (rng.random(c.shape) < keep).astype(np.float64) / keep
+            dmask = (rng.random(c.shape, dtype=dt) < keep).astype(dt) / keep
             d = c * dmask
         else:
             dmask = None
@@ -285,14 +308,16 @@ def reference_loss_and_grad(model: ArDensityModel, X: np.ndarray, column_weights
                             training=False, rng=None):
     """``loss_and_grad`` as plain expressions: a log-softmax per column for
     the loss and again for the probabilities, a zeroed gradient filled by
-    assignment, and ``np.add.at`` for the embedding rows.  The library's
-    in-place step must match it byte for byte."""
-    w = np.ones(model.ncols) if column_weights is None else \
-        np.asarray(column_weights, dtype=np.float64)
+    assignment, and ``np.add.at`` for the embedding rows, summed in float64
+    and then rounded to ``theta``'s dtype.  The library's in-place step must
+    match it byte for byte."""
+    dt = model.theta.dtype
+    w = np.ones(model.ncols, dtype=dt) if column_weights is None else \
+        np.asarray(column_weights, dtype=dt)
     B = X.shape[0]
     logits, cache = reference_forward(model, X, training=training, rng=rng)
     offs = model.logit_offsets()
-    terms = np.empty((B, model.ncols))
+    terms = np.empty((B, model.ncols), dtype=dt)
     for i in range(model.ncols):
         ls = _log_softmax(logits[:, offs[i]:offs[i + 1]])
         terms[:, i] = -ls[np.arange(B), X[:, i]]
@@ -331,7 +356,9 @@ def reference_loss_and_grad(model: ArDensityModel, X: np.ndarray, column_weights
     dA0 = dh @ P["w_in"].T
     emb = model.cfg.embedding_dim
     for p, i in enumerate(model.order):
-        np.add.at(G[f"emb:{i}"], X[:, i], dA0[:, p * emb:(p + 1) * emb])
+        rows = np.zeros(G[f"emb:{i}"].shape)
+        np.add.at(rows, X[:, i], dA0[:, p * emb:(p + 1) * emb])
+        G[f"emb:{i}"][...] = rows
     grad[:model.keep.size] *= model.keep
     return loss, grad
 
@@ -363,17 +390,20 @@ class ReferenceAdam:
 
 def rewrite_checkpoint(path, edit):
     """Rewrite a checkpoint through ``edit(meta, theta)``, which may change
-    the metadata dict and the float64 ``theta``, then give it a fresh
-    digest.  ``edit`` may return the metadata as raw bytes instead."""
+    the metadata dict and ``theta`` (read in the dtype the metadata names),
+    then give it a fresh digest.  ``theta`` is written little-endian in the
+    dtype ``edit`` returns it in.  ``edit`` may return the metadata as raw
+    bytes instead."""
     raw = path.read_bytes()
     meta_len, = struct.unpack("<I", raw[8:12])
     meta = json.loads(raw[12:12 + meta_len])
-    theta = np.frombuffer(raw[12 + meta_len:-8], dtype="<f8").copy()
+    dt = np.dtype(meta["dtype"])
+    theta = np.frombuffer(raw[12 + meta_len:-8], dtype=dt.newbyteorder("<")).astype(dt)
     meta, theta = edit(meta, theta)
     meta_bytes = meta if isinstance(meta, bytes) else \
         json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     body = raw[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes + \
-        np.asarray(theta, dtype="<f8").tobytes()
+        theta.astype(theta.dtype.newbyteorder("<")).tobytes()
     path.write_bytes(body + hashlib.sha256(body).digest()[:8])
 
 

@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -109,6 +112,23 @@ class TestStages:
     def test_bad_task_name(self, tmp_path):
         cfg = write_config(tmp_path, task={"name": "A-2-banana", "conditions": []})
         assert run("gen-data", cfg) == 2
+
+    @pytest.mark.parametrize("condition,text", [
+        ({"table": "fact", "column": "amount", "lo": 5000.0, "hi": 6000.0},
+         "column='amount', value=None, lo=5000.0, hi=6000.0"),
+        ({"table": "fact", "column": "status", "value": 12345},
+         "column='status', value=12345, lo=None")])
+    def test_condition_matching_no_row_exits_2_at_delete(self, tmp_path, capsys,
+                                                        condition, text):
+        # well-typed, so it loads; only the data shows that it deletes nothing
+        cfg = write_config(tmp_path, task={"name": "A-1-1.0", "conditions": [condition]})
+        assert run("gen-data", cfg) == 0
+        assert run("delete", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "deletion condition Condition(table='fact'" in err
+        assert text in err and "matches no row" in err
+        assert not (tmp_path / "run" / "split").exists()
 
 
 class TestConfigErrors:
@@ -334,12 +354,24 @@ class TestDeterminismAndAblation:
         assert (run_dir / "eval-cep" / "summary.csv").read_bytes() == first_summary
         assert (run_dir / "unlearn-cep" / "model.ckpt").read_bytes() == first_ckpt
 
-    def test_manifest_contents(self, tmp_path):
+    def test_manifest_contents(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg, run_dir = self.prep(tmp_path)
+        assert main(["unlearn", "-c", str(cfg), "--method", "finetune"]) == 0
         doc = json.loads((run_dir / "model" / "manifest.json").read_text())
         assert doc["command"] == "train"
         assert set(doc["seeds"]) == {"data", "model", "workload", "eval"}
         assert "config_sha256" in doc and "versions" in doc
+        # the training stages record what their numbers were computed with
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for stage in ("model", "unlearn-finetune"):
+            compute = json.loads((run_dir / stage / "manifest.json").read_text())["compute"]
+            assert compute["dtype"] == "float32"
+            assert compute["blas"] == {"name": blas["name"], "version": blas["version"]}
+            assert compute["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+            assert compute["threads"]["MKL_NUM_THREADS"] is None
+            assert compute["nproc"] >= 1
 
     def test_alpha_and_ns_flags(self, tmp_path):
         cfg, run_dir = self.prep(tmp_path)
@@ -380,6 +412,25 @@ class TestDeterminismAndAblation:
         assert main(["unlearn", "-c", str(cfg), "--method", "stale"]) == 4
         err = capsys.readouterr().err
         assert "malformed checkpoint metadata" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case,match", [
+        ("unknown_dtype", "malformed checkpoint metadata"),
+        ("float64_payload", "array bytes do not match"),
+        ("version_5", "unsupported checkpoint version 5")])
+    def test_bad_checkpoint_dtype_or_version_exits_4(self, tmp_path, capsys, case, match):
+        cfg, run_dir = self.prep(tmp_path)
+        ckpt = run_dir / "model" / "original.ckpt"
+        if case == "version_5":   # the float64-only layout, with a fresh digest
+            body = bytearray(ckpt.read_bytes()[:-8])
+            body[4:8] = struct.pack("<I", 5)
+            ckpt.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
+        elif case == "unknown_dtype":
+            rewrite_checkpoint(ckpt, lambda meta, theta: ({**meta, "dtype": "float16"}, theta))
+        else:   # float32 in the metadata, eight bytes per value in the payload
+            rewrite_checkpoint(ckpt, lambda meta, theta: (meta, theta.astype(np.float64)))
+        assert main(["unlearn", "-c", str(cfg), "--method", "finetune"]) == 4
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
 
     def test_retrain_method(self, tmp_path):
         cfg, run_dir = self.prep(tmp_path)

@@ -16,8 +16,9 @@ from cardest.model import (ADAM_CHUNK, AdamState, ModelConfig, _degrees, _log_so
 from cardest.relational import CATEGORICAL, ColumnSpec
 from cardest.unlearn import domain_prune_categorical
 from conftest import (ReferenceAdam, enumerate_probabilities, fd_gradient,
-                      full_gradient, max_relative_error, reference_estimate_selectivity,
-                      reference_loss_and_grad, rewrite_checkpoint, tiny_model)
+                      full_gradient, max_relative_error, over_dtypes,
+                      reference_estimate_selectivity, reference_loss_and_grad,
+                      rewrite_checkpoint, tiny_model)
 
 
 def cat_spec(name, dom):
@@ -152,7 +153,7 @@ def nll_terms(m, X):
 class TestNll:
     def test_fresh_model_is_uniform(self):
         # output layer starts at zero, so every conditional starts uniform
-        m = tiny_model(seed=0, doms=(4, 4), bins=4)
+        m = tiny_model(seed=0, doms=(4, 4), bins=4, dtype=np.float64)
         X = np.array([[1, 2, 3], [0, 3, 1]])
         np.testing.assert_allclose(nll_terms(m, X), np.log(4.0), atol=1e-12)
         assert full_gradient(m, X)[0] == pytest.approx(3 * np.log(4.0), abs=1e-12)
@@ -199,7 +200,8 @@ class TestGradients:
             full_gradient(m, self.batch(m), np.array([1.0, -1.0, 1.0]))
 
     def test_finite_difference_oracle(self):
-        m = tiny_model(seed=5, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4)
+        m = tiny_model(seed=5, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4,
+                       dtype=np.float64)
         assert m.parameter_count() <= 500
         X = self.batch(m, n=8)
         analytic = full_gradient(m, X)[1]
@@ -207,7 +209,8 @@ class TestGradients:
         assert (analytic[:m.keep.size][m.keep == 0.0] == 0.0).all()
 
     def test_finite_difference_with_weights_and_mask(self):
-        m = tiny_model(seed=6, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4)
+        m = tiny_model(seed=6, doms=(3,), bins=3, embedding_dim=2, hidden_dim=4,
+                       dtype=np.float64)
         # prune a few weights by hand
         m.keep[::3] = 0.0
         m.theta[:m.keep.size] *= m.keep
@@ -294,28 +297,30 @@ STEP_CASES = ["dropout", "weighted", "repeated_codes", "batch_of_one", "single_c
               "rows_256"]
 
 
-def step_case(case):
+def step_case(case, dtype):
     """(model, batch sampler, column weights, dropout on) for one case of the
-    in-place training step against the plain-expression reference.  Every
-    parameter is random, so no conditional starts uniform."""
+    in-place training step against the plain-expression reference, on a
+    ``dtype`` model.  Every parameter is random, so no conditional starts
+    uniform."""
     weights, training = None, False
     if case == "single_column":
         cfg = ModelConfig(embedding_dim=3, hidden_dim=6, residual_blocks=2, dropout=0.2)
-        m = init_model([cat_spec("t.a", 5)], cfg, seed=31)
+        m = init_model([cat_spec("t.a", 5)], cfg, seed=31, dtype=dtype)
         training = True
     elif case == "permuted":
-        m = tiny_model(seed=32, doms=(3, 4, 5), order=(2, 3, 0, 1), hidden_dim=12, blocks=2)
+        m = tiny_model(seed=32, doms=(3, 4, 5), order=(2, 3, 0, 1), hidden_dim=12, blocks=2,
+                       dtype=dtype)
     elif case == "multi_chunk":
         # Adam walks theta in four chunks; keep ends inside the second, so
         # the chunks after it hold no dense weight
         m = tiny_model(seed=36, doms=(6000, 30), bins=32, embedding_dim=8, hidden_dim=8,
-                       blocks=2)
+                       blocks=2, dtype=dtype)
         assert ADAM_CHUNK < m.keep.size < m.theta.size - ADAM_CHUNK
         assert m.keep.size % ADAM_CHUNK
     else:
         training = case in ("dropout", "rows_128", "rows_256")
         m = tiny_model(seed=33, doms=(4, 3), hidden_dim=10, blocks=2,
-                       dropout=0.3 if training else 0.0)
+                       dropout=0.3 if training else 0.0, dtype=dtype)
     rng = np.random.default_rng(STEP_CASES.index(case))
     m.theta[:] = rng.normal(0.0, 0.5, m.theta.size)
     m.theta[:m.keep.size] *= m.keep
@@ -340,12 +345,12 @@ def step_case(case):
 
 
 class TestInPlaceStep:
-    @pytest.mark.parametrize("case", STEP_CASES)
-    def test_matches_reference_for_20_steps(self, case):
+    @pytest.mark.parametrize("case,dtype", over_dtypes(STEP_CASES))
+    def test_matches_reference_for_20_steps(self, case, dtype):
         # each piece of the gradient goes to Adam as loss_and_grad hands it
         # over, and is copied on the way; the reference takes the whole
         # gradient first, then one Adam step
-        m, batch, weights, training = step_case(case)
+        m, batch, weights, training = step_case(case, dtype)
         ref = m.copy()
         ref.keep[:] = m.keep  # a copy's keep is the connectivity
         adam, ref_adam = AdamState(m), ReferenceAdam(ref)
@@ -376,12 +381,12 @@ class TestInPlaceStep:
             np.testing.assert_array_equal(m.theta, ref.theta)
         assert m.checksum() == ref.checksum()
 
-    @pytest.mark.parametrize("case", STEP_CASES)
-    def test_train_matches_loss_and_grad_and_adam_for_20_steps(self, case):
+    @pytest.mark.parametrize("case,dtype", over_dtypes(STEP_CASES))
+    def test_train_matches_loss_and_grad_and_adam_for_20_steps(self, case, dtype):
         # train hands Adam each layer's gradient during the backward pass;
         # the reference takes loss_and_grad's full gradient, then one Adam
         # step.  train takes no column weights, so "weighted" runs unweighted
-        m, batch, _, _ = step_case(case)
+        m, batch, _, _ = step_case(case, dtype)
         ref = m.copy()
         ref.keep[:] = m.keep
         data = np.concatenate([batch(step) for step in range(20)])
@@ -467,21 +472,22 @@ REFERENCE_CASES = ["permuted", "four_columns", "narrow_hidden", "domain_pruned",
                    "single_column"]
 
 
-def reference_case_model(case):
-    """A tiny model whose every parameter is random (a fresh output layer is
-    all zero, which makes every conditional uniform) and 30% of whose dense
-    weights are pruned."""
+def reference_case_model(case, dtype=np.float32):
+    """A tiny ``dtype`` model whose every parameter is random (a fresh output
+    layer is all zero, which makes every conditional uniform) and 30% of
+    whose dense weights are pruned."""
     if case == "single_column":
         cfg = ModelConfig(embedding_dim=2, hidden_dim=6, residual_blocks=2, dropout=0.0)
-        m = init_model([cat_spec("t.a", 5)], cfg, seed=24)
+        m = init_model([cat_spec("t.a", 5)], cfg, seed=24, dtype=dtype)
     elif case == "four_columns":
         m = tiny_model(seed=22, doms=(3, 4, 5), order=(1, 3, 0, 2), hidden_dim=12,
-                       blocks=2)
+                       blocks=2, dtype=dtype)
     elif case == "narrow_hidden":  # degree 3 has no hidden unit
-        m = tiny_model(seed=25, doms=(3, 4, 5), order=(3, 2, 1, 0), hidden_dim=2)
+        m = tiny_model(seed=25, doms=(3, 4, 5), order=(3, 2, 1, 0), hidden_dim=2,
+                       dtype=dtype)
     else:
         m = tiny_model(seed=21 if case == "permuted" else 23, doms=(4, 3),
-                       order=(2, 0, 1), blocks=2)
+                       order=(2, 0, 1), blocks=2, dtype=dtype)
     rng = np.random.default_rng(REFERENCE_CASES.index(case))
     m.theta[:] = rng.normal(0.0, 0.7, m.theta.size)
     m.keep *= rng.random(m.keep.size) >= 0.3
@@ -537,9 +543,9 @@ class TestEstimate:
             estimate_selectivity(m, {"t.zzz": np.array([1.0])}, 8,
                                  np.random.default_rng(0))
 
-    @pytest.mark.parametrize("case", REFERENCE_CASES)
-    def test_matches_full_forward_reference(self, case):
-        m = reference_case_model(case)
+    @pytest.mark.parametrize("case,dtype", over_dtypes(REFERENCE_CASES))
+    def test_matches_full_forward_reference(self, case, dtype):
+        m = reference_case_model(case, dtype)
         rng = np.random.default_rng(31)
         for q in range(12):
             cons = {}
@@ -559,23 +565,28 @@ class TestEstimate:
                 assert abs(sem - ref_sem) <= 1e-12 * abs(ref_sem)
 
     def test_draw_never_picks_a_zero_weight_code(self):
+        for dtype in (np.float64, np.float32):
+            self.check_top_draw_in_range(dtype)
+
+    def check_top_draw_in_range(self, dtype):
         # The first column's last code is excluded by the constraint.  Only
         # that code feeds the hidden unit, which pushes the second column's
         # conditional for the constrained value to ~0 if it was drawn.
         K = 12
         cfg = ModelConfig(embedding_dim=1, hidden_dim=1, residual_blocks=1, dropout=0.0)
-        m = init_model([cat_spec("t.a", K), cat_spec("t.b", 2)], cfg, seed=0)
+        m = init_model([cat_spec("t.a", K), cat_spec("t.b", 2)], cfg, seed=0, dtype=dtype)
         for k in m.params:
             m.params[k][...] = 0.0
         m.embeddings[0][...] = 0.0
         m.embeddings[0][K - 1] = 1.0
         m.params["w_in"][0, 0] = 1.0
         m.params["w_out"][0, K:] = [50.0, -50.0]
-        wv = np.ones(K)
+        wv = np.ones(K, dtype=dtype)
         wv[-1] = 0.0
-        top = np.nextafter(1.0, 0.0)  # the largest value Generator.random returns
+        # the largest value Generator.random returns in this dtype
+        top = np.nextafter(dtype(1.0), dtype(0.0))
         for seed in range(1000):
-            b = np.random.default_rng(seed).normal(0.0, 2.0, K)
+            b = np.random.default_rng(seed).normal(0.0, 2.0, K).astype(dtype)
             probs = np.exp(_log_softmax(b[None, :])) * wv
             # a pairwise total above the cumsum's lets the top draw run off the cdf
             if np.cumsum(probs, axis=1)[0, -1] < top * probs.sum():
@@ -585,12 +596,12 @@ class TestEstimate:
         m.params["b_out"][:K] = b
 
         class TopRng:
-            def random(self, n):
-                return np.full(n, top)
+            def random(self, n, dtype=np.float64):
+                return np.full(n, top, dtype=dtype)
 
         est = estimate_selectivity(m, {"t.a": wv, "t.b": np.array([0.0, 1.0])}, 4,
                                    TopRng())
-        assert est == pytest.approx(0.5 * probs.sum(), rel=1e-12)
+        assert est == pytest.approx(0.5 * probs.sum(), rel=np.finfo(dtype).eps)
 
 
 class TestIntervalWeights:
@@ -615,6 +626,42 @@ class TestCheckpoint:
         save_checkpoint(m, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_keeps_dtype_and_bytes(self, tmp_path, dtype):
+        m = reference_case_model("four_columns", dtype)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(m, p1)
+        loaded = load_checkpoint(p1)
+        assert loaded.theta.dtype == dtype
+        assert loaded.theta.tobytes() == m.theta.tobytes()
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        # the payload is theta in its own width, little-endian
+        meta_len, = struct.unpack("<I", p1.read_bytes()[8:12])
+        payload = p1.read_bytes()[12 + meta_len:-8]
+        assert payload == m.theta.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", "<f8", "bogus", None])
+    def test_unknown_dtype_is_format_error(self, tmp_path, dtype):
+        # float64 under any other spelling is refused too: the metadata
+        # names a dtype one way only
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(seed=27, dtype=np.float64), p)
+        rewrite_checkpoint(p, lambda meta, theta: ({**meta, "dtype": dtype}, theta))
+        with pytest.raises(FormatError, match="malformed checkpoint metadata"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("dtype,other", [(np.float32, np.float64),
+                                             (np.float64, np.float32)])
+    def test_payload_of_the_other_width_is_format_error(self, tmp_path, dtype, other):
+        p = tmp_path / "m.ckpt"
+        for edit in (lambda meta, theta: (meta, theta.astype(other)),
+                     lambda meta, theta: ({**meta, "dtype": np.dtype(other).name}, theta)):
+            save_checkpoint(tiny_model(seed=27, dtype=dtype), p)
+            rewrite_checkpoint(p, edit)
+            with pytest.raises(FormatError, match="array bytes"):
+                load_checkpoint(p)
 
     def test_corrupt_magic(self, tmp_path):
         m = tiny_model(seed=17)
@@ -659,7 +706,7 @@ class TestCheckpoint:
         assert loaded.checksum() == m.checksum()
 
     # Each case below is digest-valid, so only the content check can fire.
-    # The payload is theta as float64.
+    # The payload is theta in the dtype the metadata names.
 
     def test_array_layout_must_match_metadata(self, tmp_path):
         m = tiny_model(seed=26)
@@ -733,7 +780,7 @@ class TestCheckpoint:
             elif case == "no_columns":   # with a payload of the right size
                 meta["columns"], meta["order"] = [], []
                 shapes = _parameter_shapes(m.cfg, [])
-                theta = np.zeros(sum(np.prod(s) for s in shapes.values()))
+                theta = np.zeros(sum(np.prod(s) for s in shapes.values()), dtype=theta.dtype)
             elif case == "duplicate_column_names":
                 meta["columns"][1]["name"] = meta["columns"][0]["name"]
             elif case == "repeated_code":
@@ -758,12 +805,13 @@ class TestCheckpoint:
 
 def test_checkpoint_version_mismatch(tmp_path):
     # version 1 stored hidden units and input rows in another order, version
-    # 2 per-key arrays and prune masks, version 3 keep as float64 and version
-    # 4 keep as one byte per entry: only the version tells a file's layout,
-    # so every other version is rejected
+    # 2 per-key arrays and prune masks, version 3 keep as float64, version 4
+    # keep as one byte per entry and version 5 theta as float64 with no
+    # dtype in the metadata: only the version tells a file's layout, so
+    # every other version is rejected
     m = tiny_model(seed=20)
     p = tmp_path / "m.ckpt"
-    for version in (1, 2, 3, 4, 99):
+    for version in (1, 2, 3, 4, 5, 99):
         save_checkpoint(m, p)
         raw = bytearray(p.read_bytes())
         raw[4:8] = struct.pack("<I", version)

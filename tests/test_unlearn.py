@@ -19,7 +19,8 @@ from cardest.unlearn import (CepConfig, accumulate_scores,
                              domain_prune_categorical, fine_tune, prune_step,
                              run_method, zero_scores)
 from cardest.workload import model_constraints
-from conftest import full_gradient, reference_loss_and_grad, star_splits, tiny_model
+from conftest import (full_gradient, over_dtypes, reference_loss_and_grad, star_splits,
+                      tiny_model)
 
 
 class TestAttributeSensitivity:
@@ -72,37 +73,40 @@ class TestWeightedLosses:
 
 
 class TestAccumulateScores:
-    def make_setup(self, star_db):
+    def make_setup(self, star_db, dtype=np.float32):
         task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), 0.8)
         split = apply_deletion(star_db, task, seed=1)
-        model = tiny_star_model(star_db)
+        model = tiny_star_model(star_db, dtype=dtype)
         rel = semi_join_deletion(split, 0)
         return model, rel
 
     def test_matches_manual_squared_gradients(self, star_db):
-        model, rel = self.make_setup(star_db)
-        shift = np.ones(model.ncols)
-        scores = accumulate_scores(model, rel, shift, n_iterations=3,
-                                   batch_size=4, rng=np.random.default_rng(7))
-        # replay the identical batch schedule by reusing the seed
-        from cardest.model import encode_relation
-        codes, valid = encode_relation(model, rel, gap_policy="clamp")
-        codes = codes[valid]
-        rng = np.random.default_rng(7)
-        manual = np.zeros_like(model.theta)
-        for _ in range(3):
-            idx = rng.choice(codes.shape[0], size=4, replace=False)
-            g = full_gradient(model, codes[idx], shift)[1]
-            manual += g * g
-        # scores cover the dense weights, the only ones prune_step reads
-        np.testing.assert_array_equal(scores.values, manual[:model.keep.size])
+        for dtype in (np.float64, np.float32):
+            model, rel = self.make_setup(star_db, dtype)
+            shift = np.ones(model.ncols)
+            scores = accumulate_scores(model, rel, shift, n_iterations=3,
+                                       batch_size=4, rng=np.random.default_rng(7))
+            # replay the identical batch schedule by reusing the seed
+            from cardest.model import encode_relation
+            codes, valid = encode_relation(model, rel, gap_policy="clamp")
+            codes = codes[valid]
+            rng = np.random.default_rng(7)
+            manual = np.zeros_like(model.theta)
+            for _ in range(3):
+                idx = rng.choice(codes.shape[0], size=4, replace=False)
+                g = full_gradient(model, codes[idx], shift)[1]
+                manual += g * g
+            # scores cover the dense weights, the only ones prune_step reads
+            assert scores.values.dtype == dtype
+            np.testing.assert_array_equal(scores.values, manual[:model.keep.size])
 
-    @pytest.mark.parametrize("n_iterations,batch_size", [(5, 8), (4, 8), (3, 10_000)],
-                             ids=["odd-iterations", "even-iterations", "n-below-batch"])
-    def test_matches_reference_replay(self, star_db, n_iterations, batch_size):
+    @pytest.mark.parametrize("n_iterations,batch_size,dtype",
+                             over_dtypes([(5, 8), (4, 8), (3, 10_000)],
+                                         ["odd-iterations", "even-iterations", "n-below-batch"]))
+    def test_matches_reference_replay(self, star_db, n_iterations, batch_size, dtype):
         # random weights (a fresh output layer is all zero) and 30% pruned,
         # so masked positions would get non-zero squares if left unmasked
-        model, rel = self.make_setup(star_db)
+        model, rel = self.make_setup(star_db, dtype)
         rng = np.random.default_rng(11)
         model.theta[:] = rng.normal(0.0, 0.5, model.theta.size)
         model.keep *= rng.random(model.keep.size) >= 0.3
@@ -132,7 +136,8 @@ class TestAccumulateScores:
         assert (scores.values == 0).all()
 
     def test_batch_order_invariance(self, star_db):
-        model, rel = self.make_setup(star_db)
+        # float64, the dtype the 1e-10 tolerance is set for
+        model, rel = self.make_setup(star_db, np.float64)
         from cardest.model import encode_relation
         codes, _ = encode_relation(model, rel, gap_policy="clamp")
         batches = [codes[:4], codes[2:6], codes[4:8]]
@@ -164,12 +169,88 @@ class TestAccumulateScores:
         assert (scores.values >= 0).all()
 
 
-def tiny_star_model(db, seed=0, prunable=True):
+def tiny_star_model(db, seed=0, prunable=True, dtype=np.float32):
     from cardest.model import ModelConfig, init_model
     rel = materialize_join(db.tables, db.joins)
     cfg = ModelConfig(embedding_dim=2, hidden_dim=8, residual_blocks=1,
                       dropout=0.0, numeric_bins=8)
-    return init_model(rel.columns, cfg, seed=seed)
+    return init_model(rel.columns, cfg, seed=seed, dtype=dtype)
+
+
+class TestComputeDtype:
+    """``theta``'s dtype is the compute dtype: on a float32 model no buffer
+    of training, scoring or sampling is float64, so no product upcasts."""
+
+    def test_float32_model_keeps_every_buffer_float32(self, star_db, monkeypatch):
+        import cardest.model as model_mod
+        import cardest.unlearn as unlearn_mod
+        from cardest.model import ModelConfig, encode_relation, init_model
+        full = materialize_join(star_db.tables, star_db.joins)
+        model = init_model(full.columns, ModelConfig(embedding_dim=2, hidden_dim=8,
+                                                     residual_blocks=2, dropout=0.2,
+                                                     numeric_bins=8), seed=0)
+        assert model.theta.dtype == np.float32
+        # the work dicts and Adam states the library hands around, as they
+        # pass through the functions that take them
+        works, adams = [], []
+        step, grads = model_mod.loss_and_grad, unlearn_mod.batch_weight_grads
+
+        def spy_step(m, X, update, *args, work=None, **kw):
+            works.append(work)
+            adams.append(update.__self__)
+            return step(m, X, update, *args, work=work, **kw)
+
+        def spy_grads(m, X, weights, rows, sink, work):
+            works.append(work)
+            return grads(m, X, weights, rows, sink, work)
+
+        monkeypatch.setattr(model_mod, "loss_and_grad", spy_step)
+        monkeypatch.setattr(unlearn_mod, "batch_weight_grads", spy_grads)
+        codes, _ = encode_relation(model, full)
+        train(model, codes[:8], seed=1, epochs=1, batch_size=4)   # two steps
+        task = DeletionTask("A", (Condition("fact", "amount", lo=0, hi=60),), 1.0)
+        rel = semi_join_deletion(apply_deletion(star_db, task, seed=1), 0)
+        scores = accumulate_scores(model, rel, np.linspace(0.5, 2.0, model.ncols), 3, 4,
+                                   np.random.default_rng(2))
+        assert len(adams) == 2 and len(works) == 4
+        arrays = [a for w in works for a in w.values()]
+        arrays += [a for adam in adams for a in (adam.m, adam.v, adam.work)]
+        arrays.append(scores.values)
+
+        # the sampler keeps its state in locals: record every array model.py
+        # allocates while it runs, and every uniform draw it takes
+        class Allocs:
+            def __init__(self):
+                self.arrays = []
+
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in ("empty", "ones", "zeros", "full"):
+                    return attr
+
+                def alloc(*args, **kw):
+                    self.arrays.append(attr(*args, **kw))
+                    return self.arrays[-1]
+                return alloc
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng, self.arrays = np.random.default_rng(seed), []
+
+            def random(self, *args, **kw):
+                self.arrays.append(self.rng.random(*args, **kw))
+                return self.arrays[-1]
+
+        allocs, draws = Allocs(), Draws(3)
+        monkeypatch.setattr(model_mod, "np", allocs)
+        last = model.columns[int(model.order[-1])]
+        est = estimate_selectivity(model, {last.name: np.linspace(0.0, 1.0, last.domain_size)},
+                                   16, draws)
+        monkeypatch.undo()
+        assert 0.0 < est < 1.0 and draws.arrays
+        arrays += [a for a in allocs.arrays + draws.arrays if a.dtype.kind == "f"]
+        assert len(arrays) > 30
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 class TestPruneStep:
@@ -469,7 +550,9 @@ class TestFineTuneAndRunMethod:
         split = apply_deletion(star_db, task, seed=6)
         nbytes = model.theta.nbytes
         # squared gradients of four sampling iterations: measured 1.27 with one
-        # gradient array the size of w_out, 2.1-2.2 with one over every dense layer
+        # gradient array the size of w_out, 2.1-2.2 with one over every dense
+        # layer (float64 models); 1.29 on this float32 model, 2.34 with the
+        # scores in float64 rather than theta's dtype
         rel = semi_join_deletion(split, 0)
         peak = traced_peak(accumulate_scores, model, rel, np.ones(model.ncols), 4, 8,
                            np.random.default_rng(0))
@@ -477,7 +560,8 @@ class TestFineTuneAndRunMethod:
         # two tables scored and pruned, two fine-tune steps: measured 2.76
         # with Adam updating each layer inside the backward pass, a one-byte
         # keep and prune_step's partition; 3.47 with a theta-sized gradient
-        # and a float64 keep, 4.47 with a fresh gradient per step
+        # and a float64 keep, 4.47 with a fresh gradient per step (float64
+        # models); 2.90 on this float32 model
         cfg = CepConfig(alpha=0.3, sampling_iterations=2, batch_size=8, finetune_epochs=2,
                         domain_prune=False)
         peak = traced_peak(run_method, "cep", split, model, cfg, seed=2)

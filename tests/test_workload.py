@@ -254,9 +254,13 @@ class TestEvaluate:
         assert len(r1.rows) == 10
 
     def test_sem_scales_like_the_estimate(self, star_db):
-        # the estimate is what a call without with_error gives, bit for bit
+        # the estimate is what a call without with_error gives, bit for bit.
+        # Random weights, so the path weights differ and the error is not 0
+        # (a fresh model's conditionals are all uniform)
         from cardest.model import estimate_selectivity
         model = tiny_star_model(star_db)
+        model.theta[:] = np.random.default_rng(3).normal(0.0, 0.5, model.theta.size)
+        model.theta[:model.keep.size] *= model.keep
         q = gen_workload(star_db, 1, seed=4, cfg=WorkloadConfig())[0]
         total = materialize_join(star_db.tables, star_db.joins).cardinality
         row = evaluate(model, [("OQ", q)], star_db.tables, star_db.joins, total,
