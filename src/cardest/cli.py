@@ -31,8 +31,8 @@ from .errors import (CardestError, ConfigurationError, StageOrderingError,
 from .model import (ArDensityModel, ModelConfig, _is_int, encode_relation,
                     init_model, load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
-from .relational import (Condition, DatasetSplit, DeletionTask, SchemaGraph,
-                         apply_deletion, condition_mask, join_keys,
+from .relational import (JOIN_CAP_DEFAULT, Condition, DatasetSplit, DeletionTask,
+                         SchemaGraph, apply_deletion, condition_mask, join_keys,
                          load_dataset, materialize_join, save_dataset)
 from .unlearn import METHODS, CepConfig, run_method
 from .workload import (PERCENTILES, WorkloadConfig, check_focus_columns,
@@ -114,7 +114,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("output_dir", "seeds", "task"):
         if key not in raw:
             raise ConfigurationError(f"config is missing {key!r}")
-    seeds, join_cap = raw["seeds"], raw.get("join_cap", 5_000_000)
+    seeds, join_cap = raw["seeds"], raw.get("join_cap", JOIN_CAP_DEFAULT)
     if not isinstance(seeds, dict):
         raise ConfigurationError("seeds must be a mapping")
     for k, v in seeds.items():
@@ -333,8 +333,6 @@ def _workloads(cfg: ExperimentConfig, db: SchemaGraph):
 
 
 def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> Path:
-    if query_types not in ("oq", "cq", "both"):
-        raise ValidationError("--query-types must be oq, cq, or both")
     db = _load_db(cfg)
     split = _load_split(cfg)
     # the scale constant is the join of the tables the model was trained on

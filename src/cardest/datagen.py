@@ -32,7 +32,6 @@ class DataGenConfig:
     dim_cat_cards: tuple[int, ...] = (20, 16)  # one categorical per dimension
     numeric_range: tuple[float, float] = (0.0, 1000.0)
     seed: int = 0
-    unique_categoricals: bool = False          # require card <= rows per column
 
     def validate(self):
         """Types and ranges of every field, as ``ModelConfig.validate``
@@ -58,17 +57,6 @@ class DataGenConfig:
                 and all(_is_number(v) and math.isfinite(v) for v in bounds)
                 and bounds[0] < bounds[1]):
             raise ValidationError("numeric_range must be two finite numbers lo < hi")
-        if not isinstance(self.unique_categoricals, bool):
-            raise ValidationError("unique_categoricals must be true or false")
-        if self.unique_categoricals:
-            for card in self.hub_cat_cards:
-                if card > self.hub_rows:
-                    raise ValidationError(
-                        f"categorical cardinality {card} exceeds hub rows {self.hub_rows}")
-            for card, rows in zip(self.dim_cat_cards, self.dim_rows):
-                if card > rows:
-                    raise ValidationError(
-                        f"categorical cardinality {card} exceeds dim rows {rows}")
 
 
 def _zipf_probs(card: int, s: float) -> np.ndarray:

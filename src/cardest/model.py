@@ -3,23 +3,24 @@
 The network is a masked residual MLP: per-column embeddings feed a masked
 input layer, a stack of masked residual blocks (two masked linear layers
 each), and a masked output layer producing one logit block per column.
-Connectivity masks enforce that the logits for the column at position p of
-the ordering depend only on columns at positions < p, so the product of
-per-column softmax conditionals is a normalized joint distribution.
+Connectivity masks enforce that the logits for column p depend only on
+columns < p, so the product of per-column softmax conditionals is a
+normalized joint distribution.  A model is its config, its columns and its
+weights: the ordering is the order of ``columns``, and everything else is
+derived from those.
 
-The layout follows the masks.  Input slot p (``w_in`` row block p) holds the
-embedding of the column at position p, and the hidden units are stored in
-non-decreasing MADE degree; a unit of degree d sees only columns at
-positions < d.  Permuting hidden units leaves the model class unchanged, so
-this costs nothing, and it makes the sub-network that feeds position p a
-leading slice of every matrix: the units of degree <= p and the input slots
-< p.  Output logit blocks stay in column-index order.
+The layout follows the masks.  Input slot p (``w_in`` row block p) and
+logit block p belong to column p, and the hidden units are stored in
+non-decreasing MADE degree; a unit of degree d sees only columns < d.
+Permuting hidden units leaves the model class unchanged, so this costs
+nothing, and it makes the sub-network that feeds column p a leading slice
+of every matrix: the units of degree <= p and the input slots < p.
 
 Inference is progressive sampling (``estimate_selectivity``), evaluated
-degree-incrementally rather than by one ``forward`` per column.  Once the
-column at position p - 1 is sampled, the units of degree <= p - 1 never
-change again, so step p computes only the units of degree exactly p, through
-the input layer and each residual block, and then that column's logits.
+degree-incrementally rather than by one ``forward`` per column.  Once
+column p - 1 is sampled, the units of degree <= p - 1 never change again,
+so step p computes only the units of degree exactly p, through the input
+layer and each residual block, and then that column's logits.
 These are exactly the connections the masks leave unmasked, so one query
 costs about one forward pass in total and gives ``forward``'s numbers up to
 the order of floating-point sums.  The sampler reads ``params`` in place,
@@ -65,12 +66,11 @@ seeds.  All parameters live in one vector ``theta``: the dense weights in
 ``weight_keys()`` order, then their biases, then one embedding table per
 column; ``params`` and ``embeddings`` are views into it.  One bool
 keep-mask ``keep`` (True = trainable) covers the dense-weight prefix;
-``bind`` sets it to the MADE connectivity, and only sensitivity pruning
-narrows it, between its per-table steps.  Every position where ``keep`` is False holds exactly 0
-and gets a zero gradient, and the optimizer re-zeroes it after each
-update, so the network reads the weights as they are, with no mask
-product on the way.  Checkpoints are outside input to that invariant and
-are checked for it when loaded.
+``bind`` sets it to the MADE connectivity, and nothing narrows it.  Every
+position where ``keep`` is False holds exactly 0 and gets a zero gradient,
+so Adam subtracts exactly 0 there and the network reads the weights as
+they are, with no mask product on the way.  Checkpoints are outside input
+to that invariant and are checked for it when loaded.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ from .relational import (CATEGORICAL, NUMERICAL, ColumnSpec, JoinRelation,
                          numeric_bin_index)
 
 CHECKPOINT_MAGIC = b"CEPM"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # the dtypes a model computes in, by numpy name
 DTYPES = ("float32", "float64")
 # elements per Adam chunk: the six chunk-sized arrays an update streams take
@@ -108,7 +108,6 @@ class ModelConfig:
     residual_blocks: int = 4
     dropout: float = 0.1
     numeric_bins: int = 64
-    column_order: tuple[int, ...] | None = None  # positions -> column index
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -117,14 +116,12 @@ class ModelConfig:
     epochs: int = 15
 
     def validate(self):
-        """Types and ranges of every field; ``init_model`` checks
-        ``column_order`` against the column count."""
+        """Types and ranges of every field."""
         counts = (self.embedding_dim, self.hidden_dim, self.residual_blocks,
                   self.numeric_bins, self.batch_size, self.epochs)
-        order = () if self.column_order is None else self.column_order
-        if not (isinstance(order, tuple) and all(_is_int(v) for v in counts + order)):
-            raise ValidationError("model dimensions, numeric_bins, batch_size, epochs "
-                                  "and column_order must be integers")
+        if not all(_is_int(v) for v in counts):
+            raise ValidationError("model dimensions, numeric_bins, batch_size and epochs "
+                                  "must be integers")
         if not all(_is_number(v)
                    for v in (self.dropout, self.lr, self.beta1, self.beta2, self.eps)):
             raise ValidationError("dropout, lr, beta1, beta2 and eps must be numbers")
@@ -188,7 +185,6 @@ class ModelColumn:
 class ArDensityModel:
     cfg: ModelConfig
     columns: list[ModelColumn]
-    order: np.ndarray          # positions -> column index
     theta: np.ndarray          # every parameter, in _parameter_shapes() order
     keep: np.ndarray = field(init=False)    # bool, dense-weight prefix: trainable
     params: dict[str, np.ndarray] = field(init=False)   # weight and bias views
@@ -208,12 +204,6 @@ class ArDensityModel:
     @property
     def ncols(self) -> int:
         return len(self.columns)
-
-    @property
-    def positions(self) -> np.ndarray:
-        pos = np.empty(self.ncols, dtype=np.int64)
-        pos[self.order] = np.arange(self.ncols)
-        return pos
 
     def weight_keys(self) -> list[str]:
         keys = ["w_in"]
@@ -239,10 +229,11 @@ class ArDensityModel:
 
     def connectivity(self) -> np.ndarray:
         """MADE connectivity over the dense-weight prefix of ``theta`` (True =
-        connected), rebuilt from the column order and domain sizes."""
+        connected), rebuilt from the domain sizes."""
         in_deg, hid_deg = _degrees(self.ncols, self.cfg.embedding_dim,
                                    self.cfg.hidden_dim)
-        out_deg = np.repeat(self.positions + 1, [c.domain_size for c in self.columns])
+        out_deg = np.repeat(np.arange(1, self.ncols + 1),
+                            [c.domain_size for c in self.columns])
         hid = (hid_deg[None, :] >= hid_deg[:, None]).ravel()
         return np.concatenate([(hid_deg[None, :] >= in_deg[:, None]).ravel()]
                               + [hid] * (2 * self.cfg.residual_blocks)
@@ -260,21 +251,15 @@ class ArDensityModel:
 
     def copy(self) -> "ArDensityModel":
         return ArDensityModel(cfg=self.cfg, columns=copy.deepcopy(self.columns),
-                              order=self.order.copy(), theta=self.theta.copy())
+                              theta=self.theta.copy())
 
     def parameter_count(self) -> int:
         return self.theta.size
 
     def eligible_weight_count(self) -> int:
-        """Dense weight positions allowed by the connectivity mask; this is
-        the pool the prune budget is computed over."""
-        return int(np.count_nonzero(self.connectivity()))
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.theta.tobytes())
-        h.update(self.keep.tobytes())
-        return h.hexdigest()
+        """Dense weights ``keep`` (the connectivity) allows; this is the
+        pool the prune budget is computed over."""
+        return int(np.count_nonzero(self.keep))
 
 
 def model_columns_from_specs(specs: list[ColumnSpec], bins: int,
@@ -299,10 +284,10 @@ def model_columns_from_specs(specs: list[ColumnSpec], bins: int,
 
 def _degrees(ncols: int, emb: int, hidden: int):
     """MADE degrees of the input rows and the hidden units.  Input slot p
-    holds the column at position p and has degree p + 1.  The hidden degrees
+    holds column p and has degree p + 1.  The hidden degrees
     1 .. ncols - 1 are spread as evenly as ``arange(hidden) % (ncols - 1)``
     spreads them, in non-decreasing order; with one column every unit has
-    degree 0 and feeds position 0."""
+    degree 0 and feeds column 0."""
     in_deg = np.repeat(np.arange(1, ncols + 1), emb)
     if ncols >= 2:
         hid_deg = np.sort(np.arange(hidden) % (ncols - 1)) + 1
@@ -343,13 +328,8 @@ def init_model(specs: list[ColumnSpec], cfg: ModelConfig, seed: int,
     if not columns:
         raise ValidationError("model needs at least one column")
     cfg.validate()
-    if cfg.column_order is not None and sorted(cfg.column_order) != list(range(len(columns))):
-        raise ValidationError("column_order is not a permutation of the columns")
-    order = np.array(cfg.column_order if cfg.column_order is not None
-                     else range(len(columns)), dtype=np.int64)
     size = sum(math.prod(s) for s in _parameter_shapes(cfg, columns).values())
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order,
-                           theta=np.zeros(size, dtype=dtype))
+    model = ArDensityModel(cfg=cfg, columns=columns, theta=np.zeros(size, dtype=dtype))
     rng = np.random.default_rng(seed)
     for k in model.weight_keys()[:-1]:
         w = model.params[k]
@@ -401,12 +381,12 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
     emb = model.cfg.embedding_dim
     P = model.params
     dt = model.theta.dtype
-    # the embedding tables sit back to back at the end of theta, in column
-    # order like the logit blocks, so column i's table starts at row offs[i];
-    # input slot p reads row X[:, order[p]] of column order[p]'s table
+    # the embedding tables sit back to back at the end of theta, like the
+    # logit blocks, so column p's table starts at row offs[p], and input slot
+    # p reads its row X[:, p]
     offs = model.logit_offsets()
     table = model.theta[model.theta.size - offs[-1] * emb:].reshape(-1, emb)
-    rows = X[:, model.order] + offs[model.order]
+    rows = X + offs[:-1]
     A0 = table[rows].reshape(B, -1)
 
     keep = dt.type(1.0 - model.cfg.dropout)
@@ -652,10 +632,13 @@ class AdamState:
     On each chunk it applies ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g`` and
     ``theta -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)`` through ``out=`` ufuncs
-    with the same operands in the same order, then re-zeroes the chunk's
-    masked positions.  Every element sees the operations of the plain
-    expressions in their order, however the step is cut into pieces, so
-    ``theta`` is byte-identical to what they give.
+    with the same operands in the same order.  Every element sees the
+    operations of the plain expressions in their order, however the step is
+    cut into pieces, so ``theta`` is byte-identical to what they give.
+
+    Adam does not read ``keep``.  A masked position holds ±0 and
+    ``loss_and_grad`` hands it a ±0 gradient, so its moments stay +0 and
+    the update subtracts exactly +0, which leaves its bits as they were.
     """
 
     def __init__(self, model: ArDensityModel):
@@ -670,7 +653,7 @@ class AdamState:
         cfg = self.model.cfg
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        theta, keep = self.model.theta, self.model.keep
+        theta = self.model.theta
         end = lo + grad.size
         for a in range(lo, end, ADAM_CHUNK):
             b = min(a + ADAM_CHUNK, end)
@@ -688,13 +671,6 @@ class AdamState:
             den += cfg.eps
             num /= den
             th -= num
-            # keep masked weight positions at exactly 0, multiplying by the
-            # mask as floats in ``den``: a bool operand would make numpy
-            # allocate a cast buffer
-            if a < keep.size:
-                mask = den[:min(b, keep.size) - a]
-                np.copyto(mask, keep[a:b])
-                th[:mask.size] *= mask
 
 
 def train(model: ArDensityModel, data: np.ndarray, seed: int,
@@ -780,26 +756,25 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
 
     ``constraints`` maps column names to weight vectors over the column's
     current domain (entries in [0, 1]; fractional entries express partial
-    bin overlap).  Paths walk the model's column order: at a constrained
+    bin overlap).  Paths walk the columns in order: at a constrained
     column the running weight is multiplied by the conditional mass of the
     satisfying set and the next value is drawn from the restricted
     conditional; unconstrained columns are sampled freely.  Columns after
-    the last constrained position cannot change the estimate and are
-    skipped.
+    the last constrained one cannot change the estimate and are skipped.
 
     The network is evaluated degree-incrementally rather than by a full
-    ``forward`` per position.  Hidden units are stored in MADE-degree order,
-    so the logits at position p read only the first ``k[p]`` units (degree
-    <= p), and those units read only the input slots of positions < p.  A
-    unit of degree d reads only columns at positions < d, all sampled before
-    step d, so it is computed once, at step d, and never changes afterwards.
+    ``forward`` per column.  Hidden units are stored in MADE-degree order,
+    so the logits of column p read only the first ``k[p]`` units (degree
+    <= p), and those units read only the input slots of columns < p.  A
+    unit of degree d reads only columns < d, all sampled before step d, so
+    it is computed once, at step d, and never changes afterwards.
     Step p therefore computes the input layer and every residual block for
     the new units ``k[p-1]:k[p]`` alone, reading the cached activations of
     units ``:k[p]`` one layer down, then the column's own ``w_out`` block.
     Every connectivity-mask entry inside these slices is 1, so the sampler
     does exactly the unmasked multiply-adds of one forward pass per query,
     and the result equals ``forward``'s up to the order of floating-point
-    sums.  No position is special: with a single column every unit has
+    sums.  No column is special: with a single column every unit has
     degree 0 and step 0 computes them all.
 
     The weights are read in place as ``params[key][:k[p], new]``, transposed
@@ -808,8 +783,7 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     that matrix products write into directly.  The state, the constraint
     vectors, the path weights and the uniform draws take ``theta``'s dtype.
     All of it sits in one workspace sized to the units of degree <= the last
-    constrained position:
-    a single allocation per call, which the allocator hands back from the
+    constrained column: a single allocation per call, which the allocator hands back from the
     heap on the next call instead of mapping fresh pages, each of which
     would cost a page fault when first written.
 
@@ -826,15 +800,14 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
         rng = np.random.default_rng(0)
 
     dt = model.theta.dtype
-    by_pos = {}
-    pos = model.positions
+    by_col = {}
     for name, wv in constraints.items():
         i = model.column_index(name)
         wv = np.asarray(wv, dtype=dt)
         if wv.shape != (model.columns[i].domain_size,):
             raise ValidationError(f"constraint on {name!r} has wrong length")
-        by_pos[int(pos[i])] = (i, wv)
-    last_pos = max(by_pos)
+        by_col[i] = wv
+    last = max(by_col)
 
     n = num_samples
     emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
@@ -843,14 +816,13 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     k = np.searchsorted(hid_deg, np.arange(model.ncols), side="right")
     # per-path state, units x paths: relu(h) entering each residual block
     # (acts[R] feeds w_out) and relu(z) inside each block; the sampled
-    # columns' embeddings in position order
-    work = np.empty((2 * R + 1, int(k[last_pos]), n), dtype=dt)
+    # columns' embeddings in column order
+    work = np.empty((2 * R + 1, int(k[last]), n), dtype=dt)
     acts, mids = work[:R + 1], work[R + 1:]
-    A0 = np.empty((emb * last_pos, n), dtype=dt)
+    A0 = np.empty((emb * last, n), dtype=dt)
     weight = np.ones(n, dtype=dt)
     offs = model.logit_offsets()
-    for p in range(last_pos + 1):
-        i = int(model.order[p])
+    for p in range(last + 1):
         kp = int(k[p])
         new = slice(int(k[p - 1]) if p else 0, kp)
         h = P["w_in"][:emb * p, new].T @ A0[:emb * p]
@@ -864,15 +836,15 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             u += P[f"b2_{r}"][new, None]
             h += u
         np.maximum(h, 0.0, out=acts[R, new])
-        cols = slice(offs[i], offs[i + 1])
+        cols = slice(offs[p], offs[p + 1])
         block = acts[R, :kp].T @ P["w_out"][:kp, cols] + P["b_out"][cols]
         probs = np.exp(_log_softmax(block))
-        if p in by_pos:
-            _, wv = by_pos[p]
+        if p in by_col:
+            wv = by_col[p]
             mass = probs @ wv
             weight *= mass
             probs = probs * wv
-        if p < last_pos:
+        if p < last:
             cdf = np.cumsum(probs, axis=1)
             # the cumsum's own total: a separately summed total can exceed
             # it by an ulp and let the draw land past the last allowed code
@@ -880,7 +852,7 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             alive = totals > 0.0
             u = rng.random(n, dtype=dt) * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
-            A0[emb * p:emb * (p + 1)] = model.embeddings[i][np.where(alive, nxt, 0)].T
+            A0[emb * p:emb * (p + 1)] = model.embeddings[p][np.where(alive, nxt, 0)].T
             weight = np.where(alive, weight, 0.0)
     if with_error:
         sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -963,7 +935,6 @@ def save_checkpoint(model: ArDensityModel, path: str | Path):
     not stored."""
     dt = model.theta.dtype
     meta = {"config": asdict(model.cfg), "dtype": dt.name,
-            "order": [int(v) for v in model.order],
             "columns": [_column_meta(c) for c in model.columns]}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
@@ -990,19 +961,13 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     meta_len, = struct.unpack("<I", body[8:12])
     try:
         meta = json.loads(str(body[12:12 + meta_len], "utf-8"))
-        cfg_dict = dict(meta["config"])
-        if cfg_dict.get("column_order") is not None:
-            cfg_dict["column_order"] = tuple(cfg_dict["column_order"])
-        cfg = ModelConfig(**cfg_dict)
+        cfg = ModelConfig(**meta["config"])
         cfg.validate()
         columns = [_column_from_meta(m) for m in meta["columns"]]
         if not columns:
             raise ValueError("no columns")
         if len({c.name for c in columns}) != len(columns):
             raise ValueError("duplicate column names")
-        order = np.array(meta["order"], dtype=np.int64)
-        if sorted(order) != list(range(len(columns))):
-            raise ValueError("order is not a permutation of the columns")
         if meta["dtype"] not in DTYPES:
             raise ValueError(f"dtype {meta['dtype']!r} is not one of {DTYPES}")
         dt = np.dtype(meta["dtype"])
@@ -1015,7 +980,7 @@ def load_checkpoint(path: str | Path) -> ArDensityModel:
     theta = np.frombuffer(body, dtype=dt.newbyteorder("<"), offset=off).astype(dt)
     if not np.isfinite(theta).all():
         raise FormatError(f"{path}: theta holds NaN or infinity")
-    model = ArDensityModel(cfg=cfg, columns=columns, order=order, theta=theta)
+    model = ArDensityModel(cfg=cfg, columns=columns, theta=theta)
     if (model.theta[:model.keep.size][~model.keep] != 0.0).any():
         raise FormatError(f"{path}: non-zero weight at a masked position")
     return model

@@ -164,7 +164,7 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
         stack = min(SCORE_STACK, n_iterations - first)
         idx = np.concatenate([rng.choice(n, size=take, replace=False) for _ in range(stack)])
         batch_weight_grads(model, codes[idx], shift, take, add_square, work)
-    # multiplying by the bool keep zeroes the masked positions and leaves the rest
+    # multiplying by the bool keep zeroes the masked entries and leaves the rest
     scores.values *= model.keep
     scores.tuples_used = n
     return scores
@@ -175,13 +175,15 @@ def accumulate_scores(model: ArDensityModel, rel: JoinRelation,
 
 
 def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
-               pool_size: int | None = None) -> dict:
-    """Zero the floor(alpha_k * pool_size) not-yet-pruned dense weights with
-    the highest scores (ties broken by lower flat index over the canonical
-    weight-key order, which is the index into ``theta``).  Mutates the
-    model's weights and keep-mask.
+               eligible: np.ndarray, pool_size: int | None = None) -> dict:
+    """Zero the floor(alpha_k * pool_size) dense weights with the highest
+    scores among those the bool mask ``eligible`` allows (ties broken by
+    lower flat index over the canonical weight-key order, which is the
+    index into ``theta``), and clear them from ``eligible``.  ``pool_size``
+    defaults to the model's whole pool, ``eligible_weight_count()``.  The
+    zeroed weights stay trainable: ``model.keep`` is left as it is.
 
-    The chosen positions are those a stable sort of the negated scores puts
+    The chosen weights are those a stable sort of the negated scores puts
     first, found without sorting: a partition of the negated eligible
     scores gives the ``take``-th highest score, ranked as that sort ranks
     them, every eligible score above it is chosen, and of the eligible
@@ -194,23 +196,23 @@ def prune_step(model: ArDensityModel, scores: SensitivityScores, alpha_k: float,
     if target == 0:
         return {"pruned": 0, "saturated": False}
 
-    keep, values = model.keep, scores.values
-    n_eligible = int(np.count_nonzero(keep))
+    values = scores.values
+    n_eligible = int(np.count_nonzero(eligible))
     saturated = target > n_eligible
     take = min(target, n_eligible)
-    chosen = keep.copy()
+    chosen = eligible.copy()
     if take < n_eligible:
-        ranked = values[keep]
+        ranked = values[eligible]
         np.negative(ranked, out=ranked)
         ranked.partition(take - 1)
         threshold = -ranked[take - 1]
         del ranked  # freed before the masks are built
         np.greater(values, threshold, out=chosen)
-        chosen &= keep
-        ties = np.flatnonzero((values == threshold) & keep)
+        chosen &= eligible
+        ties = np.flatnonzero((values == threshold) & eligible)
         chosen[ties[:take - np.count_nonzero(chosen)]] = True
-    keep[chosen] = False
-    model.theta[:keep.size][chosen] = 0.0
+    eligible[chosen] = False
+    model.theta[:eligible.size][chosen] = 0.0
     return {"pruned": int(take), "saturated": bool(saturated)}
 
 
@@ -224,9 +226,8 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
     split's retained join) once, then for each table with deletions
     accumulates scores over the deleted join and prunes a per-table share
     alpha/K of the weight pool, so the total pruned fraction is alpha up to
-    integer rounding.  Between the tables ``keep`` also masks what earlier
-    tables pruned; at the end it is the connectivity again, so the pruned
-    weights stay zero but are trainable.
+    integer rounding.  A table picks among the connected weights no earlier
+    table pruned; the pruned weights stay zero but trainable.
     """
     cfg.validate()
     tables_k = split.tables_with_deletions()
@@ -241,6 +242,7 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
     name_to_index = {t.name: i for i, t in enumerate(split.retained)}
 
     info = {"tables": [], "pool_size": pool_size, "total_pruned": 0, "shift": shift}
+    eligible = model.keep.copy()
     for tname in tables_k:
         rel_k = semi_join_deletion(split, name_to_index[tname], cap=cap)
         scores = accumulate_scores(model, rel_k, shift, cfg.sampling_iterations,
@@ -253,12 +255,11 @@ def distribution_sensitivity_pruning(model: ArDensityModel, split: DatasetSplit,
             # nothing representable to score: this table contributes no pruning
             entry["skipped"] = True
         else:
-            res = prune_step(model, scores, alpha_k, pool_size)
+            res = prune_step(model, scores, alpha_k, eligible, pool_size)
             entry.update(pruned=res["pruned"], saturated=res["saturated"])
             info["total_pruned"] += res["pruned"]
         info["tables"].append(entry)
         del rel_k, scores  # freed before the next table's join is built and scored
-    model.keep = model.connectivity()
     return info
 
 
@@ -348,7 +349,7 @@ def apply_domain_pruning(model: ArDensityModel, split: DatasetSplit,
 def fine_tune(model: ArDensityModel, data: np.ndarray, seed,
               epochs: int, step_hook=None) -> list[float]:
     """Continue training on retained-join rows (in place): fresh optimizer
-    moments; positions where ``keep`` is False stay exactly zero."""
+    moments; weights where ``keep`` is False stay exactly zero."""
     return train(model, data, seed, epochs=epochs, step_hook=step_hook)
 
 

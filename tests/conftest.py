@@ -134,16 +134,20 @@ def nested_loop_join(tables, joins):
 
 def tiny_model(seed=0, doms=(3, 4), bins=4, embedding_dim=2, hidden_dim=8,
                blocks=1, order=None, dropout=0.0, dtype=np.float32):
-    """Small model over len(doms) categorical columns plus one numeric, in
-    ``dtype`` (``init_model``'s default unless given)."""
+    """Small model over len(doms) categorical columns ``t.c<i>`` plus one
+    numeric ``t.num``, in ``dtype`` (``init_model``'s default unless given).
+    ``order`` lists the columns in model order, as indices into that list
+    (so the numeric column is index ``len(doms)``); by default it comes
+    last."""
     specs = []
     for i, d in enumerate(doms):
         specs.append(ColumnSpec(f"t.c{i}", CATEGORICAL,
                                 dictionary=np.arange(d, dtype=np.int64)))
     specs.append(ColumnSpec("t.num", NUMERICAL, lo=0.0, hi=1.0))
+    if order is not None:
+        specs = [specs[i] for i in order]
     cfg = ModelConfig(embedding_dim=embedding_dim, hidden_dim=hidden_dim,
-                      residual_blocks=blocks, dropout=dropout, numeric_bins=bins,
-                      column_order=order)
+                      residual_blocks=blocks, dropout=dropout, numeric_bins=bins)
     return init_model(specs, cfg, seed=seed, dtype=dtype)
 
 
@@ -160,7 +164,7 @@ def over_dtypes(cases, ids=None):
 
 def with_dtype(model: ArDensityModel, dtype) -> ArDensityModel:
     """A copy of ``model`` whose ``theta`` is cast to ``dtype``."""
-    return ArDensityModel(cfg=model.cfg, columns=model.columns, order=model.order,
+    return ArDensityModel(cfg=model.cfg, columns=model.columns,
                           theta=model.theta.astype(dtype))
 
 
@@ -231,28 +235,24 @@ def reference_estimate_selectivity(model: ArDensityModel, constraints, num_sampl
     if not constraints:
         return (1.0, 0.0) if with_error else 1.0
     dt = model.theta.dtype
-    by_pos = {}
-    pos = model.positions
-    for name, wv in constraints.items():
-        i = model.column_index(name)
-        by_pos[int(pos[i])] = (i, np.asarray(wv, dtype=dt))
-    last_pos = max(by_pos)
+    by_col = {model.column_index(name): np.asarray(wv, dtype=dt)
+              for name, wv in constraints.items()}
+    last = max(by_col)
 
     n = num_samples
     X = np.zeros((n, model.ncols), dtype=np.int64)
     weight = np.ones(n, dtype=dt)
     offs = model.logit_offsets()
-    for p in range(last_pos + 1):
-        i = int(model.order[p])
+    for i in range(last + 1):
         logits, _ = forward(model, X)
         block = logits[:, offs[i]:offs[i + 1]]
         probs = np.exp(_log_softmax(block))
-        if p in by_pos:
-            _, wv = by_pos[p]
+        if i in by_col:
+            wv = by_col[i]
             mass = probs @ wv
             weight *= mass
             probs = probs * wv
-        if p < last_pos:
+        if i < last:
             totals = probs.sum(axis=1)
             alive = totals > 0.0
             cdf = np.cumsum(probs, axis=1)
@@ -274,8 +274,8 @@ def reference_forward(model: ArDensityModel, X: np.ndarray, training=False, rng=
     P = model.params
     dt = model.theta.dtype
     A0 = np.empty((B, emb * model.ncols), dtype=dt)
-    for p, i in enumerate(model.order):
-        A0[:, p * emb:(p + 1) * emb] = model.embeddings[i][X[:, i]]
+    for i in range(model.ncols):
+        A0[:, i * emb:(i + 1) * emb] = model.embeddings[i][X[:, i]]
 
     keep = 1.0 - model.cfg.dropout
     use_dropout = training and model.cfg.dropout > 0.0
@@ -355,16 +355,17 @@ def reference_loss_and_grad(model: ArDensityModel, X: np.ndarray, column_weights
     G["b_in"][...] = dh.sum(axis=0)
     dA0 = dh @ P["w_in"].T
     emb = model.cfg.embedding_dim
-    for p, i in enumerate(model.order):
+    for i in range(model.ncols):
         rows = np.zeros(G[f"emb:{i}"].shape)
-        np.add.at(rows, X[:, i], dA0[:, p * emb:(p + 1) * emb])
+        np.add.at(rows, X[:, i], dA0[:, i * emb:(i + 1) * emb])
         G[f"emb:{i}"][...] = rows
     grad[:model.keep.size] *= model.keep
     return loss, grad
 
 
 class ReferenceAdam:
-    """``AdamState`` as plain expressions, with fresh temporaries each step."""
+    """``AdamState`` as plain expressions, with fresh temporaries each step.
+    Like it, it leaves masked positions to the zero gradient."""
 
     def __init__(self, model: ArDensityModel):
         self.t = 0
@@ -381,7 +382,6 @@ class ReferenceAdam:
         self.v *= cfg.beta2
         self.v += (1.0 - cfg.beta2) * grad * grad
         model.theta -= cfg.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.eps)
-        model.theta[:model.keep.size] *= model.keep
 
 
 # ---------------------------------------------------------------------------

@@ -472,8 +472,9 @@ def test_criterion_10_budget_and_ablation(desk, tmp_path):
         scores = zero_scores(m)
         rng = np.random.default_rng(7)
         scores.values[:] = rng.random(scores.values.size) * scale
-        prune_step(m, scores, alpha_k=0.25)
-        masks.append(m.keep.copy())
+        eligible = m.keep.copy()
+        prune_step(m, scores, 0.25, eligible)
+        masks.append(eligible)
     scale_ok = np.array_equal(masks[0], masks[1])
 
     crit(10, "prune budget, toggles-off identity, score-scale invariance",

@@ -276,8 +276,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("field,value", [
         ("hub_rows", 1.5), ("hub_rows", 0), ("dim_rows", [30, 0]), ("hub_cat_cards", [0]),
         ("dim_cat_cards", 5), ("numeric_range", [0.0]), ("numeric_range", [0.0, float("inf")]),
-        ("zipf_s", float("nan")), ("seed", -1), ("profile", "banana"),
-        ("unique_categoricals", "yes")])
+        ("zipf_s", float("nan")), ("seed", -1), ("profile", "banana")])
     def test_datagen_value_out_of_range(self, tmp_path, capsys, field, value):
         path = write_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
@@ -298,12 +297,20 @@ class TestConfigErrors:
     @pytest.mark.parametrize("field,value", [("freeze_pruned", True),
                                              ("loss_mode", "joint_aggregated")])
     def test_removed_cep_key(self, tmp_path, capsys, field, value):
+        self.check_removed_key(tmp_path, capsys, "cep", field, value)
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("model", "column_order", [2, 0, 1]), ("datagen", "unique_categoricals", "yes")])
+    def test_removed_key(self, tmp_path, capsys, section, field, value):
+        self.check_removed_key(tmp_path, capsys, section, field, value)
+
+    def check_removed_key(self, tmp_path, capsys, section, field, value):
         # a config that still sets a removed option is named, not run without it
         path = write_config(tmp_path)
         doc = yaml.safe_load(path.read_text())
-        doc["cep"][field] = value
+        doc[section][field] = value
         path.write_text(yaml.safe_dump(doc))
-        self.check_rejected(path, capsys, f"cep.*unknown key '{field}'")
+        self.check_rejected(path, capsys, f"{section}.*unknown key '{field}'")
 
     @pytest.mark.parametrize("flag", [["--finetune-epochs", "-1"], ["--alpha", "1.5"],
                                       ["--ns", "0"]])
@@ -313,6 +320,14 @@ class TestConfigErrors:
         assert main(["unlearn", "-c", str(path), "--method", "cep", *flag]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unknown_query_types_exits_2(self, tmp_path, capsys):
+        # argparse's choices are the one check of --query-types
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-c", str(path), "--method", "cep", "--query-types", "all"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'all'" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")

@@ -68,13 +68,6 @@ def test_fk_coverage_validates():
     db.validate()  # raises on dangling foreign keys
 
 
-def test_unique_cardinality_check():
-    cfg = DataGenConfig(hub_rows=5, hub_cat_cards=(10,), dim_rows=(4,),
-                        dim_cat_cards=(2,), unique_categoricals=True)
-    with pytest.raises(ValidationError):
-        gen_star_schema(cfg)
-
-
 def test_bad_config_rejected():
     with pytest.raises(ValidationError):
         gen_star_schema(DataGenConfig(hub_rows=0))

@@ -243,7 +243,7 @@ class TestComputeDtype:
 
         allocs, draws = Allocs(), Draws(3)
         monkeypatch.setattr(model_mod, "np", allocs)
-        last = model.columns[int(model.order[-1])]
+        last = model.columns[-1]
         est = estimate_selectivity(model, {last.name: np.linspace(0.0, 1.0, last.domain_size)},
                                    16, draws)
         monkeypatch.undo()
@@ -258,19 +258,41 @@ class TestPruneStep:
         model = tiny_star_model(star_db)
         scores = zero_scores(model)
         pool = model.eligible_weight_count()
+        eligible = model.keep.copy()
         # the last eligible position: ties alone would never pick it
-        pos = np.flatnonzero(model.keep)[-1]
+        pos = np.flatnonzero(eligible)[-1]
         scores.values[pos] = 9.9
-        res = prune_step(model, scores, alpha_k=1.0 / pool)
+        res = prune_step(model, scores, 1.0 / pool, eligible)
         assert res["pruned"] == 1
-        assert model.keep[pos] == 0.0 and model.theta[pos] == 0.0
-        assert model.keep.sum() == pool - 1
+        assert not eligible[pos] and model.theta[pos] == 0.0
+        assert eligible.sum() == pool - 1
+
+    def test_narrows_only_the_mask_it_is_passed(self, star_db):
+        # the pruned weights are zeroed but stay trainable: the model's keep
+        # is the connectivity before and after, and the same array
+        model = tiny_star_model(star_db)
+        model.theta[:] = np.random.default_rng(2).uniform(0.1, 0.5, model.theta.size)
+        model.theta[:model.keep.size] *= model.keep
+        keep = model.keep
+        scores = zero_scores(model)
+        scores.values[:] = np.random.default_rng(3).random(scores.values.size)
+        eligible = model.keep.copy()
+        res = prune_step(model, scores, 0.3, eligible)
+        assert res["pruned"] > 0
+        assert model.keep is keep
+        np.testing.assert_array_equal(model.keep, model.connectivity())
+        pruned = model.keep & ~eligible
+        assert pruned.sum() == res["pruned"]
+        assert (model.theta[:keep.size][pruned] == 0.0).all()
+        assert (model.theta[:keep.size][eligible] != 0.0).all()
 
     def test_alpha_zero_no_change(self, star_db):
         model = tiny_star_model(star_db)
-        before = model.checksum()
-        res = prune_step(model, zero_scores(model), alpha_k=0.0)
-        assert res["pruned"] == 0 and model.checksum() == before
+        before = model.theta.tobytes()
+        eligible = model.keep.copy()
+        res = prune_step(model, zero_scores(model), 0.0, eligible)
+        assert res["pruned"] == 0 and model.theta.tobytes() == before
+        np.testing.assert_array_equal(eligible, model.keep)
 
     def test_positive_scaling_invariance(self, star_db):
         masks = []
@@ -279,46 +301,49 @@ class TestPruneStep:
             scores = zero_scores(model)
             rng = np.random.default_rng(0)
             scores.values[:] = rng.random(scores.values.size) * scale
-            prune_step(model, scores, alpha_k=0.3)
-            masks.append(model.keep.copy())
+            eligible = model.keep.copy()
+            prune_step(model, scores, 0.3, eligible)
+            masks.append(eligible)
         np.testing.assert_array_equal(masks[0], masks[1])
 
     def test_tie_breaks_to_lower_flat_index(self, star_db):
         model = tiny_star_model(star_db)
         scores = zero_scores(model)  # all ties
-        eligible = np.flatnonzero(model.keep)
-        res = prune_step(model, scores, alpha_k=2.5 / model.eligible_weight_count())
+        eligible = model.keep.copy()
+        connected = np.flatnonzero(eligible)
+        res = prune_step(model, scores, 2.5 / model.eligible_weight_count(), eligible)
         assert res["pruned"] == 2
-        assert (model.keep[eligible[:2]] == 0.0).all()
-        assert (model.keep[eligible[2:]] == 1.0).all()
+        assert not eligible[connected[:2]].any()
+        assert eligible[connected[2:]].all()
 
     def test_ties_choose_the_stable_argsort_positions(self, star_db):
         # scores drawn from four values, so every threshold falls inside a
         # long run of ties; a third of the weights are pruned already
         model = tiny_star_model(star_db)
         rng = np.random.default_rng(4)
-        model.keep &= rng.random(model.keep.size) >= 0.3
-        model.theta[:model.keep.size] *= model.keep
+        unpruned = model.keep & (rng.random(model.keep.size) >= 0.3)
+        model.theta[:model.keep.size] *= unpruned
         scores = zero_scores(model)
         scores.values[:] = rng.integers(0, 4, scores.values.size) * model.keep
-        eligible = np.flatnonzero(model.keep)
+        eligible = np.flatnonzero(unpruned)
         pool = model.eligible_weight_count()
         for take in (1, 7, eligible.size // 3, eligible.size // 2, eligible.size - 1):
             m = model.copy()
-            m.keep[:] = model.keep  # a copy's keep is the connectivity
-            res = prune_step(m, scores, alpha_k=(take + 0.5) / pool)
+            mask = unpruned.copy()
+            res = prune_step(m, scores, (take + 0.5) / pool, mask)
             expected = eligible[np.argsort(-scores.values[eligible], kind="stable")[:take]]
             assert res["pruned"] == take
-            np.testing.assert_array_equal(np.flatnonzero(model.keep & ~m.keep), np.sort(expected))
+            np.testing.assert_array_equal(np.flatnonzero(unpruned & ~mask), np.sort(expected))
             assert (m.theta[expected] == 0.0).all()
 
     def test_saturation(self, star_db):
         model = tiny_star_model(star_db)
         pool = model.eligible_weight_count()
-        prune_step(model, zero_scores(model), alpha_k=0.9, pool_size=pool)
-        res = prune_step(model, zero_scores(model), alpha_k=0.9, pool_size=pool)
+        eligible = model.keep.copy()
+        prune_step(model, zero_scores(model), 0.9, eligible, pool_size=pool)
+        res = prune_step(model, zero_scores(model), 0.9, eligible, pool_size=pool)
         assert res["saturated"]
-        assert model.keep.sum() == 0
+        assert eligible.sum() == 0
 
 
 class TestDistributionSensitivityPruning:
@@ -355,7 +380,7 @@ class TestDistributionSensitivityPruning:
         shift = column_shift_weights(m2, full, retained)
         rel = semi_join_deletion(split, 0)
         scores = accumulate_scores(m2, rel, shift, 2, 4, np.random.default_rng(5))
-        prune_step(m2, scores, alpha_k=0.4)
+        prune_step(m2, scores, 0.4, m2.keep.copy())
         np.testing.assert_array_equal(m1.theta, m2.theta)
 
     def test_no_deletions_no_change(self, star_db):
@@ -365,11 +390,11 @@ class TestDistributionSensitivityPruning:
         for t in split.deleted:
             t.data = [c[:0] for c in t.data]  # force all-empty deletions
         model = tiny_star_model(star_db)
-        before = model.checksum()
+        before = model.theta.tobytes()
         info = distribution_sensitivity_pruning(model, split, split.retained_join(),
                                                 CepConfig(alpha=0.5),
                                                 np.random.default_rng(0))
-        assert model.checksum() == before
+        assert model.theta.tobytes() == before
         assert info["total_pruned"] == 0
 
     def test_shift_weights_zero_iff_identical(self, star_db):
@@ -400,9 +425,9 @@ class TestDomainPruning:
 
     def test_prune_nothing_is_identity(self, star_db):
         model = tiny_star_model(star_db)
-        before = model.checksum()
+        before = model.theta.tobytes()
         domain_prune_categorical(model, "fact.color", np.array([0, 1, 2]))
-        assert model.checksum() == before
+        assert model.theta.tobytes() == before
 
     def test_empty_retained_domain_rejected(self, star_db):
         model = tiny_star_model(star_db)
@@ -492,17 +517,17 @@ class TestFineTuneAndRunMethod:
 
     def test_zero_epochs_unchanged(self, star_db):
         model = self.trained_original(star_db)
-        before = model.checksum()
+        before = model.theta.tobytes()
         split = self.make_split(star_db)
         rel = split.retained_join()
         from cardest.model import encode_relation
         codes, valid = encode_relation(model, rel)
         fine_tune(model, codes[valid], seed=2, epochs=0)
-        assert model.checksum() == before
+        assert model.theta.tobytes() == before
 
     def test_mask_frozen_through_fine_tune(self, star_db):
         model = self.trained_original(star_db)
-        prune_step(model, zero_scores(model), alpha_k=0.3)
+        prune_step(model, zero_scores(model), 0.3, model.keep.copy())
         split = self.make_split(star_db)
         from cardest.model import encode_relation
         codes, valid = encode_relation(model, split.retained_join())
@@ -522,18 +547,18 @@ class TestFineTuneAndRunMethod:
     def test_stale_returns_original(self, star_db):
         model = self.trained_original(star_db)
         split = self.make_split(star_db)
-        before = model.checksum()
+        before = model.theta.tobytes()
         run = run_method("stale", split, model, CepConfig(), seed=0)
-        assert run.model is model and model.checksum() == before
+        assert run.model is model and model.theta.tobytes() == before
         assert run.timings["prune_seconds"] == 0.0
 
     @pytest.mark.parametrize("method", ["finetune", "cep"])
     def test_run_method_trains_the_model_it_is_given(self, star_db, method):
         model = self.trained_original(star_db)
-        before = model.checksum()
+        before = model.theta.tobytes()
         cfg = CepConfig(alpha=0.2, sampling_iterations=2, batch_size=8, finetune_epochs=1)
         run = run_method(method, self.make_split(star_db, ratio=1.0), model, cfg, seed=5)
-        assert run.model is model and model.checksum() != before
+        assert run.model is model and model.theta.tobytes() != before
 
     def test_cep_peak_memory_in_theta_units(self, star_db, tmp_path):
         # a desk-sized model on the tiny star schema, so theta-sized arrays
@@ -574,7 +599,7 @@ class TestFineTuneAndRunMethod:
                         finetune_epochs=3)
         r1 = run_method("finetune", split, model.copy(), cfg, seed=9)
         r2 = run_method("cep", split, model.copy(), cfg, seed=9)
-        assert r1.model.checksum() == r2.model.checksum()
+        assert r1.model.theta.tobytes() == r2.model.theta.tobytes()
         assert r1.loss_trace == r2.loss_trace
 
     def test_cep_timings_reported_separately(self, star_db):
@@ -608,7 +633,8 @@ class TestFineTuneAndRunMethod:
                         finetune_epochs=2)
         r1 = run_method("cep", split, model.copy(), cfg, seed=11)
         r2 = run_method("cep", split, model.copy(), cfg, seed=11)
-        assert r1.model.checksum() == r2.model.checksum()
+        assert r1.model.theta.tobytes() == r2.model.theta.tobytes()
+        assert r1.loss_trace == r2.loss_trace
 
 
 class TestScoreDeterminismAndRegrowth:
@@ -665,7 +691,7 @@ class TestKeepMaskInvariant:
     def check(model, directory):
         keep = model.keep
         assert (model.theta[:keep.size][keep == 0.0] == 0.0).all()
-        assert (keep <= model.connectivity()).all()
+        np.testing.assert_array_equal(keep, model.connectivity())
         a, b = directory / "a.ckpt", directory / "b.ckpt"
         save_checkpoint(model, a)
         loaded = load_checkpoint(a)
@@ -691,7 +717,7 @@ class TestKeepMaskInvariant:
                 elif step == "prune":
                     scores = zero_scores(model)
                     scores.values[:] = rng.random(scores.values.size)
-                    prune_step(model, scores, alpha_k=float(rng.uniform(0.0, 0.5)))
+                    prune_step(model, scores, float(rng.uniform(0.0, 0.5)), model.keep.copy())
                 elif step == "domain":
                     col = model.columns[int(rng.integers(0, 2))]
                     if col.domain_size > 1:
