@@ -162,7 +162,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def write_manifest(directory: Path, command: str, cfg: ExperimentConfig,
                    extra: dict | None = None):
     directory.mkdir(parents=True, exist_ok=True)
-    config_bytes = json.dumps(cfg.raw, sort_keys=True, default=str).encode()
+    # the settings, not where they write: one experiment run in two
+    # directories has one hash
+    settings = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
+    config_bytes = json.dumps(settings, sort_keys=True, default=str).encode()
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
@@ -361,8 +364,9 @@ def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> P
     out = cfg.output_dir / f"eval-{method}"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv",
-               ["query_id", "type", "c", "c_hat", "c_hat_sem", "qerr", "excluded_reason"],
-               [[r.qid, r.qtype, _fmt(r.true_card), _fmt(r.est_card), _fmt(r.est_sem),
+               ["query_id", "type", "c", "c_hat", "c_hat_sem", "paths", "qerr",
+                "excluded_reason"],
+               [[r.qid, r.qtype, _fmt(r.true_card), _fmt(r.est_card), _fmt(r.est_sem), r.paths,
                  _fmt(r.qerr) if r.qerr is not None else "",
                  r.excluded_reason or ""] for r in report.rows])
     rows = []

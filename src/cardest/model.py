@@ -24,7 +24,14 @@ layer and each residual block, and then that column's logits.
 These are exactly the connections the masks leave unmasked, so one query
 costs about one forward pass in total and gives ``forward``'s numbers up to
 the order of floating-point sums.  The sampler reads ``params`` in place,
-through slices, and keeps its per-path state in one workspace per call.
+through slices, and keeps its per-path state in one workspace per round.
+``num_samples`` caps the paths: the first ``SAMPLE_ROUND`` run, and the call
+stops there once their mean is > 0 and their standard error is at most
+``SEM_TARGET`` of it; otherwise the rest run too.  The uniforms are drawn
+for all paths up front, path j reading column j, so a full-budget query
+returns what one round of ``num_samples`` paths gives, a stopped query the
+mean of that round's first paths, and the reported standard error is over
+the paths actually used.
 
 Training fuses the gradient and the update, as LOMO (Lv et al., 2023)
 does, since a gradient is dead once Adam has read it: ``train`` passes
@@ -99,6 +106,10 @@ DTYPES = ("float32", "float64")
 # elements per Adam chunk: the six chunk-sized arrays an update streams take
 # 1.5 MB in float64 and 0.75 MB in float32, inside a 2 MB L2
 ADAM_CHUNK = 32_768
+# progressive sampling runs this many paths first, and stops there when their
+# standard error is at most SEM_TARGET of their mean
+SAMPLE_ROUND = 128
+SEM_TARGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -762,6 +773,66 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     conditional; unconstrained columns are sampled freely.  Columns after
     the last constrained one cannot change the estimate and are skipped.
 
+    ``num_samples`` is a cap.  All of a query's uniforms are drawn up front,
+    one row per sampled column and path j reading column j, which are the
+    values and the order of one ``rng.random(num_samples)`` per column; so
+    ``rng`` ends in the same state however many paths run.  The first
+    ``SAMPLE_ROUND`` paths run, and the call stops there if their mean is
+    > 0 and their standard error is at most ``SEM_TARGET`` of it.
+    Otherwise the remaining paths run into the same weight vector and the
+    estimate is the mean over all of them.  A first round whose weights are
+    all zero runs the full budget: a later path may still weigh more than
+    0, and a stop would report exactly 0.  A path's weight depends only on
+    its own uniforms, so a full-budget estimate is the one a single round of
+    ``num_samples`` paths gives, and a stopped one is the mean of that
+    run's first ``SAMPLE_ROUND`` paths.
+
+    With ``with_error`` the call returns ``(estimate, sem, paths)``: the
+    Monte-Carlo standard error of the path-weight mean over the paths
+    actually used, and their number.
+    """
+    if num_samples < 1:
+        raise ValidationError("num_samples must be >= 1")
+    for name in constraints:
+        model.column_index(name)  # raises on unknown column
+    if not constraints:
+        return (1.0, 0.0, 0) if with_error else 1.0
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    dt = model.theta.dtype
+    by_col = {}
+    for name, wv in constraints.items():
+        i = model.column_index(name)
+        wv = np.asarray(wv, dtype=dt)
+        if wv.shape != (model.columns[i].domain_size,):
+            raise ValidationError(f"constraint on {name!r} has wrong length")
+        by_col[i] = wv
+
+    n = num_samples
+    uniforms = rng.random((max(by_col), n), dtype=dt)
+    weight = np.empty(n, dtype=dt)
+    used = min(n, SAMPLE_ROUND)
+    _sample_paths(model, by_col, uniforms[:, :used], weight[:used])
+    if used < n:
+        first = weight[:used]
+        est = first.mean()
+        if not (est > 0.0 and first.std(ddof=1) / np.sqrt(used) <= SEM_TARGET * est):
+            _sample_paths(model, by_col, uniforms[:, used:], weight[used:])
+            used = n
+    weight = weight[:used]
+    if with_error:
+        sem = float(weight.std(ddof=1) / np.sqrt(used)) if used > 1 else 0.0
+        return float(weight.mean()), sem, used
+    return float(weight.mean())
+
+
+def _sample_paths(model: ArDensityModel, by_col: dict[int, np.ndarray],
+                  uniforms: np.ndarray, weight: np.ndarray):
+    """Walk the paths of ``weight`` through the columns up to the last key of
+    ``by_col`` and write their final weights into it; path j draws column p
+    with ``uniforms[p, j]``.
+
     The network is evaluated degree-incrementally rather than by a full
     ``forward`` per column.  Hidden units are stored in MADE-degree order,
     so the logits of column p read only the first ``k[p]`` units (degree
@@ -775,7 +846,11 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     does exactly the unmasked multiply-adds of one forward pass per query,
     and the result equals ``forward``'s up to the order of floating-point
     sums.  No column is special: with a single column every unit has
-    degree 0 and step 0 computes them all.
+    degree 0 and step 0 computes them all.  A path's column in each matrix
+    product reads only that path's state, so where BLAS sums one column in
+    the same order whatever the number of columns (OpenBLAS 0.3.31 on
+    x86-64 does; the tests check it), a path gets the same bits in a round
+    of any size.
 
     The weights are read in place as ``params[key][:k[p], new]``, transposed
     views that BLAS takes without a copy.  The per-path state is stored
@@ -783,33 +858,12 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     that matrix products write into directly.  The state, the constraint
     vectors, the path weights and the uniform draws take ``theta``'s dtype.
     All of it sits in one workspace sized to the units of degree <= the last
-    constrained column: a single allocation per call, which the allocator hands back from the
-    heap on the next call instead of mapping fresh pages, each of which
-    would cost a page fault when first written.
-
-    With ``with_error`` the Monte-Carlo standard error of the path-weight
-    mean is returned alongside the estimate.
+    constrained column: a single allocation per round, which the allocator
+    hands back from the heap on the next call instead of mapping fresh
+    pages, each of which would cost a page fault when first written.
     """
-    if num_samples < 1:
-        raise ValidationError("num_samples must be >= 1")
-    for name in constraints:
-        model.column_index(name)  # raises on unknown column
-    if not constraints:
-        return (1.0, 0.0) if with_error else 1.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    dt = model.theta.dtype
-    by_col = {}
-    for name, wv in constraints.items():
-        i = model.column_index(name)
-        wv = np.asarray(wv, dtype=dt)
-        if wv.shape != (model.columns[i].domain_size,):
-            raise ValidationError(f"constraint on {name!r} has wrong length")
-        by_col[i] = wv
     last = max(by_col)
-
-    n = num_samples
+    n = weight.size
     emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
     P = model.params
     _, hid_deg = _degrees(model.ncols, emb, model.cfg.hidden_dim)
@@ -817,10 +871,10 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     # per-path state, units x paths: relu(h) entering each residual block
     # (acts[R] feeds w_out) and relu(z) inside each block; the sampled
     # columns' embeddings in column order
-    work = np.empty((2 * R + 1, int(k[last]), n), dtype=dt)
+    work = np.empty((2 * R + 1, int(k[last]), n), dtype=weight.dtype)
     acts, mids = work[:R + 1], work[R + 1:]
-    A0 = np.empty((emb * last, n), dtype=dt)
-    weight = np.ones(n, dtype=dt)
+    A0 = np.empty((emb * last, n), dtype=weight.dtype)
+    weight[:] = 1.0
     offs = model.logit_offsets()
     for p in range(last + 1):
         kp = int(k[p])
@@ -850,14 +904,10 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
             # it by an ulp and let the draw land past the last allowed code
             totals = cdf[:, -1]
             alive = totals > 0.0
-            u = rng.random(n, dtype=dt) * np.where(alive, totals, 1.0)
+            u = uniforms[p] * np.where(alive, totals, 1.0)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
             A0[emb * p:emb * (p + 1)] = model.embeddings[p][np.where(alive, nxt, 0)].T
-            weight = np.where(alive, weight, 0.0)
-    if with_error:
-        sem = float(weight.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return float(weight.mean()), sem
-    return float(weight.mean())
+            weight[~alive] = 0.0
 
 
 def interval_bin_weights(lo: float, hi: float, col_lo: float, col_hi: float,

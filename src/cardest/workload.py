@@ -205,6 +205,7 @@ class QueryResult:
     true_card: float
     est_card: float
     est_sem: float      # Monte-Carlo standard error of est_card
+    paths: int          # progressive-sampling paths behind est_card
     qerr: float | None
     excluded_reason: str | None
 
@@ -284,7 +285,8 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
     derived from (seed, qtype, qid), so results are identical however the
     evaluation is ordered and on any number of ``threads``.  Each estimate
     carries its progressive-sampling standard error, scaled by
-    ``total_rows`` like the estimate itself.
+    ``total_rows`` like the estimate itself, and the number of paths behind
+    both.
     """
     def one(item):
         k, (qtype, q) = item
@@ -292,12 +294,13 @@ def evaluate(model: ArDensityModel, labeled_queries: list[tuple[str, Query]],
             np.random.SeedSequence(entropy=seed,
                                    spawn_key=(0 if qtype == "OQ" else 1, q.qid)))
         constraints = model_constraints(model, q)
-        sel, sem = estimate_selectivity(model, constraints, num_samples=num_samples,
-                                        rng=rng, with_error=True)
+        sel, sem, paths = estimate_selectivity(model, constraints, num_samples=num_samples,
+                                               rng=rng, with_error=True)
         est = sel * total_rows
         true = true_cardinality(retained_tables, joins, q, cap=cap)
         err, reason = q_error(est, float(true))
-        return k, QueryResult(q.qid, qtype, float(true), est, sem * total_rows, err, reason)
+        return k, QueryResult(q.qid, qtype, float(true), est, sem * total_rows, paths,
+                              err, reason)
 
     items = list(enumerate(labeled_queries))
     if threads > 1:

@@ -250,9 +250,9 @@ def _oracle_queries(model, probs, combos, tolerance):
             i = model.column_index(name)
             mask &= w[combos[:, i]] > 0
         exact = float(probs[mask].sum())
-        est, sem = estimate_selectivity(model, constraints, 512,
-                                        np.random.default_rng(600 + k),
-                                        with_error=True)
+        est, sem, _ = estimate_selectivity(model, constraints, 512,
+                                           np.random.default_rng(600 + k),
+                                           with_error=True)
         if abs(est - exact) > tolerance(sem, exact):
             failures.append((k, exact, est, sem))
     return failures

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cardest.cli import load_config, main
+from cardest.cli import load_config, main, write_manifest
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import ConfigurationError, ValidationError
 from cardest.relational import load_dataset, save_dataset
@@ -71,8 +71,10 @@ class TestStages:
         assert main(["eval", "-c", str(cfg), "--method", "cep"]) == 0
         report = run_dir / "eval-cep" / "report.csv"
         assert report.exists()
-        header = report.read_text().splitlines()[0]
-        assert header == "query_id,type,c,c_hat,c_hat_sem,qerr,excluded_reason"
+        header, *lines = report.read_text().splitlines()
+        assert header == "query_id,type,c,c_hat,c_hat_sem,paths,qerr,excluded_reason"
+        # 64 paths is under one sampling round, so every query runs them all
+        assert lines and all(line.split(",")[5] == "64" for line in lines)
         assert (run_dir / "eval-cep" / "summary.csv").exists()
 
         assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 0
@@ -387,6 +389,17 @@ class TestDeterminismAndAblation:
             assert compute["threads"]["OPENBLAS_NUM_THREADS"] == "1"
             assert compute["threads"]["MKL_NUM_THREADS"] is None
             assert compute["nproc"] >= 1
+
+    def test_config_hash_names_the_settings_not_the_output_dir(self, tmp_path):
+        digests = []
+        for sub, overrides in (("a", {}), ("b", {}), ("c", {"seeds": {**SEEDS, "eval": 9}})):
+            (tmp_path / sub).mkdir()
+            cfg = load_config(write_config(tmp_path / sub, **overrides))
+            write_manifest(cfg.output_dir, "gen-data", cfg)
+            doc = json.loads((cfg.output_dir / "manifest.json").read_text())
+            digests.append(doc["config_sha256"])
+        # a and b differ only in output_dir; c also in one seed
+        assert digests[0] == digests[1] != digests[2]
 
     def test_alpha_and_ns_flags(self, tmp_path):
         cfg, run_dir = self.prep(tmp_path)

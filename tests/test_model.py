@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import FormatError, TrainingError, ValidationError
-from cardest.model import (ADAM_CHUNK, AdamState, ModelConfig, _degrees, _log_softmax,
-                           _parameter_shapes, batch_nll_terms,
+from cardest import model as cmodel
+from cardest.model import (ADAM_CHUNK, SAMPLE_ROUND, AdamState, ModelConfig, _degrees,
+                           _log_softmax, _parameter_shapes, _sample_paths, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
@@ -555,13 +556,92 @@ class TestEstimate:
                               np.minimum(rng.random(c.domain_size) * 2, 1.0))
                 cons[c.name] = np.zeros(c.domain_size) if q == 0 else wv
             for seed in (0, 1):
-                est, sem = estimate_selectivity(m, cons, 64, np.random.default_rng(seed),
-                                                with_error=True)
+                est, sem, _ = estimate_selectivity(m, cons, 64, np.random.default_rng(seed),
+                                                   with_error=True)
                 ref, ref_sem = reference_estimate_selectivity(
                     m, cons, 64, np.random.default_rng(seed), with_error=True)
                 assert (est == 0.0) == (ref == 0.0)
                 assert abs(est - ref) <= 1e-12 * abs(ref)
                 assert abs(sem - ref_sem) <= 1e-12 * abs(ref_sem)
+
+    @pytest.mark.parametrize("case,dtype", over_dtypes(REFERENCE_CASES))
+    def test_two_rounds_are_bitwise_one_round(self, monkeypatch, case, dtype):
+        # With a target no round meets, the 128 + rest paths give the bits of
+        # one round of all of them, and leave rng where drawing one
+        # rng.random(n) per sampled column (the reference) leaves it
+        m = reference_case_model(case, dtype)
+        monkeypatch.setattr(cmodel, "SEM_TARGET", -1.0)
+        rng = np.random.default_rng(32)
+        for n in (512, 301):
+            cons = {c.name: rng.random(c.domain_size) for c in m.columns
+                    if c is m.columns[-1] or rng.random() < 0.5}
+            got = []
+            for round_size in (SAMPLE_ROUND, n):
+                monkeypatch.setattr(cmodel, "SAMPLE_ROUND", round_size)
+                stream = np.random.default_rng(n)
+                got.append(estimate_selectivity(m, cons, n, stream, with_error=True))
+                got.append(stream.bit_generator.state)
+            ref_stream = np.random.default_rng(n)
+            reference_estimate_selectivity(m, cons, n, ref_stream)
+            assert got[0] == got[2] and got[0][2] == n
+            assert got[1] == got[3] == ref_stream.bit_generator.state
+
+    @staticmethod
+    def loose_query(dtype):
+        """A four-column model and constraints near 1 on every column, whose
+        path weights spread a little; and the weights of all 512 paths of
+        one round drawn from ``default_rng(9)``, as the sampler draws them."""
+        m = reference_case_model("four_columns", dtype)
+        rng = np.random.default_rng(40)
+        cons = {c.name: 0.8 + 0.2 * rng.random(c.domain_size) for c in m.columns}
+        by_col = {m.column_index(name): wv.astype(dtype) for name, wv in cons.items()}
+        weight = np.empty(512, dtype=dtype)
+        uniforms = np.random.default_rng(9).random((m.ncols - 1, 512), dtype=dtype)
+        _sample_paths(m, by_col, uniforms, weight)
+        return m, cons, weight
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stops_on_the_first_rounds_standard_error(self, monkeypatch, dtype):
+        m, cons, w = self.loose_query(dtype)
+
+        def summary(weight):
+            return (float(weight.mean()), float(weight.std(ddof=1) / np.sqrt(weight.size)),
+                    weight.size)
+        first = w[:SAMPLE_ROUND]
+        rel_first = summary(first)[1] / summary(first)[0]
+        rel_all = summary(w)[1] / summary(w)[0]
+        assert 0.0 < rel_all < rel_first < cmodel.SEM_TARGET
+        # the default target stops with the first round's mean and SE
+        assert estimate_selectivity(m, cons, 512, np.random.default_rng(9),
+                                    with_error=True) == summary(first)
+        assert estimate_selectivity(m, cons, 512, np.random.default_rng(9)) == \
+            summary(first)[0]
+        # a target only the full budget meets is judged on the first round
+        monkeypatch.setattr(cmodel, "SEM_TARGET", float(np.sqrt(rel_first * rel_all)))
+        assert estimate_selectivity(m, cons, 512, np.random.default_rng(9),
+                                    with_error=True) == summary(w)
+
+    def test_rng_ends_in_the_same_state_stopped_or_not(self, monkeypatch):
+        m, cons, _ = self.loose_query(np.float32)
+        paths, states = [], []
+        for target in (0.5, -1.0):      # every round meets it; none does
+            monkeypatch.setattr(cmodel, "SEM_TARGET", target)
+            rng = np.random.default_rng(9)
+            paths.append(estimate_selectivity(m, cons, 512, rng, with_error=True)[2])
+            states.append(rng.bit_generator.state)
+        assert paths == [SAMPLE_ROUND, 512]
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_all_zero_first_round_runs_every_path(self, dtype):
+        # a query on a deleted gap: its first round weighs 0, which meets any
+        # relative target, yet the call runs the full budget and returns 0
+        m = reference_case_model("four_columns", dtype)
+        last = m.columns[-1]
+        cons = {m.columns[0].name: np.ones(m.columns[0].domain_size),
+                last.name: np.zeros(last.domain_size)}
+        assert estimate_selectivity(m, cons, 512, np.random.default_rng(3),
+                                    with_error=True) == (0.0, 0.0, 512)
 
     def test_draw_never_picks_a_zero_weight_code(self):
         for dtype in (np.float64, np.float32):

@@ -208,7 +208,7 @@ class TestQError:
 
 class TestPercentiles:
     def test_single_value_all_percentiles(self):
-        rows = [QueryResult(0, "OQ", 1.0, 3.0, 0.0, 3.0, None)]
+        rows = [QueryResult(0, "OQ", 1.0, 3.0, 0.0, 64, 3.0, None)]
         report = summarize(rows)
         assert all(v == 3.0 for v in report.percentiles["OQ"].values())
 
@@ -228,15 +228,15 @@ class TestPercentiles:
         assert pcts == sorted(pcts)
 
     def test_exclusions_counted(self):
-        rows = [QueryResult(0, "OQ", 1.0, 2.0, 0.0, 2.0, None),
-                QueryResult(1, "OQ", 5.0, 0.0, 0.0, None, "model-zero"),
-                QueryResult(2, "CQ", 0.0, 2.0, 0.0, None, "true-zero")]
+        rows = [QueryResult(0, "OQ", 1.0, 2.0, 0.0, 64, 2.0, None),
+                QueryResult(1, "OQ", 5.0, 0.0, 0.0, 64, None, "model-zero"),
+                QueryResult(2, "CQ", 0.0, 2.0, 0.0, 64, None, "true-zero")]
         report = summarize(rows)
         assert report.excluded == {"model-zero": 1, "true-zero": 1}
         assert not report.degenerate
 
     def test_degenerate_report(self):
-        rows = [QueryResult(0, "OQ", 5.0, 0.0, 0.0, None, "model-zero")]
+        rows = [QueryResult(0, "OQ", 5.0, 0.0, 0.0, 64, None, "model-zero")]
         assert summarize(rows).degenerate
 
 
@@ -271,9 +271,10 @@ class TestEvaluate:
             return np.random.default_rng(np.random.SeedSequence(entropy=8,
                                                                 spawn_key=(0, q.qid)))
         sel = estimate_selectivity(model, cons, 64, stream())
-        _, sem = estimate_selectivity(model, cons, 64, stream(), with_error=True)
+        _, sem, paths = estimate_selectivity(model, cons, 64, stream(), with_error=True)
         assert row.est_card == sel * total
         assert row.est_sem == sem * total > 0.0
+        assert row.paths == paths == 64
 
     def test_threaded_matches_serial(self, star_db):
         model = tiny_star_model(star_db)
