@@ -114,6 +114,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("output_dir", "seeds", "task"):
         if key not in raw:
             raise ConfigurationError(f"config is missing {key!r}")
+    if not isinstance(raw["output_dir"], str):
+        raise ConfigurationError(f"output_dir must be a path, not {raw['output_dir']!r}")
     seeds, join_cap = raw["seeds"], raw.get("join_cap", JOIN_CAP_DEFAULT)
     if not isinstance(seeds, dict):
         raise ConfigurationError("seeds must be a mapping")
@@ -128,9 +130,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     datagen_cfg = None
     dataset_dir = None
     if "dataset" in raw:
-        if not (isinstance(raw["dataset"], dict) and "dir" in raw["dataset"]):
+        if not (isinstance(raw["dataset"], dict)
+                and isinstance(raw["dataset"].get("dir"), str)):
             raise ConfigurationError("config section 'dataset' must be a mapping "
-                                     "with a 'dir'")
+                                     "with a 'dir' path")
         dataset_dir = Path(raw["dataset"]["dir"])
     else:
         datagen_cfg = _section(DataGenConfig, raw.get("datagen", {}), "datagen",
@@ -261,33 +264,29 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_delete(cfg: ExperimentConfig) -> Path:
-    """Split the dataset by the task.  A condition that matches no row is
-    a configuration error: it would delete nothing, yet every later stage
-    would run as though it had."""
+    """Apply the task to the dataset and mark it applied (``task.json``).  A
+    condition that matches no row is a configuration error: it would delete
+    nothing, yet every later stage would run as though it had.  No stage
+    reads ``split/`` back: each re-derives the split from the config."""
     db = _load_db(cfg)
     split = apply_deletion(db, cfg.task, seed=cfg.seeds["data"])
     for c in cfg.task.conditions:
         if not condition_mask(db.table(c.table), c).any():
             raise ConfigurationError(f"deletion condition {c} matches no row")
     out = cfg.output_dir / "split"
-    save_dataset(SchemaGraph(split.retained, split.joins, split.hub), out / "retained")
-    save_dataset(SchemaGraph(split.deleted, split.joins, split.hub), out / "deleted")
+    save_dataset(SchemaGraph(split.retained, db.joins, db.hub), out / "retained")
     task_doc = {"name": cfg.task.name, "dtype": cfg.task.dtype, "ratio": cfg.task.ratio,
                 "conditions": [{"table": c.table, "column": c.column, "value": c.value,
                                 "lo": c.lo, "hi": c.hi} for c in cfg.task.conditions]}
     (out / "task.json").write_text(json.dumps(task_doc, sort_keys=True, indent=1) + "\n")
-    write_manifest(out, "delete", cfg, {
-        "deleted_rows": {t.name: t.row_count for t in split.deleted}})
+    write_manifest(out, "delete", cfg, {"deleted_rows": {
+        t.name: rows.size for t, rows in zip(db.tables, split.deleted_rows)}})
     return out
 
 
 def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
-    split_dir = cfg.output_dir / "split"
-    _require(split_dir / "task.json", "cardest delete")
-    retained = load_dataset(split_dir / "retained", validate=False)
-    deleted = load_dataset(split_dir / "deleted", validate=False)
-    return DatasetSplit(retained.tables, deleted.tables, joins=retained.joins,
-                        hub=retained.hub)
+    _require(cfg.output_dir / "split" / "task.json", "cardest delete")
+    return apply_deletion(_load_db(cfg), cfg.task, seed=cfg.seeds["data"])
 
 
 def cmd_unlearn(cfg: ExperimentConfig, method: str,
@@ -336,20 +335,19 @@ def _workloads(cfg: ExperimentConfig, db: SchemaGraph):
 
 
 def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> Path:
-    db = _load_db(cfg)
     split = _load_split(cfg)
     # the scale constant is the join of the tables the model was trained on
     if method == "stale":
         ckpt, hint, scale_tables = (cfg.output_dir / "model" / "original.ckpt",
-                                    "cardest train", db.tables)
+                                    "cardest train", split.original)
     else:
         ckpt, hint, scale_tables = (cfg.output_dir / f"unlearn-{method}" / "model.ckpt",
                                     f"cardest unlearn --method {method}", split.retained)
     _require(ckpt, hint)
     model = load_checkpoint(ckpt)
-    total_rows = materialize_join(scale_tables, db.joins, cap=cfg.join_cap).cardinality
+    total_rows = materialize_join(scale_tables, split.joins, cap=cfg.join_cap).cardinality
 
-    oq, cq = _workloads(cfg, db)
+    oq, cq = _workloads(cfg, split.db)
     labeled = []
     if query_types in ("oq", "both"):
         labeled += [("OQ", q) for q in oq]

@@ -219,28 +219,37 @@ class DeletionTask:
 
 @dataclass(eq=False)
 class DatasetSplit:
-    retained: list[TableData]
-    deleted: list[TableData]
-    joins: list["Join"]
-    hub: str
+    """A database and, per table in table order, the sorted indices of the
+    rows a deletion task deletes.  The original tables are the database's;
+    the retained and deleted ones are derived from the indices once."""
+    db: SchemaGraph
+    deleted_rows: list[np.ndarray]
+
+    @property
+    def original(self) -> list[TableData]:
+        return self.db.tables
+
+    @property
+    def joins(self) -> list[Join]:
+        return self.db.joins
 
     @cached_property
-    def original(self) -> list[TableData]:
-        """Each table's original rows as retained + deleted (order is not the
-        input order), built once per split: the split's tables must not
-        change after its first use."""
-        return [TableData(r.name, r.columns,
-                          [np.concatenate([a, b]) for a, b in zip(r.data, d.data)])
-                for r, d in zip(self.retained, self.deleted)]
+    def retained(self) -> list[TableData]:
+        return [t.take(np.delete(np.arange(t.row_count), rows))
+                for t, rows in zip(self.db.tables, self.deleted_rows)]
+
+    @cached_property
+    def deleted(self) -> list[TableData]:
+        return [t.take(rows) for t, rows in zip(self.db.tables, self.deleted_rows)]
 
     def retained_table(self, name: str) -> TableData:
         return _named(self.retained, name)
 
     def original_table(self, name: str) -> TableData:
-        return _named(self.original, name)
+        return self.db.table(name)
 
     def tables_with_deletions(self) -> list[str]:
-        return [t.name for t in self.deleted if t.row_count > 0]
+        return [t.name for t, rows in zip(self.db.tables, self.deleted_rows) if rows.size]
 
     def retained_join(self, cap: int = JOIN_CAP_DEFAULT) -> "JoinRelation":
         return materialize_join(self.retained, self.joins, cap=cap)
@@ -272,7 +281,7 @@ def condition_mask(table: TableData, cond: Condition) -> np.ndarray:
 
 
 def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSplit:
-    """Partition every table into retained/deleted rows for a deletion task.
+    """The rows of every table that a deletion task deletes.
 
     The deleted count per affected table is round(ratio * |matching rows|),
     at least 1 when the ratio is positive and anything matches.  Row choice
@@ -288,27 +297,16 @@ def apply_deletion(db: SchemaGraph, task: DeletionTask, seed: int) -> DatasetSpl
         by_table.setdefault(cond.table, []).append(cond)
 
     rng = np.random.default_rng(seed)
-    retained, deleted = [], []
+    deleted_rows = []
     for table in db.tables:
-        conds = by_table.get(table.name, [])
         mask = np.zeros(table.row_count, dtype=bool)
-        for cond in conds:
+        for cond in by_table.get(table.name, []):
             mask |= condition_mask(table, cond)
-        match = np.nonzero(mask)[0]
-        n_del = 0
-        if conds and match.size:
-            n_del = int(round(task.ratio * match.size))
-            n_del = max(1, min(n_del, match.size))
-        if n_del == match.size:
-            chosen = match
-        else:
-            chosen = np.sort(rng.choice(match, size=n_del, replace=False))
-        keep = np.ones(table.row_count, dtype=bool)
-        keep[chosen] = False
-        kept = np.nonzero(keep)[0]
-        retained.append(table.take(kept))
-        deleted.append(table.take(chosen))
-    return DatasetSplit(retained, deleted, joins=list(db.joins), hub=db.hub)
+        match = np.flatnonzero(mask)
+        n_del = min(max(1, round(task.ratio * match.size)), match.size)
+        deleted_rows.append(match if n_del == match.size else
+                            np.sort(rng.choice(match, size=n_del, replace=False)))
+    return DatasetSplit(db, deleted_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +418,7 @@ def semi_join_deletion(split: DatasetSplit, table_index: int,
 
     ``table_index`` indexes the split's table list (0-based).  An empty
     deleted subset yields a valid empty relation (cardinality 0)."""
-    if not 0 <= table_index < len(split.retained):
+    if not 0 <= table_index < len(split.deleted_rows):
         raise ValidationError(f"table index {table_index} out of range")
     tables = list(split.original)
     tables[table_index] = split.deleted[table_index]
@@ -565,7 +563,7 @@ def load_dataset(directory: str | Path, validate: bool = True) -> SchemaGraph:
             raise ConfigurationError(f"{where}: join names unknown table {unknown[0]!r}")
     db = SchemaGraph(tables, [j for _, j in joins], hub)
     if validate:
-        db.validate()  # partial datasets (split halves) skip this
+        db.validate()
     return db
 
 
@@ -581,7 +579,7 @@ def _read_csv(path: Path, expected_header: list[str]) -> dict[str, np.ndarray]:
             header_only = not fh.read(1)
         if header != expected_header:
             raise ConfigurationError(f"{path}: header {header} != schema {expected_header}")
-        if header_only:  # a table with no rows, such as the deleted half of an untouched table
+        if header_only:
             return {name: np.empty(0) for name in header}
         try:
             if _has_blank_line(path):  # loadtxt would skip it

@@ -191,6 +191,14 @@ class TestConfigErrors:
         self.check_rejected(path, capsys, "dataset.*dir")
 
     @pytest.mark.parametrize("overrides,match", [
+        ({"output_dir": 5}, "output_dir must be a path"),
+        ({"output_dir": None}, "output_dir must be a path"),
+        ({"output_dir": ["run"]}, "output_dir must be a path"),
+        ({"dataset": {"dir": 7}}, "dataset.*dir")])
+    def test_path_that_is_not_a_string(self, tmp_path, capsys, overrides, match):
+        self.check_rejected(write_config(tmp_path, **overrides), capsys, match)
+
+    @pytest.mark.parametrize("overrides,match", [
         ({"seeds": {**SEEDS, "model": -2}}, "seeds.model"),
         ({"seeds": {**SEEDS, "workload": -1}}, "seeds.workload"),
         ({"seeds": {**SEEDS, "eval": 1.5}}, "seeds.eval"),
@@ -465,6 +473,26 @@ class TestDeterminismAndAblation:
         assert main(["unlearn", "-c", str(cfg), "--method", "retrain"]) == 0
         timing = (run_dir / "unlearn-retrain" / "timing.csv").read_text()
         assert "train_seconds" in timing
+
+    def test_no_stage_reads_the_split_back(self, tmp_path):
+        # unlearn and eval re-derive the split from data/ and the config's
+        # task, so what delete wrote under split/ may be anything, and the
+        # split/deleted/ of an older build is ignored
+        cfg, run_dir = self.prep(tmp_path)
+        assert not (run_dir / "split" / "deleted").exists()
+
+        def run_and_read():
+            assert main(["unlearn", "-c", str(cfg), "--method", "cep"]) == 0
+            assert main(["eval", "-c", str(cfg), "--method", "cep"]) == 0
+            return {f.relative_to(run_dir): f.read_bytes() for f in run_dir.rglob("*")
+                    if f.is_file() and f.name != "timing.csv"
+                    and f.relative_to(run_dir).parts[0] != "split"}
+
+        untouched = run_and_read()
+        (run_dir / "split" / "deleted").mkdir()
+        for half in ("retained", "deleted"):
+            (run_dir / "split" / half / "fact.csv").write_text("garbage\n")
+        assert run_and_read() == untouched
 
     def test_unlearn_does_not_read_task_json(self, tmp_path):
         # every stage takes the task from the config; task.json only marks

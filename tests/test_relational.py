@@ -66,6 +66,22 @@ class TestApplyDeletion:
             amount = split.deleted[0].column("amount")
             assert amount.size and ((amount >= 10) & (amount <= 70)).all()
 
+    @given(star_splits())
+    @settings(max_examples=50, deadline=None)
+    def test_split_is_database_plus_deleted_rows(self, db_split):
+        db, split = db_split
+        assert split.original is db.tables
+        assert len(split.deleted_rows) == len(db.tables)
+        for i, (table, rows) in enumerate(zip(db.tables, split.deleted_rows)):
+            assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
+            assert rows.size == 0 or 0 <= rows[0] <= rows[-1] < table.row_count
+            rest = np.setdiff1d(np.arange(table.row_count), rows)
+            for got, idx in ((split.retained[i], rest), (split.deleted[i], rows)):
+                assert got.name == table.name and got.columns is table.columns
+                for a, b in zip(got.data, table.take(idx).data):
+                    np.testing.assert_array_equal(a, b)
+        assert split.tables_with_deletions() == [t.name for t in split.deleted if t.row_count]
+
     def test_unknown_table_and_column(self, star_db):
         task = DeletionTask("A", (Condition("nope", "amount", lo=0, hi=1),), 0.5)
         with pytest.raises(ConfigurationError):
