@@ -23,15 +23,17 @@ so step p computes only the units of degree exactly p, through the input
 layer and each residual block, and then that column's logits.
 These are exactly the connections the masks leave unmasked, so one query
 costs about one forward pass in total and gives ``forward``'s numbers up to
-the order of floating-point sums.  The sampler reads ``params`` in place,
-through slices, and keeps its per-path state in one workspace per round.
+the order of floating-point sums.  The sampler reads ``theta`` in place,
+through the per-column slices ``bind`` builds (``plan``), and keeps its
+per-path state in one workspace per round.
 ``num_samples`` caps the paths: the first ``SAMPLE_ROUND`` run, and the call
 stops there once their mean is > 0 and their standard error is at most
 ``SEM_TARGET`` of it; otherwise the rest run too.  The uniforms are drawn
 for all paths up front, path j reading column j, so a full-budget query
 returns what one round of ``num_samples`` paths gives, a stopped query the
 mean of that round's first paths, and the reported standard error is over
-the paths actually used.
+the paths actually used.  A query with an all-zero constraint vector is
+exactly 0 and samples no path.
 
 Training fuses the gradient and the update, as LOMO (Lv et al., 2023)
 does, since a gradient is dead once Adam has read it: ``train`` passes
@@ -90,6 +92,7 @@ import struct
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,6 +195,20 @@ class ModelColumn:
         return lut
 
 
+class SamplerStep(NamedTuple):
+    """Column p's slice of the network, as ``_sample_paths`` reads it: units
+    ``lo:k`` have degree exactly p, and units ``:k`` feed column p's logits.
+    Every array is a view into ``theta``; the dense weights are transposed,
+    so each product writes the new units' rows."""
+    lo: int
+    k: int
+    w_in: np.ndarray                     # w_in[:emb * p, lo:k].T
+    b_in: np.ndarray                     # b_in[lo:k, None]
+    blocks: list[tuple[np.ndarray, ...]]  # per residual block: w1.T, b1, w2.T, b2
+    w_out: np.ndarray                    # w_out[:k, column p's logits]
+    b_out: np.ndarray
+
+
 @dataclass(eq=False)
 class ArDensityModel:
     cfg: ModelConfig
@@ -200,17 +217,33 @@ class ArDensityModel:
     keep: np.ndarray = field(init=False)    # bool, dense-weight prefix: trainable
     params: dict[str, np.ndarray] = field(init=False)   # weight and bias views
     embeddings: list[np.ndarray] = field(init=False)    # per column: (domain, emb) view
+    plan: list[SamplerStep] = field(init=False)         # per column: the sampler's views
 
     def __post_init__(self):
         self.bind()
 
     def bind(self):
-        """Point ``params`` and ``embeddings`` into ``theta`` and set ``keep``
-        to the connectivity; call again whenever ``theta`` is replaced."""
+        """Point ``params``, ``embeddings`` and ``plan`` into ``theta`` and set
+        ``keep`` to the connectivity; call again whenever ``theta`` is
+        replaced."""
         views = self.unflatten(self.theta)
         self.embeddings = [views.pop(f"emb:{i}") for i in range(self.ncols)]
         self.params = views
         self.keep = self.connectivity()
+        P, emb = self.params, self.cfg.embedding_dim
+        _, hid_deg = _degrees(self.ncols, emb, self.cfg.hidden_dim)
+        k = np.searchsorted(hid_deg, np.arange(self.ncols), side="right").tolist()
+        offs = self.logit_offsets()
+        self.plan = []
+        for p, kp in enumerate(k):
+            new = slice(k[p - 1] if p else 0, kp)
+            cols = slice(offs[p], offs[p + 1])
+            self.plan.append(SamplerStep(
+                new.start, kp, P["w_in"][:emb * p, new].T, P["b_in"][new, None],
+                [(P[f"w1_{r}"][:kp, new].T, P[f"b1_{r}"][new, None],
+                  P[f"w2_{r}"][:kp, new].T, P[f"b2_{r}"][new, None])
+                 for r in range(self.cfg.residual_blocks)],
+                P["w_out"][:kp, cols], P["b_out"][cols]))
 
     @property
     def ncols(self) -> int:
@@ -428,7 +461,10 @@ def forward(model: ArDensityModel, X: np.ndarray, training: bool = False,
 
 
 def _log_softmax(block: np.ndarray) -> np.ndarray:
-    m = block.max(axis=1, keepdims=True)
+    # each row's maximum read at its argmax, a faster reduction than max; the
+    # value is the same whichever index holds it, and the sign of a zero
+    # maximum changes no exp
+    m = np.take_along_axis(block, block.argmax(axis=1)[:, None], axis=1)
     s = block - m
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
@@ -766,12 +802,13 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     per-column constraints.
 
     ``constraints`` maps column names to weight vectors over the column's
-    current domain (entries in [0, 1]; fractional entries express partial
-    bin overlap).  Paths walk the columns in order: at a constrained
-    column the running weight is multiplied by the conditional mass of the
-    satisfying set and the next value is drawn from the restricted
-    conditional; unconstrained columns are sampled freely.  Columns after
-    the last constrained one cannot change the estimate and are skipped.
+    current domain (entries in [0, 1], else ``ValidationError``; fractional
+    entries express partial bin overlap).  Paths walk the columns in order:
+    at a constrained column the running weight is multiplied by the
+    conditional mass of the satisfying set and the next value is drawn from
+    the restricted conditional; unconstrained columns are sampled freely.
+    Columns after the last constrained one cannot change the estimate and
+    are skipped.
 
     ``num_samples`` is a cap.  All of a query's uniforms are drawn up front,
     one row per sampled column and path j reading column j, which are the
@@ -785,11 +822,15 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
     0, and a stop would report exactly 0.  A path's weight depends only on
     its own uniforms, so a full-budget estimate is the one a single round of
     ``num_samples`` paths gives, and a stopped one is the mean of that
-    run's first ``SAMPLE_ROUND`` paths.
+    run's first ``SAMPLE_ROUND`` paths.  A constraint vector with no
+    positive entry, such as a predicate on values Domain Pruning removed,
+    makes every path weigh exactly 0: the call then returns 0 once the
+    uniforms are drawn, and samples no path.
 
     With ``with_error`` the call returns ``(estimate, sem, paths)``: the
     Monte-Carlo standard error of the path-weight mean over the paths
-    actually used, and their number.
+    actually used, and their number; an all-zero constraint gives
+    ``(0.0, 0.0, 0)``.
     """
     if num_samples < 1:
         raise ValidationError("num_samples must be >= 1")
@@ -807,10 +848,15 @@ def estimate_selectivity(model: ArDensityModel, constraints: dict[str, np.ndarra
         wv = np.asarray(wv, dtype=dt)
         if wv.shape != (model.columns[i].domain_size,):
             raise ValidationError(f"constraint on {name!r} has wrong length")
+        if not ((wv >= 0.0) & (wv <= 1.0)).all():   # NaN fails both
+            raise ValidationError(f"constraint on {name!r} must lie in [0, 1]")
         by_col[i] = wv
 
     n = num_samples
     uniforms = rng.random((max(by_col), n), dtype=dt)
+    if not all(wv.any() for wv in by_col.values()):
+        # every path's weight would be multiplied by probs @ 0
+        return (0.0, 0.0, 0) if with_error else 0.0
     weight = np.empty(n, dtype=dt)
     used = min(n, SAMPLE_ROUND)
     _sample_paths(model, by_col, uniforms[:, :used], weight[:used])
@@ -845,69 +891,88 @@ def _sample_paths(model: ArDensityModel, by_col: dict[int, np.ndarray],
     Every connectivity-mask entry inside these slices is 1, so the sampler
     does exactly the unmasked multiply-adds of one forward pass per query,
     and the result equals ``forward``'s up to the order of floating-point
-    sums.  No column is special: with a single column every unit has
-    degree 0 and step 0 computes them all.  A path's column in each matrix
-    product reads only that path's state, so where BLAS sums one column in
-    the same order whatever the number of columns (OpenBLAS 0.3.31 on
-    x86-64 does; the tests check it), a path gets the same bits in a round
-    of any size.
+    sums.  A step that adds no unit computes the column's logits alone.
+    With a single column every unit has degree 0 and step 0 computes them
+    all; with more, no unit feeds column 0, so its logits are the bias for
+    every path, and an unconstrained column 0 is computed on one row that
+    every path draws from.  A path's column in each matrix product reads
+    only that path's state, so where BLAS sums one column in the same order
+    whatever the number of columns (OpenBLAS 0.3.31 on x86-64 does; the
+    tests check it), a path gets the same bits in a round of any size.
 
-    The weights are read in place as ``params[key][:k[p], new]``, transposed
-    views that BLAS takes without a copy.  The per-path state is stored
-    transposed, units x paths, so each step's new units are contiguous rows
-    that matrix products write into directly.  The state, the constraint
-    vectors, the path weights and the uniform draws take ``theta``'s dtype.
-    All of it sits in one workspace sized to the units of degree <= the last
-    constrained column: a single allocation per round, which the allocator
-    hands back from the heap on the next call instead of mapping fresh
-    pages, each of which would cost a page fault when first written.
+    The weights are read in place through ``model.plan``, which ``bind``
+    builds: per column, transposed views of ``params[key][:k[p], new]``
+    that BLAS takes without a copy, and the column's ``w_out`` block.  The
+    per-path state is stored transposed, units x paths, so each step's new
+    units are contiguous rows that matrix products write into directly.
+    The state, the constraint vectors, the path weights and the uniform
+    draws take ``theta``'s dtype.  The activations sit in one workspace
+    sized to the units of degree <= the last constrained column, and a
+    step's new ``h`` and ``u`` in a second one sized to the most units a
+    step adds: two allocations per round, which the allocator hands back
+    from the heap on the next call instead of mapping fresh pages, each of
+    which would cost a page fault when first written.
     """
     last = max(by_col)
     n = weight.size
     emb, R = model.cfg.embedding_dim, model.cfg.residual_blocks
-    P = model.params
-    _, hid_deg = _degrees(model.ncols, emb, model.cfg.hidden_dim)
-    k = np.searchsorted(hid_deg, np.arange(model.ncols), side="right")
+    plan = model.plan[:last + 1]
+    K, most = plan[-1].k, max(s.k - s.lo for s in plan)
     # per-path state, units x paths: relu(h) entering each residual block
-    # (acts[R] feeds w_out) and relu(z) inside each block; the sampled
-    # columns' embeddings in column order
-    work = np.empty((2 * R + 1, int(k[last]), n), dtype=weight.dtype)
+    # (acts[R] feeds w_out) and relu(z) inside each block; the new units'
+    # h and u; the sampled columns' embeddings in column order
+    work = np.empty((2 * R + 1, K, n), dtype=weight.dtype)
     acts, mids = work[:R + 1], work[R + 1:]
+    hs, us = np.empty((2, most, n), dtype=weight.dtype)
     A0 = np.empty((emb * last, n), dtype=weight.dtype)
     weight[:] = 1.0
-    offs = model.logit_offsets()
-    for p in range(last + 1):
-        kp = int(k[p])
-        new = slice(int(k[p - 1]) if p else 0, kp)
-        h = P["w_in"][:emb * p, new].T @ A0[:emb * p]
-        h += P["b_in"][new, None]
-        for r in range(R):
-            np.maximum(h, 0.0, out=acts[r, new])
-            z = np.matmul(P[f"w1_{r}"][:kp, new].T, acts[r, :kp], out=mids[r, new])
-            z += P[f"b1_{r}"][new, None]
-            np.maximum(z, 0.0, out=z)
-            u = P[f"w2_{r}"][:kp, new].T @ mids[r, :kp]
-            u += P[f"b2_{r}"][new, None]
-            h += u
-        np.maximum(h, 0.0, out=acts[R, new])
-        cols = slice(offs[p], offs[p + 1])
-        block = acts[R, :kp].T @ P["w_out"][:kp, cols] + P["b_out"][cols]
+    for p, step in enumerate(plan):
+        kp, new = step.k, slice(step.lo, step.k)
+        if kp > step.lo:
+            h = np.matmul(step.w_in, A0[:emb * p], out=hs[:kp - step.lo])
+            h += step.b_in
+            for r, (w1, b1, w2, b2) in enumerate(step.blocks):
+                np.maximum(h, 0.0, out=acts[r, new])
+                z = np.matmul(w1, acts[r, :kp], out=mids[r, new])
+                z += b1
+                np.maximum(z, 0.0, out=z)
+                u = np.matmul(w2, mids[r, :kp], out=us[:kp - step.lo])
+                u += b2
+                h += u
+            np.maximum(h, 0.0, out=acts[R, new])
+        wv = by_col.get(p)
+        # no unit feeds column 0, so its logits are the bias on every path:
+        # unconstrained, it is computed on one row that every path draws from
+        rows = n if kp or wv is not None else 1
+        block = acts[R, :kp, :rows].T @ step.w_out + step.b_out
         probs = np.exp(_log_softmax(block))
-        if p in by_col:
-            wv = by_col[p]
-            mass = probs @ wv
-            weight *= mass
+        if wv is not None:
+            weight *= probs @ wv
             probs = probs * wv
         if p < last:
             cdf = np.cumsum(probs, axis=1)
             # the cumsum's own total: a separately summed total can exceed
-            # it by an ulp and let the draw land past the last allowed code
+            # it by an ulp and let the draw land past the last allowed code.
+            # Unconstrained, it is > 0: the likeliest code's probability is
+            # exp(-log(s)), where s is at most the domain size
             totals = cdf[:, -1]
-            alive = totals > 0.0
-            u = uniforms[p] * np.where(alive, totals, 1.0)
-            nxt = np.minimum((cdf < u[:, None]).sum(axis=1), probs.shape[1] - 1)
-            A0[emb * p:emb * (p + 1)] = model.embeddings[p][np.where(alive, nxt, 0)].T
-            weight[~alive] = 0.0
+            if wv is None:
+                nxt = _draw(cdf, uniforms[p] * totals)
+            else:
+                alive = totals > 0.0
+                nxt = np.where(alive, _draw(cdf, uniforms[p] * np.where(alive, totals, 1.0)), 0)
+                weight[~alive] = 0.0
+            A0[emb * p:emb * (p + 1)] = model.embeddings[p][nxt].T
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per path, the first code whose rising ``cdf`` is not below ``u``, or
+    the last code when the whole row lies below it: the value of
+    ``min((cdf < u).sum(1), d - 1)``, found with ``argmin`` instead of a row
+    sum.  ``cdf`` holds one row per path, or one row that every path
+    shares."""
+    below = cdf < u[:, None]
+    return np.where(below[:, -1], cdf.shape[1] - 1, below.argmin(axis=1))
 
 
 def interval_bin_weights(lo: float, hi: float, col_lo: float, col_hi: float,

@@ -348,6 +348,20 @@ def _scope_joins(tables: list[TableData], joins: list[Join]) -> list[Join]:
     return scoped
 
 
+def _scope(tables: list[TableData], joins: list[Join], cap: int
+           ) -> tuple[list[Join], str, dict[str, TableData]]:
+    """The joins inside a connected subtree of ``tables``, its root, and its
+    tables by name.  Raises SizeError when the root's row count exceeds
+    ``cap`` (the ``join_cap`` config key)."""
+    joins = _scope_joins(tables, joins)
+    root = _root_table(tables, joins)
+    lookup = {t.name: t for t in tables}
+    if lookup[root].row_count > cap:
+        raise SizeError(f"estimated join size {lookup[root].row_count} exceeds cap {cap}; "
+                        "raise the join_cap config key")
+    return joins, root, lookup
+
+
 def _pk_lookup(parent: TableData, pk: str) -> np.ndarray:
     """Dense pk-code -> row index map (-1 where the code has no row)."""
     codes = parent.column(pk)
@@ -375,13 +389,7 @@ def materialize_join(tables: list[TableData], joins: list[Join],
     config key).
     """
     keys = join_keys(joins)
-    joins = _scope_joins(tables, joins)
-    root = _root_table(tables, joins)
-    lookup = {t.name: t for t in tables}
-    if lookup[root].row_count > cap:
-        raise SizeError(f"estimated join size {lookup[root].row_count} exceeds cap {cap}; "
-                        "raise the join_cap config key")
-
+    joins, root, lookup = _scope(tables, joins, cap)
     row_idx = {root: np.arange(lookup[root].row_count, dtype=np.int64)}
     pending = list(joins)
     while pending:
@@ -410,6 +418,33 @@ def materialize_join(tables: list[TableData], joins: list[Join],
                 cols.append(replace(spec, name=f"{t.name}.{spec.name}"))
                 data.append(col[row_idx[t.name]])
     return JoinRelation(columns=cols, data=data, cardinality=len(row_idx[root]))
+
+
+def count_join(tables: list[TableData], joins: list[Join], masks: dict[str, np.ndarray],
+               cap: int = JOIN_CAP_DEFAULT) -> int:
+    """Rows of ``materialize_join(tables, joins)`` whose row of each table
+    named in ``masks`` is True there, counted without building the join.
+
+    Every key is unique in its table, so a root row joins at most one row of
+    each other table.  A table's rows pass when their own mask holds and the
+    row each of its foreign keys references exists and passes, which the
+    primary-key lookup carries one join nearer the root, recursively; the
+    count is the root rows that pass.  Raises SizeError as
+    ``materialize_join`` does.
+    """
+    joins, root, lookup = _scope(tables, joins, cap)
+
+    def passing(name: str) -> np.ndarray:
+        table = lookup[name]
+        ok = masks.get(name, np.ones(table.row_count, dtype=bool))
+        for j in joins:
+            if j.child == name:
+                pidx = _pk_lookup(lookup[j.parent], j.pk)[table.column(j.fk)]
+                # a key with no parent row (-1) reads the appended False
+                ok = ok & np.append(passing(j.parent), False)[pidx]
+        return ok
+
+    return int(np.count_nonzero(passing(root)))
 
 
 def semi_join_deletion(split: DatasetSplit, table_index: int,

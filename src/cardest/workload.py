@@ -22,7 +22,7 @@ from .model import (ArDensityModel, _is_int, _is_number, estimate_selectivity,
                     interval_bin_weights)
 from .queries import Predicate, Query
 from .relational import (CATEGORICAL, JOIN_CAP_DEFAULT, Join, SchemaGraph,
-                         TableData, join_keys, materialize_join)
+                         TableData, count_join, join_keys)
 
 PERCENTILES = (50, 75, 95, 99)
 
@@ -149,21 +149,21 @@ def complement_query(q: Query, condition_columns: set[str]) -> Query | None:
 
 def true_cardinality(tables: list[TableData], joins: list[Join], q: Query,
                      cap: int = JOIN_CAP_DEFAULT) -> int:
-    """Exact count over the materialized scope join, filtering in original
-    value space."""
-    scope_tables = [t for t in tables if t.name in q.scope]
-    if len(scope_tables) != len(q.scope):
-        missing = set(q.scope) - {t.name for t in tables}
-        raise ValidationError(f"scope references unknown tables {missing}")
-    rel = materialize_join(scope_tables, joins, cap=cap)
-    mask = np.ones(rel.cardinality, dtype=bool)
+    """Exact count of the scope join's rows that satisfy every predicate,
+    filtering in original value space.  Each table's predicates are tested
+    on that table's own rows, and ``count_join`` carries the results to the
+    scope's root through primary-key lookups, so the join is never built."""
+    lookup = {t.name: t for t in tables if t.name in q.scope}
+    if len(lookup) != len(q.scope):
+        raise ValidationError(f"scope references unknown tables {set(q.scope) - lookup.keys()}")
+    masks: dict[str, np.ndarray] = {}
     for p in q.predicates:
-        spec = next(s for s in rel.columns if s.name == p.column)
-        raw = rel.column(p.column)
+        tname, cname = p.column.split(".", 1)
+        spec, raw = lookup[tname].spec(cname), lookup[tname].column(cname)
         originals = spec.dictionary[raw.astype(np.int64)] if spec.kind == CATEGORICAL \
             else raw
-        mask &= p.matches(originals)
-    return int(mask.sum())
+        masks[tname] = masks.get(tname, True) & p.matches(originals)
+    return count_join(list(lookup.values()), joins, masks, cap=cap)
 
 
 # ---------------------------------------------------------------------------

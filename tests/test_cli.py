@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from cardest.cli import load_config, main, write_manifest
+from cardest.cli import _workloads, load_config, main, write_manifest
 from cardest.datagen import DataGenConfig, gen_star_schema
 from cardest.errors import ConfigurationError, ValidationError
+from cardest.model import load_checkpoint
 from cardest.relational import load_dataset, save_dataset
 from cardest.unlearn import CepConfig
+from cardest.workload import model_constraints
 from conftest import rewrite_checkpoint
 
 
@@ -73,8 +75,17 @@ class TestStages:
         assert report.exists()
         header, *lines = report.read_text().splitlines()
         assert header == "query_id,type,c,c_hat,c_hat_sem,paths,qerr,excluded_reason"
-        # 64 paths is under one sampling round, so every query runs them all
-        assert lines and all(line.split(",")[5] == "64" for line in lines)
+        # 64 paths is under one sampling round, so every query runs them all,
+        # except one with an empty constraint, which is exactly 0 unsampled
+        model = load_checkpoint(run_dir / "unlearn-cep" / "model.ckpt")
+        oq, cq = _workloads(load_config(cfg), load_dataset(run_dir / "data"))
+        queries = {("OQ", q.qid): q for q in oq} | {("CQ", q.qid): q for q in cq}
+        assert lines
+        for line in lines:
+            qid, qtype, _, c_hat, _, paths = line.split(",")[:6]
+            cons = model_constraints(model, queries[qtype, int(qid)])
+            empty = not all(w.any() for w in cons.values())
+            assert (paths, c_hat == "0.0") == (("0", True) if empty else ("64", c_hat == "0.0"))
         assert (run_dir / "eval-cep" / "summary.csv").exists()
 
         assert main(["eval", "-c", str(cfg), "--method", "stale"]) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cardest.errors import FormatError, TrainingError, ValidationError
 from cardest import model as cmodel
 from cardest.model import (ADAM_CHUNK, SAMPLE_ROUND, AdamState, ModelConfig, _degrees,
-                           _log_softmax, _parameter_shapes, _sample_paths, batch_nll_terms,
+                           _draw, _log_softmax, _parameter_shapes, _sample_paths, batch_nll_terms,
                            estimate_selectivity, forward, init_model,
                            interval_bin_weights, load_checkpoint, loss_and_grad,
                            save_checkpoint, train)
@@ -634,14 +634,43 @@ class TestEstimate:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_an_all_zero_first_round_runs_every_path(self, dtype):
-        # a query on a deleted gap: its first round weighs 0, which meets any
+        # the one code the constraint allows has a probability that underflows
+        # to 0 on every path: the first round weighs 0, which meets any
         # relative target, yet the call runs the full budget and returns 0
         m = reference_case_model("four_columns", dtype)
         last = m.columns[-1]
-        cons = {m.columns[0].name: np.ones(m.columns[0].domain_size),
-                last.name: np.zeros(last.domain_size)}
+        lo = m.logit_offsets()[-2]
+        m.params["b_out"][lo] = -1e4
+        only_code_0 = np.zeros(last.domain_size)
+        only_code_0[0] = 1.0
+        cons = {m.columns[0].name: np.ones(m.columns[0].domain_size), last.name: only_code_0}
         assert estimate_selectivity(m, cons, 512, np.random.default_rng(3),
                                     with_error=True) == (0.0, 0.0, 512)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_all_zero_constraint_samples_no_path(self, monkeypatch, dtype):
+        # every path would be weighed by probs @ 0; rng still advances past
+        # the uniforms a full-budget call draws
+        m = reference_case_model("four_columns", dtype)
+        last = m.columns[-1]
+        first = {m.columns[0].name: np.ones(m.columns[0].domain_size)}
+        rng = np.random.default_rng(3)
+        assert estimate_selectivity(m, {**first, last.name: np.zeros(last.domain_size)},
+                                    512, rng, with_error=True) == (0.0, 0.0, 0)
+        monkeypatch.setattr(cmodel, "SEM_TARGET", -1.0)
+        full = np.random.default_rng(3)
+        assert estimate_selectivity(m, {**first, last.name: np.ones(last.domain_size)},
+                                    512, full, with_error=True)[2] == 512
+        assert rng.bit_generator.state == full.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+    def test_constraint_outside_the_unit_interval_rejected(self, bad):
+        # a negative or NaN weight would give a negative or NaN estimate
+        m = tiny_model(seed=14)
+        wv = np.ones(m.columns[0].domain_size)
+        wv[1] = bad
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            estimate_selectivity(m, {m.columns[0].name: wv}, 8, np.random.default_rng(0))
 
     def test_draw_never_picks_a_zero_weight_code(self):
         for dtype in (np.float64, np.float32):
@@ -681,6 +710,45 @@ class TestEstimate:
         est = estimate_selectivity(m, {"t.a": wv, "t.b": np.array([0.0, 1.0])}, 4,
                                    TopRng())
         assert est == pytest.approx(0.5 * probs.sum(), rel=np.finfo(dtype).eps)
+
+
+class TestSamplerReductions:
+    """Two row reductions of the sampler read the same values as the plain
+    forms, with cheaper numpy calls."""
+
+    @staticmethod
+    def max_form(block):
+        m = block.max(axis=1, keepdims=True)
+        s = block - m
+        return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_log_softmax_is_bitwise_the_max_form(self, dtype):
+        rng = np.random.default_rng(7)
+        spread = rng.normal(0.0, 3.0, (512, 64))
+        tied = np.round(rng.normal(0.0, 1.0, (64, 9)))   # many equal maxima
+        zeros = -np.abs(rng.normal(0.0, 1.0, (64, 7)))
+        # every row's maximum is a zero, signed in every order
+        zeros[:, :2] = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)] * 16
+        zeros = rng.permuted(zeros, axis=1)
+        for block in (spread, tied, zeros, spread[:1]):
+            block = block.astype(dtype)
+            assert _log_softmax(block).tobytes() == self.max_form(block).tobytes()
+
+    def test_draw_is_the_clipped_count_below_u(self):
+        rng = np.random.default_rng(8)
+        probs = rng.random((400, 6)) * (rng.random((400, 6)) < 0.6)
+        cdf = np.cumsum(probs, axis=1)
+        total = cdf[:, -1]
+        for u in (rng.random(400) * total,            # inside the row
+                  np.zeros(400),                      # u = 0
+                  total * (1.0 + rng.random(400)),    # the whole row below u
+                  cdf[np.arange(400), rng.integers(0, 6, 400)]):   # u on an entry
+            want = np.minimum((cdf < u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+            np.testing.assert_array_equal(_draw(cdf, u), want)
+            # one row that every path shares
+            np.testing.assert_array_equal(
+                _draw(cdf[:1], u), np.minimum((cdf[:1] < u[:, None]).sum(axis=1), 5))
 
 
 class TestIntervalWeights:

@@ -19,8 +19,8 @@ from cardest.unlearn import (CepConfig, accumulate_scores,
                              domain_prune_categorical, fine_tune, prune_step,
                              run_method, zero_scores)
 from cardest.workload import model_constraints
-from conftest import (full_gradient, over_dtypes, reference_loss_and_grad, star_splits,
-                      tiny_model)
+from conftest import (full_gradient, over_dtypes, reference_estimate_selectivity,
+                      reference_loss_and_grad, star_splits, tiny_model)
 
 
 class TestAttributeSensitivity:
@@ -438,6 +438,32 @@ class TestDomainPruning:
         constraints = model_constraints(model, q)
         est = estimate_selectivity(model, constraints, 32, np.random.default_rng(0))
         assert est == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sampler_plan_follows_the_repacked_theta(self, star_db, dtype):
+        # deleting every fact.color 9 row drops its code, so theta is
+        # re-packed and bind() must point the sampler's views into the new one
+        split = apply_deletion(star_db, DeletionTask(
+            "A", (Condition("fact", "color", value=9),), 1.0), seed=0)
+        model = tiny_star_model(star_db, dtype=dtype)
+        rng = np.random.default_rng(4)   # a fresh output layer is all zero
+        model.theta[:] = rng.normal(0.0, 0.7, model.theta.size)
+        model.theta[:model.keep.size] *= model.keep
+        old = model.theta
+        assert "fact.color" in apply_domain_pruning(model, split)["categorical"]
+        assert model.theta.size < old.size
+        for step in model.plan:
+            views = [step.w_in, step.b_in, step.w_out, step.b_out,
+                     *(v for block in step.blocks for v in block)]
+            assert all(np.shares_memory(v, model.theta) for v in views if v.size)
+        for q in range(8):
+            cons = {c.name: rng.random(c.domain_size) for c in model.columns
+                    if c is model.columns[-1] or rng.random() < 0.5}
+            est, sem, _ = estimate_selectivity(model, cons, 64, np.random.default_rng(q),
+                                               with_error=True)
+            ref, ref_sem = reference_estimate_selectivity(
+                model, cons, 64, np.random.default_rng(q), with_error=True)
+            assert abs(est - ref) <= 1e-12 * ref and abs(sem - ref_sem) <= 1e-12 * ref_sem
 
     def test_apply_domain_pruning_attaches_remap(self, star_db):
         # wipe out a numeric range entirely: ratio 1 on a range condition

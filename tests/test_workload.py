@@ -14,14 +14,15 @@ from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
                               convergence_trace, evaluate, gen_workload,
                               model_constraints, nearest_rank_percentile,
                               q_error, summarize, true_cardinality)
-from conftest import make_table
+from conftest import make_table, star_splits
 from test_unlearn import tiny_star_model
 
 
 def recount(db, q) -> int:
-    """Row-by-row count of ``q`` over the full join, in original value
-    space: the oracle ``true_cardinality`` is checked against."""
-    rel = materialize_join(db.tables, db.joins)
+    """Row-by-row count of ``q`` over its materialized scope join, in
+    original value space: the oracle ``true_cardinality`` is checked
+    against."""
+    rel = materialize_join([t for t in db.tables if t.name in q.scope], db.joins)
     spec_by_name = {s.name: s for s in rel.columns}
     count = 0
     for r in range(rel.cardinality):
@@ -180,6 +181,51 @@ class TestTrueCardinality:
     def test_matches_row_by_row_recount(self, star_db):
         for q in gen_workload(star_db, 20, seed=9, cfg=WorkloadConfig()):
             assert true_cardinality(star_db.tables, star_db.joins, q) == recount(star_db, q)
+
+    @staticmethod
+    def check_against_the_materialized_join(retained, queries):
+        for q in queries:
+            scope = [t for t in retained.tables if t.name in q.scope]
+            size = materialize_join(scope, retained.joins).cardinality
+            assert true_cardinality(retained.tables, retained.joins,
+                                    q.with_predicates([])) == size
+            assert true_cardinality(retained.tables, retained.joins, q) == recount(retained, q)
+
+    @given(db_split=star_splits(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_retained_tables_with_orphaned_hub_rows(self, db_split, seed):
+        # the retained hub keeps rows whose dimension row was deleted
+        db, split = db_split
+        retained = SchemaGraph(split.retained, split.joins, db.hub)
+        self.check_against_the_materialized_join(
+            retained, gen_workload(db, 6, seed, WorkloadConfig()))
+
+    def test_depth_two_chain_with_orphans(self):
+        # hub -> orders -> customer, with rows missing at both levels: a hub
+        # row counts only when its order and that order's customer survive
+        rng = np.random.default_rng(11)
+        hub = make_table("hub", [
+            ("ord", CATEGORICAL, (rng.integers(0, 8, 60), np.arange(8))),
+            ("qty", NUMERICAL, (rng.integers(0, 100, 60).astype(float), 0.0, 100.0))])
+        orders = make_table("orders", [
+            ("id", CATEGORICAL, (np.arange(8), np.arange(8))),
+            ("cust", CATEGORICAL, (rng.integers(0, 5, 8), np.arange(5))),
+            ("total", NUMERICAL, (rng.integers(0, 100, 8).astype(float), 0.0, 100.0))])
+        customer = make_table("customer", [
+            ("id", CATEGORICAL, (np.arange(5), np.arange(5))),
+            ("seg", CATEGORICAL, (np.array([0, 1, 1, 0, 2]), [5, 6, 7]))])
+        joins = [Join("hub", "ord", "orders", "id"), Join("orders", "cust", "customer", "id")]
+        db = SchemaGraph([hub, orders, customer], joins, hub="hub")
+        db.validate()
+        retained = SchemaGraph([hub, orders.take(np.array([0, 1, 3, 4, 6, 7])),
+                                customer.take(np.array([0, 2, 3]))], joins, hub="hub")
+        cfg = WorkloadConfig(focus_columns=("customer.seg",), focus_prob=0.5)
+        queries = gen_workload(db, 40, seed=12, cfg=cfg)
+        assert any("customer" in q.scope for q in queries)
+        self.check_against_the_materialized_join(retained, queries)
+        # the full chain keeps fewer hub rows than the hub alone
+        full = Query(0, ("hub", "orders", "customer"), ())
+        assert 0 < true_cardinality(retained.tables, joins, full) < hub.row_count
 
 
 class TestQError:
