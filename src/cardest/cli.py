@@ -32,8 +32,8 @@ from .model import (ArDensityModel, ModelConfig, _is_int, encode_relation,
                     init_model, load_checkpoint, save_checkpoint, train)
 from .queries import save_workload
 from .relational import (JOIN_CAP_DEFAULT, Condition, DatasetSplit, DeletionTask,
-                         SchemaGraph, apply_deletion, condition_mask, join_keys,
-                         load_dataset, materialize_join, save_dataset)
+                         SchemaGraph, apply_deletion, condition_mask, count_join,
+                         join_keys, load_dataset, materialize_join, save_dataset)
 from .unlearn import METHODS, CepConfig, run_method
 from .workload import (PERCENTILES, WorkloadConfig, check_focus_columns,
                        complement_query, convergence_trace, evaluate,
@@ -345,7 +345,7 @@ def cmd_eval(cfg: ExperimentConfig, method: str, query_types: str = "both") -> P
                                     f"cardest unlearn --method {method}", split.retained)
     _require(ckpt, hint)
     model = load_checkpoint(ckpt)
-    total_rows = materialize_join(scale_tables, split.joins, cap=cfg.join_cap).cardinality
+    total_rows = count_join(scale_tables, split.joins, {}, cfg.join_cap)
 
     oq, cq = _workloads(cfg, split.db)
     labeled = []

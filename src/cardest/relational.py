@@ -1,10 +1,12 @@
-"""Typed in-memory star-schema relations: tables, deletion splits, joins.
+"""Typed in-memory relations: tables, deletion splits, joins.
 
 Tables are stored columnar.  Categorical cells hold dense dictionary codes
 (0..n-1) with a per-column code -> original-value map; numerical cells hold
-raw values inside declared bounds.  Join graphs are trees rooted at a hub
-(fact) table with complete foreign-key coverage, so the inner join equals
-the full outer join and never exceeds the hub's row count.
+raw values inside declared bounds.  A join graph is a tree rooted at a hub
+(fact) table: every table is reached from the hub by following foreign keys
+(child to parent), no table references the hub, join keys are categorical
+codes, and every foreign-key code has exactly one primary-key row.  So the
+inner join equals the full outer join and never exceeds the hub's row count.
 """
 from __future__ import annotations
 
@@ -117,22 +119,16 @@ class SchemaGraph:
         return [t.name for t in self.tables]
 
     def hub_paths(self) -> dict[str, set[str]]:
-        """Per table reachable from the hub, the tables on its path to the
-        hub in the join graph: the hub and every table between, but not the
-        table itself."""
-        adj: dict[str, set[str]] = {n: set() for n in self.table_names()}
-        for j in self.joins:
-            adj[j.child].add(j.parent)
-            adj[j.parent].add(j.child)
-        paths, stack = {self.hub: set()}, [self.hub]
-        while stack:
-            n = stack.pop()
-            for m in adj[n] - paths.keys():
-                paths[m] = paths[n] | {n}
-                stack.append(m)
+        """Per table reached from the hub by following foreign keys, the
+        tables on its path to the hub: the hub and every table between, but
+        not the table itself."""
+        paths = {self.hub: set()}
+        for j in _walk(self.joins, self.hub):
+            paths[j.parent] = paths[j.child] | {j.child}
         return paths
 
     def validate(self):
+        """Raise unless every join this schema allows can be built."""
         names = self.table_names()
         if len(set(names)) != len(names):
             raise ValidationError("duplicate table names")
@@ -140,21 +136,27 @@ class SchemaGraph:
             raise ConfigurationError(f"hub table {self.hub!r} missing")
         if len(self.joins) != len(names) - 1:
             raise ValidationError("join graph is not a tree (edge count)")
-        if self.hub_paths().keys() != set(names):
-            raise ValidationError("join graph is not connected")
         if any(j.parent == self.hub for j in self.joins):
             raise ValidationError("hub must not be referenced as a parent")
-        for j in self.joins:
+        walk = _walk(self.joins, self.hub)
+        unreached = sorted(set(names) - {self.hub, *(j.parent for j in walk)})
+        if unreached:
+            raise ValidationError(f"join graph is not connected: {unreached} not reached "
+                                  f"from hub {self.hub!r} by following foreign keys")
+        for t in self.tables:  # first, so that every key code indexes its domain
+            t.validate_cells()
+        for j in walk:
             child, parent = self.table(j.child), self.table(j.parent)
-            pk = parent.column(j.pk)
-            if len(np.unique(pk)) != len(pk):
+            for table, key in ((child, j.fk), (parent, j.pk)):
+                if table.spec(key).kind != CATEGORICAL:
+                    raise ValidationError(f"join key {table.name}.{key} is not categorical")
+            lut = _pk_lookup(parent, j.pk)
+            if np.count_nonzero(lut >= 0) != parent.row_count:
                 raise ValidationError(f"{j.parent}.{j.pk} is not unique")
             fk = child.column(j.fk)
-            if fk.size and not np.isin(fk, pk).all():
+            if fk.size and (fk.max() >= lut.size or lut[fk].min() < 0):
                 raise ValidationError(
                     f"incomplete FK coverage: {j.child}.{j.fk} -> {j.parent}.{j.pk}")
-        for t in self.tables:
-            t.validate_cells()
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +334,39 @@ class JoinRelation:
         raise ConfigurationError(f"unknown join column {qualified!r}")
 
 
-def _root_table(tables: list[TableData], joins: list[Join]) -> str:
-    parents = {j.parent for j in joins}
-    roots = [t.name for t in tables if t.name not in parents]
-    if len(roots) != 1:
-        raise ValidationError(f"join scope must have exactly one root, got {roots}")
-    return roots[0]
-
-
-def _scope_joins(tables: list[TableData], joins: list[Join]) -> list[Join]:
-    names = {t.name for t in tables}
-    scoped = [j for j in joins if j.child in names and j.parent in names]
-    if len(scoped) != len(names) - 1:
-        raise ValidationError("tables do not form a connected join subtree")
-    return scoped
+def _walk(joins: list[Join], root: str) -> list[Join]:
+    """The joins reached from ``root`` by following foreign keys (child to
+    parent), root-outward: each join's child is ``root`` or the parent of an
+    earlier join.  A table is reached once, so a cycle ends the walk."""
+    walk, reached = [], [root]
+    for name in reached:  # grows as the walk reaches parents
+        for j in joins:
+            if j.child == name and j.parent not in reached:
+                walk.append(j)
+                reached.append(j.parent)
+    return walk
 
 
 def _scope(tables: list[TableData], joins: list[Join], cap: int
            ) -> tuple[list[Join], str, dict[str, TableData]]:
-    """The joins inside a connected subtree of ``tables``, its root, and its
-    tables by name.  Raises SizeError when the root's row count exceeds
-    ``cap`` (the ``join_cap`` config key)."""
-    joins = _scope_joins(tables, joins)
-    root = _root_table(tables, joins)
+    """The walk over a connected subtree of ``tables`` from its root, the
+    root, and the tables by name.  Raises SizeError when the root's row
+    count exceeds ``cap`` (the ``join_cap`` config key)."""
     lookup = {t.name: t for t in tables}
+    joins = [j for j in joins if j.child in lookup and j.parent in lookup]
+    if len(joins) != len(lookup) - 1:
+        raise ValidationError("tables do not form a connected join subtree")
+    roots = [name for name in lookup if all(j.parent != name for j in joins)]
+    if len(roots) != 1:
+        raise ValidationError(f"join scope must have exactly one root, got {roots}")
+    root = roots[0]
+    walk = _walk(joins, root)
+    if len(walk) != len(joins):
+        raise ValidationError("join edges do not reach all scope tables from the root")
     if lookup[root].row_count > cap:
         raise SizeError(f"estimated join size {lookup[root].row_count} exceeds cap {cap}; "
                         "raise the join_cap config key")
-    return joins, root, lookup
+    return walk, root, lookup
 
 
 def _pk_lookup(parent: TableData, pk: str) -> np.ndarray:
@@ -382,34 +389,26 @@ def materialize_join(tables: list[TableData], joins: list[Join],
                      cap: int = JOIN_CAP_DEFAULT) -> JoinRelation:
     """Exact inner join of a connected subtree (root table listed first).
 
-    Missing parent rows eliminate child rows, so the same routine joins
+    The row indices of the root's rows are carried down the walk: each join
+    looks its child rows' keys up in the parent, and a key with no parent
+    row drops that joined row from every table.  So the same routine joins
     retained or deleted table versions.  The key columns of every join
     passed are dropped, also where the scope leaves that join out.  Raises
     SizeError when the root's row count exceeds ``cap`` (the ``join_cap``
     config key).
     """
     keys = join_keys(joins)
-    joins, root, lookup = _scope(tables, joins, cap)
+    walk, root, lookup = _scope(tables, joins, cap)
     row_idx = {root: np.arange(lookup[root].row_count, dtype=np.int64)}
-    pending = list(joins)
-    while pending:
-        progressed = False
-        for j in list(pending):
-            if j.child in row_idx and j.parent not in row_idx:
-                child = lookup[j.child]
-                fk = child.column(j.fk)[row_idx[j.child]]
-                lut = _pk_lookup(lookup[j.parent], j.pk)
-                pidx = lut[fk]
-                hit = pidx >= 0
-                if not hit.all():
-                    for name in row_idx:
-                        row_idx[name] = row_idx[name][hit]
-                    pidx = pidx[hit]
-                row_idx[j.parent] = pidx
-                pending.remove(j)
-                progressed = True
-        if not progressed:
-            raise ValidationError("join edges do not reach all scope tables from the root")
+    for j in walk:
+        fk = lookup[j.child].column(j.fk)[row_idx[j.child]]
+        pidx = _pk_lookup(lookup[j.parent], j.pk)[fk]
+        hit = pidx >= 0
+        if not hit.all():
+            for name in row_idx:
+                row_idx[name] = row_idx[name][hit]
+            pidx = pidx[hit]
+        row_idx[j.parent] = pidx
 
     cols, data = [], []
     for t in [lookup[root]] + [t for t in tables if t.name != root]:
@@ -427,24 +426,20 @@ def count_join(tables: list[TableData], joins: list[Join], masks: dict[str, np.n
 
     Every key is unique in its table, so a root row joins at most one row of
     each other table.  A table's rows pass when their own mask holds and the
-    row each of its foreign keys references exists and passes, which the
-    primary-key lookup carries one join nearer the root, recursively; the
-    count is the root rows that pass.  Raises SizeError as
-    ``materialize_join`` does.
+    row each of its foreign keys references exists and passes.  Folding the
+    walk in reverse settles every parent before its child, so each join
+    carries its parent's final pass mask one table nearer the root through
+    the primary-key lookup; the count is the root rows that pass.  Raises
+    SizeError as ``materialize_join`` does.
     """
-    joins, root, lookup = _scope(tables, joins, cap)
-
-    def passing(name: str) -> np.ndarray:
-        table = lookup[name]
-        ok = masks.get(name, np.ones(table.row_count, dtype=bool))
-        for j in joins:
-            if j.child == name:
-                pidx = _pk_lookup(lookup[j.parent], j.pk)[table.column(j.fk)]
-                # a key with no parent row (-1) reads the appended False
-                ok = ok & np.append(passing(j.parent), False)[pidx]
-        return ok
-
-    return int(np.count_nonzero(passing(root)))
+    walk, root, lookup = _scope(tables, joins, cap)
+    ok = {name: masks.get(name, np.ones(t.row_count, dtype=bool))
+          for name, t in lookup.items()}
+    for j in reversed(walk):
+        pidx = _pk_lookup(lookup[j.parent], j.pk)[lookup[j.child].column(j.fk)]
+        # a key with no parent row (-1) reads the appended False
+        ok[j.child] = ok[j.child] & np.append(ok[j.parent], False)[pidx]
+    return int(np.count_nonzero(ok[root]))
 
 
 def semi_join_deletion(split: DatasetSplit, table_index: int,

@@ -74,15 +74,29 @@ def star_db():
     return db
 
 
-@st.composite
-def star_splits(draw):
-    """A tiny generated star schema and a random A or R deletion split."""
-    n_dims = draw(st.integers(1, 2))
-    db = gen_star_schema(DataGenConfig(
-        hub_rows=draw(st.integers(1, 200)),
-        dim_rows=tuple(draw(st.integers(1, 30)) for _ in range(n_dims)),
-        dim_cat_cards=(4,) * n_dims, profile=draw(st.sampled_from(["skewed", "uniform"])),
-        seed=draw(st.integers(0, 2**16))))
+def chain_db(rng, n_hub=60, n_orders=8, n_customers=5):
+    """Depth-2 chain hub -> orders -> customer with full key coverage: every
+    hub row references an order, and every order a customer."""
+    hub = make_table("hub", [
+        ("ord", CATEGORICAL, (rng.integers(0, n_orders, n_hub), np.arange(n_orders))),
+        ("qty", NUMERICAL, (rng.integers(0, 100, n_hub).astype(float), 0.0, 100.0))])
+    orders = make_table("orders", [
+        ("id", CATEGORICAL, (np.arange(n_orders), np.arange(n_orders))),
+        ("cust", CATEGORICAL, (rng.integers(0, n_customers, n_orders), np.arange(n_customers))),
+        ("total", NUMERICAL, (rng.integers(0, 100, n_orders).astype(float), 0.0, 100.0))])
+    customer = make_table("customer", [
+        ("id", CATEGORICAL, (np.arange(n_customers), np.arange(n_customers))),
+        ("seg", CATEGORICAL, (rng.integers(0, 3, n_customers), [5, 6, 7])),
+        ("bal", NUMERICAL, (rng.integers(0, 100, n_customers).astype(float), 0.0, 100.0))])
+    db = SchemaGraph([hub, orders, customer], [Join("hub", "ord", "orders", "id"),
+                                               Join("orders", "cust", "customer", "id")],
+                     hub="hub")
+    db.validate()
+    return db
+
+
+def _draw_split(draw, db):
+    """A random A or R deletion split of ``db`` over a drawn set of tables."""
     tables = draw(st.lists(st.sampled_from(db.tables), min_size=1, unique_by=lambda t: t.name))
     dtype = draw(st.sampled_from("AR"))
     conditions = []
@@ -100,6 +114,54 @@ def star_splits(draw):
             conditions.append(Condition(t.name, spec.name, lo=lo, hi=hi))
     task = DeletionTask(dtype, tuple(conditions), draw(st.floats(0.01, 1.0)))
     return db, apply_deletion(db, task, seed=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def star_splits(draw):
+    """A tiny generated star schema and a random A or R deletion split."""
+    n_dims = draw(st.integers(1, 2))
+    db = gen_star_schema(DataGenConfig(
+        hub_rows=draw(st.integers(1, 200)),
+        dim_rows=tuple(draw(st.integers(1, 30)) for _ in range(n_dims)),
+        dim_cat_cards=(4,) * n_dims, profile=draw(st.sampled_from(["skewed", "uniform"])),
+        seed=draw(st.integers(0, 2**16))))
+    return _draw_split(draw, db)
+
+
+@st.composite
+def chain_splits(draw):
+    """A ``chain_db`` of drawn sizes, its tables and joins in a drawn order,
+    and a random A or R deletion split."""
+    db = chain_db(np.random.default_rng(draw(st.integers(0, 2**16))),
+                  draw(st.integers(1, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 5)))
+    db = SchemaGraph(draw(st.permutations(db.tables)), draw(st.permutations(db.joins)), db.hub)
+    return _draw_split(draw, db)
+
+
+def connected_scopes(tables, joins):
+    """Every set of tables that the joins between them connect: a subset of
+    a tree is connected when it holds one join fewer than tables."""
+    for k in range(1, len(tables) + 1):
+        for scope in itertools.combinations(tables, k):
+            names = {t.name for t in scope}
+            if sum(j.child in names and j.parent in names for j in joins) == k - 1:
+                yield list(scope)
+
+
+def undirected_hub_paths(db):
+    """Per table, the tables between it and the hub, by a depth-first search
+    of the join graph that ignores the direction of each join."""
+    adj = {n: set() for n in db.table_names()}
+    for j in db.joins:
+        adj[j.child].add(j.parent)
+        adj[j.parent].add(j.child)
+    paths, stack = {db.hub: set()}, [db.hub]
+    while stack:
+        n = stack.pop()
+        for m in adj[n] - paths.keys():
+            paths[m] = paths[n] | {n}
+            stack.append(m)
+    return paths
 
 
 # ---------------------------------------------------------------------------

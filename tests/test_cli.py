@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -16,7 +17,7 @@ from cardest.model import load_checkpoint
 from cardest.relational import load_dataset, save_dataset
 from cardest.unlearn import CepConfig
 from cardest.workload import model_constraints
-from conftest import rewrite_checkpoint
+from conftest import chain_db, nested_loop_join, rewrite_checkpoint
 
 
 SEEDS = {"data": 1, "model": 2, "workload": 3, "eval": 4}
@@ -47,6 +48,31 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 def run(cmd, cfg_path, *extra):
     return main([cmd, "-c", str(cfg_path), *extra])
+
+
+def nested_loop_count(tables, joins, q):
+    """Rows of ``q``'s scope join that satisfy its predicates, by brute
+    force over the cross product, in original value space."""
+    scope = [t for t in tables if t.name in q.scope]
+    by_name = {t.name: t for t in scope}
+    count = 0
+    for rows in nested_loop_join(scope, joins):
+        ok = True
+        for p in q.predicates:
+            tname, cname = p.column.split(".", 1)
+            spec, v = by_name[tname].spec(cname), by_name[tname].column(cname)[rows[tname]]
+            original = spec.dictionary[int(v)] if spec.kind == "categorical" else v
+            ok = ok and bool(p.matches(np.array([original]))[0])
+        count += ok
+    return count
+
+
+def swap(old, new):
+    """A file edit that replaces the first ``old`` with ``new``."""
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
 
 
 class TestStages:
@@ -98,6 +124,35 @@ class TestStages:
         assert timings[0] == "method,stage,seconds"
         assert {ln.split(",")[0] for ln in timings[1:]} == {"cep", "finetune", "stale"}
         assert (run_dir / "report" / "convergence.csv").exists()
+
+    def test_depth_two_chain_end_to_end(self, tmp_path):
+        # hub -> orders -> customer: deleting customers orphans orders, and
+        # through them hub rows, which only scopes holding orders lose
+        db = chain_db(np.random.default_rng(5), n_hub=120, n_orders=12, n_customers=5)
+        save_dataset(db, tmp_path / "ext")
+        hub, orders, customer = db.tables
+        bal = customer.column("bal")
+        lo, hi = float(bal.min()), float(bal.min()) + 30.0
+        cfg = write_config(tmp_path, dataset={"dir": str(tmp_path / "ext")},
+                           task={"name": "A-1-1.0", "conditions": [
+                               {"table": "customer", "column": "bal", "lo": lo, "hi": hi}]},
+                           workload={"n_queries": 16, "num_samples": 64,
+                                     "focus_columns": ["customer.bal"], "focus_prob": 0.5})
+        for stage in ("gen-data", "train", "delete"):
+            assert run(stage, cfg) == 0
+        assert main(["unlearn", "-c", str(cfg), "--method", "cep"]) == 0
+        assert main(["eval", "-c", str(cfg), "--method", "cep"]) == 0
+
+        retained = [hub, orders, customer.take(np.flatnonzero((bal < lo) | (bal > hi)))]
+        oq, cq = _workloads(load_config(cfg), db)
+        queries = {("OQ", q.qid): q for q in oq} | {("CQ", q.qid): q for q in cq}
+        assert any("customer" in q.scope for q in queries.values()) and cq
+        with open(tmp_path / "run" / "eval-cep" / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(queries)
+        for row in rows:
+            q = queries[row["type"], int(row["query_id"])]
+            assert float(row["c"]) == nested_loop_count(retained, db.joins, q)
 
     def test_task_on_join_key_reaches_eval(self, tmp_path):
         # the key is no model column, so the workload does not focus on it
@@ -269,6 +324,54 @@ class TestConfigErrors:
         assert run("gen-data", write_config(tmp_path, dataset={"dir": str(ext)})) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edits,match", [
+        # fact -> dim1 and dim2 -> dim1: dim2 is reached only against its key
+        ([("schema.txt", swap("join fact.dim2_id dim2.id", "join dim2.id dim1.id"))],
+         r"not connected: \['dim2'\] not reached from hub 'fact'"),
+        # the cycle dim1 -> dim2 -> dim1 is reached from the hub, dim3 is not
+        ([("schema.txt", swap("join fact.dim2_id dim2.id\njoin fact.dim3_id dim3.id",
+                              "join dim1.grp1 dim2.id\njoin dim2.grp2 dim1.id"))],
+         r"not connected: \['dim3'\]"),
+        # a cycle between dim2 and dim3 that the hub does not reach
+        ([("schema.txt", swap("join fact.dim2_id dim2.id\njoin fact.dim3_id dim3.id",
+                              "join dim2.id dim3.id\njoin dim3.id dim2.id"))],
+         r"not connected: \['dim2', 'dim3'\]"),
+        ([("schema.txt", swap("join fact.dim2_id dim2.id", "join dim2.id fact.dim1_id"))],
+         "hub must not be referenced as a parent"),
+        ([("schema.txt", swap("table dim1\ncolumn id categorical",
+                              "table dim1\ncolumn id numerical 0.0 10.0"))],
+         r"join key dim1\.id is not categorical"),
+        ([("schema.txt", swap("column dim1_id categorical",
+                              "column dim1_id numerical 0.0 10.0"))],
+         r"join key fact\.dim1_id is not categorical"),
+        # the first fact row references dim1 row 4, which is gone
+        ([("fact.csv", lambda text: re.sub(r"\n\d+,", "\n4,", text, count=1)),
+          ("dim1.csv", lambda text: text[:text.rindex("\n4,") + 1])],
+         r"incomplete FK coverage: fact\.dim1_id -> dim1\.id"),
+        ([("dim1.csv", swap("\n1,", "\n0,"))], r"dim1\.id is not unique"),
+        # cells come first: a key code outside its domain is no lookup index
+        ([("dim1.csv", swap("\n1,", "\n99,"))], r"dim1\.id: code outside 0\.\.4"),
+        ([("fact.csv", lambda text: re.sub(r"\n\d+,", "\n-1,", text, count=1))],
+         r"fact\.dim1_id: code outside 0\.\.4"),
+    ], ids=["against-foreign-key", "reached-dimension-cycle", "unreached-dimension-cycle",
+            "hub-as-parent", "numerical-primary-key", "numerical-foreign-key",
+            "code-without-primary-key-row", "primary-key-not-unique", "primary-key-cell",
+            "foreign-key-cell"])
+    def test_schema_contract_exits_2_at_gen_data(self, tmp_path, capsys, edits, match):
+        # every join the schema allows can be built, or gen-data refuses it
+        ext = tmp_path / "ext"
+        save_dataset(gen_star_schema(DataGenConfig(hub_rows=50, dim_rows=(5, 4, 3),
+                                                   dim_cat_cards=(3, 3, 3))), ext)
+        for name, edit in edits:
+            (ext / name).write_text(edit((ext / name).read_text()))
+        with pytest.raises(ValidationError, match=match):
+            load_dataset(ext)
+        assert run("gen-data", write_config(tmp_path, dataset={"dir": str(ext)})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(match, err)
+        assert not (tmp_path / "run" / "data").exists()
 
     @pytest.mark.parametrize("field,value", [
         ("n_queries", 0), ("max_predicates", 0), ("num_samples", 0), ("num_samples", 2.5),

@@ -11,11 +11,12 @@ from cardest.errors import (ConfigurationError, EmptyRelationError, SizeError,
                             ValidationError)
 from cardest.relational import (CATEGORICAL, NUMERICAL, ColumnSpec, Condition,
                                 DeletionTask, Join, SchemaGraph, apply_deletion,
-                                _read_csv, empirical_pmf, join_keys,
+                                _read_csv, count_join, empirical_pmf, join_keys,
                                 load_dataset, materialize_join, save_dataset,
                                 semi_join_deletion)
-from conftest import (make_table, nested_loop_join, reference_read_csv,
-                      reference_save_csv, star_splits)
+from conftest import (chain_splits, connected_scopes, make_table, nested_loop_join,
+                      reference_read_csv, reference_save_csv, star_splits,
+                      undirected_hub_paths)
 
 
 def single_table_db(years):
@@ -260,6 +261,22 @@ class TestJoinPathProperties:
         db, split = db_split
         names, expected = star_join_rows(db.tables, db.joins)
         assert relation_rows(split.original_join(), names) == expected
+
+    @given(st.one_of(star_splits(), chain_splits()))
+    @settings(max_examples=60, deadline=None)
+    def test_count_join_is_the_join_size(self, db_split):
+        # deleted and retained tables hold orphans at every depth of a chain
+        db, split = db_split
+        for tables in (split.original, split.retained, split.deleted):
+            for scope in connected_scopes(tables, db.joins):
+                assert count_join(scope, db.joins, {}) == \
+                    materialize_join(scope, db.joins).cardinality
+
+    @given(st.one_of(star_splits(), chain_splits()))
+    @settings(max_examples=30, deadline=None)
+    def test_hub_paths_match_an_undirected_search(self, db_split):
+        db, _ = db_split
+        assert db.hub_paths() == undirected_hub_paths(db)
 
 
 # floats whose repr takes every form: signed zero, integral, exponent

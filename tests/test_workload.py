@@ -14,7 +14,7 @@ from cardest.workload import (QueryResult, WorkloadConfig, complement_query,
                               convergence_trace, evaluate, gen_workload,
                               model_constraints, nearest_rank_percentile,
                               q_error, summarize, true_cardinality)
-from conftest import make_table, star_splits
+from conftest import chain_db, make_table, star_splits
 from test_unlearn import tiny_star_model
 
 
@@ -203,20 +203,8 @@ class TestTrueCardinality:
     def test_depth_two_chain_with_orphans(self):
         # hub -> orders -> customer, with rows missing at both levels: a hub
         # row counts only when its order and that order's customer survive
-        rng = np.random.default_rng(11)
-        hub = make_table("hub", [
-            ("ord", CATEGORICAL, (rng.integers(0, 8, 60), np.arange(8))),
-            ("qty", NUMERICAL, (rng.integers(0, 100, 60).astype(float), 0.0, 100.0))])
-        orders = make_table("orders", [
-            ("id", CATEGORICAL, (np.arange(8), np.arange(8))),
-            ("cust", CATEGORICAL, (rng.integers(0, 5, 8), np.arange(5))),
-            ("total", NUMERICAL, (rng.integers(0, 100, 8).astype(float), 0.0, 100.0))])
-        customer = make_table("customer", [
-            ("id", CATEGORICAL, (np.arange(5), np.arange(5))),
-            ("seg", CATEGORICAL, (np.array([0, 1, 1, 0, 2]), [5, 6, 7]))])
-        joins = [Join("hub", "ord", "orders", "id"), Join("orders", "cust", "customer", "id")]
-        db = SchemaGraph([hub, orders, customer], joins, hub="hub")
-        db.validate()
+        db = chain_db(np.random.default_rng(11))
+        (hub, orders, customer), joins = db.tables, db.joins
         retained = SchemaGraph([hub, orders.take(np.array([0, 1, 3, 4, 6, 7])),
                                 customer.take(np.array([0, 2, 3]))], joins, hub="hub")
         cfg = WorkloadConfig(focus_columns=("customer.seg",), focus_prob=0.5)
